@@ -56,9 +56,6 @@ class Circuit:
     def two_qubit_gates(self) -> tuple[Gate, ...]:
         return tuple(g for g in self.gates if g.is_two_qubit)
 
-    def gates_of(self, qubit: int) -> tuple[Gate, ...]:
-        return tuple(g for g in self.gates if qubit in g.qubits)
-
 
 def circuit(n_qubits: int, gate_list) -> Circuit:
     """Build a Circuit from (label, q) / (label, q1, q2) tuples."""
@@ -145,11 +142,9 @@ def _parse_qasm(text: str) -> Circuit:
     # Statement-oriented subset: qreg declarations, named single-qubit gates,
     # cx/cz. barrier and measure are accepted and ignored.
     body = _strip_qasm_comments(text)
-    offsets: dict[str, int] = {}
+    registers: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
     total = 0
     entries: list[tuple[str, tuple[int, ...]]] = []
-    line_of: dict[int, int] = {}
-    pos = 0
     for lineno, raw in enumerate(body.splitlines(), start=1):
         for stmt in raw.split(";"):
             stmt = stmt.strip()
@@ -167,9 +162,9 @@ def _parse_qasm(text: str) -> Circuit:
                 if not m:
                     raise InputError(f"line {lineno}: malformed qreg statement {stmt!r}")
                 name, size = m.group(1), int(m.group(2))
-                if name in offsets:
+                if name in registers:
                     raise InputError(f"line {lineno}: duplicate qreg {name!r}")
-                offsets[name] = total
+                registers[name] = (total, size)
                 total += size
                 continue
             m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)(\([^)]*\))?\s+(.+)$", stmt)
@@ -183,9 +178,14 @@ def _parse_qasm(text: str) -> Circuit:
                 if not om:
                     raise InputError(f"line {lineno}: expected indexed operand, got {a!r}")
                 reg, idx = om.group(1), int(om.group(2))
-                if reg not in offsets:
+                if reg not in registers:
                     raise InputError(f"line {lineno}: unknown register {reg!r}")
-                operands.append(offsets[reg] + idx)
+                offset, size = registers[reg]
+                if idx >= size:
+                    raise InputError(
+                        f"line {lineno}: index {idx} outside register {reg!r} of size {size}"
+                    )
+                operands.append(offset + idx)
             if len(operands) == 1:
                 entries.append((name, (operands[0],)))
             elif len(operands) == 2:
@@ -198,14 +198,8 @@ def _parse_qasm(text: str) -> Circuit:
                 entries.append((name, tuple(operands)))
             else:
                 raise InputError(f"line {lineno}: gates take one or two operands, got {len(operands)}")
-            line_of[len(entries) - 1] = lineno
-            pos += 1
     if total == 0:
         raise InputError("OpenQASM input declares no qreg")
-    for i, (name, operands) in enumerate(entries):
-        for q in operands:
-            if q >= total:
-                raise InputError(f"line {line_of[i]}: operand index {q} outside register space")
     gates = tuple(Gate(label=name, qubits=operands, seq=i) for i, (name, operands) in enumerate(entries))
     return Circuit(n_qubits=total, gates=gates)
 
@@ -253,24 +247,6 @@ class InteractionGraph:
 
     n_qubits: int
     weights: dict[tuple[int, int], int] = field(compare=False)
-
-    def degree(self, q: int) -> int:
-        return sum(1 for pair in self.weights if q in pair)
-
-    def incident_weight(self, q: int) -> int:
-        return sum(w for pair, w in self.weights.items() if q in pair)
-
-    def neighbors(self, q: int) -> list[int]:
-        out = []
-        for a, b in self.weights:
-            if a == q:
-                out.append(b)
-            elif b == q:
-                out.append(a)
-        return sorted(out)
-
-    def edges(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(self.weights.items())
 
 
 def interaction_graph(circ: Circuit) -> InteractionGraph:

@@ -179,8 +179,7 @@ class PhysOp:
 
 
 class DeviceState:
-    """Mutable trap-chain state. One instance is owned by a compilation run;
-    ``apply_op`` offers the pure-transition view on top of ``copy``."""
+    """Mutable trap-chain state. One instance is owned by a compilation run."""
 
     def __init__(self, spec: DeviceSpec, chains: list[list[int]]):
         if len(chains) != spec.n_traps:
@@ -195,10 +194,6 @@ class DeviceState:
                 if q in self._trap_of:
                     raise InputError(f"qubit {q} appears in more than one trap")
                 self._trap_of[q] = t
-
-    @staticmethod
-    def empty(spec: DeviceSpec) -> "DeviceState":
-        return DeviceState(spec, [[] for _ in range(spec.n_traps)])
 
     def copy(self) -> "DeviceState":
         dup = DeviceState.__new__(DeviceState)
@@ -276,17 +271,6 @@ class DeviceState:
             self._trap_of[q] = dst
         else:  # pragma: no cover - enum is closed
             raise DeviceOpError(f"unknown op kind {kind}")
-
-
-def build_device(spec: DeviceSpec) -> DeviceState:
-    return DeviceState.empty(spec)
-
-
-def apply_op(state: DeviceState, op: PhysOp) -> DeviceState:
-    """Pure transition: validate and apply op, returning a new state."""
-    nxt = state.copy()
-    nxt.apply(op)
-    return nxt
 
 
 def op_duration(timing: TimingModel, op: PhysOp, occupancy) -> float:

@@ -126,7 +126,11 @@ def _summary_rows(rows: list[dict]) -> list[dict]:
 def emit(records: list[RunRecord], fmt: str = "csv", include_wall_clock: bool = False) -> str:
     """Serialize records (plus per-group summary rows) to CSV or JSON text."""
     columns = COLUMNS + (["wall_clock"] if include_wall_clock else [])
-    rows = _summary_rows([r.as_row() for r in records])
+    return _write(_summary_rows([r.as_row() for r in records]), columns, fmt)
+
+
+def _write(rows: list[dict], columns: list[str], fmt: str) -> str:
+    """Render rows as CSV or JSON text with the given column order."""
     if fmt == "csv":
         lines = [",".join(columns)]
         for row in rows:
@@ -235,18 +239,4 @@ def compare(baseline: list[dict], candidate: list[dict]) -> list[dict]:
 
 
 def emit_compare(rows: list[dict], fmt: str = "csv") -> str:
-    if fmt == "csv":
-        lines = [",".join(COMPARE_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in COMPARE_COLUMNS))
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = []
-        for row in rows:
-            entry = {}
-            for c in COMPARE_COLUMNS:
-                v = row[c]
-                entry[c] = round(v, 12) if isinstance(v, float) else v
-            payload.append(entry)
-        return json.dumps(payload, indent=2) + "\n"
-    raise InputError(f"unknown report format {fmt!r} (csv, json)")
+    return _write(rows, COMPARE_COLUMNS, fmt)

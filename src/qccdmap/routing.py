@@ -6,11 +6,12 @@ path to its partner. The mover is chosen by comparing how much each operand
 still has to gain from relocating; full traps on the way are cleared by
 evicting their least-attached resident to a neighbouring trap.
 
-All planning runs on a copy of the device state; the returned ops are applied
-by the scheduler in order.
+Each op is handed to the caller's ``commit`` as soon as it is chosen, so the
+next choice sees the state that op left behind.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
@@ -81,7 +82,6 @@ class MoveDecision:
     mover: int
     dest_trap: int
     path: tuple[int, ...]
-    evictions: tuple[tuple[int, int, int], ...] = ()
 
 
 def _score(
@@ -135,23 +135,18 @@ def select_mover(
 
 
 def _walk_to_boundary(
-    sim: DeviceState, spec: DeviceSpec, qubit: int, neighbor: int, ops: list[PhysOp]
+    state: DeviceState, qubit: int, neighbor: int, commit: Callable[[PhysOp], None]
 ) -> None:
-    """Emit and apply the SWAP that puts qubit at its trap end facing neighbor.
+    """Commit the SWAP that puts qubit at its trap end facing neighbor.
 
     In-trap connectivity is all-to-all, so one SWAP gate exchanges the qubit
     with whatever ion currently holds the boundary slot; no op is needed when
     the qubit is already there.
     """
-    trap = sim.trap_of(qubit)
-    bpos = sim.boundary_position(trap, neighbor)
-    chain = sim.chains[trap]
-    occupant = chain[bpos]
-    if occupant == qubit:
-        return
-    op = PhysOp.swap(trap, (qubit, occupant))
-    sim.apply(op)
-    ops.append(op)
+    trap = state.trap_of(qubit)
+    occupant = state.chains[trap][state.boundary_position(trap, neighbor)]
+    if occupant != qubit:
+        commit(PhysOp.swap(trap, (qubit, occupant)))
 
 
 def _count_cotrapped(qubit: int, state: DeviceState, tracker: PendingTracker) -> int:
@@ -172,7 +167,7 @@ def _next_cotrapped_seq(qubit: int, state: DeviceState, tracker: PendingTracker)
     return 1 << 60
 
 
-def _dist_to_slack(sim: DeviceState, spec: DeviceSpec, excluded: frozenset[int]) -> list[int]:
+def _dist_to_slack(state: DeviceState, spec: DeviceSpec, excluded: frozenset[int]) -> list[int]:
     """Hop count from each trap to the nearest trap with a free slot.
 
     Traps in ``excluded`` neither count as slack nor relay it; distances are
@@ -180,7 +175,7 @@ def _dist_to_slack(sim: DeviceState, spec: DeviceSpec, excluded: frozenset[int])
     """
     inf = spec.n_traps + 1
     dist = [
-        0 if sim.occupancy(t) < spec.capacity and t not in excluded else inf
+        0 if state.occupancy(t) < spec.capacity and t not in excluded else inf
         for t in range(spec.n_traps)
     ]
     frontier = [t for t, d in enumerate(dist) if d == 0]
@@ -198,13 +193,12 @@ def _dist_to_slack(sim: DeviceState, spec: DeviceSpec, excluded: frozenset[int])
 
 
 def _evict_one(
-    sim: DeviceState,
+    state: DeviceState,
     spec: DeviceSpec,
     trap: int,
     avoid: frozenset[int],
     tracker: PendingTracker,
-    ops: list[PhysOp],
-    evictions: list[tuple[int, int, int]],
+    commit: Callable[[PhysOp], None],
     visited: frozenset[int],
     blocked: frozenset[int] = frozenset(),
 ) -> None:
@@ -218,28 +212,28 @@ def _evict_one(
     terminates after at most one pass over the traps; a configuration with no
     reachable slack is reported as a deadlock.
     """
-    candidates = [q for q in sim.chains[trap] if q not in avoid]
+    candidates = [q for q in state.chains[trap] if q not in avoid]
     if not candidates:
         raise DeadlockError(
-            f"trap {trap} is full and every resident is pinned", sim.occupancies()
+            f"trap {trap} is full and every resident is pinned", state.occupancies()
         )
     visited = visited | {trap}
-    open_neighbors = [t for t in spec.neighbors(trap) if sim.occupancy(t) < spec.capacity]
+    open_neighbors = [t for t in spec.neighbors(trap) if state.occupancy(t) < spec.capacity]
     if open_neighbors:
-        dest = min(open_neighbors, key=lambda t: (t in blocked, sim.occupancy(t), t))
+        dest = min(open_neighbors, key=lambda t: (t in blocked, state.occupancy(t), t))
     else:
-        dist = _dist_to_slack(sim, spec, excluded=visited)
+        dist = _dist_to_slack(state, spec, excluded=visited)
         relievable = [
             t for t in spec.neighbors(trap)
             if t not in visited and dist[t] <= spec.n_traps
         ]
         if not relievable:
             raise DeadlockError(
-                f"no free slot reachable from trap {trap}", sim.occupancies()
+                f"no free slot reachable from trap {trap}", state.occupancies()
             )
         dest = min(relievable, key=lambda t: (t in blocked, dist[t], t))
         _evict_one(
-            sim, spec, dest, avoid, tracker, ops, evictions,
+            state, spec, dest, avoid, tracker, commit,
             visited=visited, blocked=blocked,
         )
     # Among the least-attached residents, prefer the one whose next
@@ -248,17 +242,14 @@ def _evict_one(
     victim = min(
         candidates,
         key=lambda q: (
-            _count_cotrapped(q, sim, tracker),
-            -_next_cotrapped_seq(q, sim, tracker),
-            _swaps_to_boundary(sim, spec, q, dest),
+            _count_cotrapped(q, state, tracker),
+            -_next_cotrapped_seq(q, state, tracker),
+            _swaps_to_boundary(state, spec, q, dest),
             q,
         ),
     )
-    _walk_to_boundary(sim, spec, victim, dest, ops)
-    op = PhysOp.shuttle(victim, trap, dest)
-    sim.apply(op)
-    ops.append(op)
-    evictions.append((victim, trap, dest))
+    _walk_to_boundary(state, victim, dest, commit)
+    commit(PhysOp.shuttle(victim, trap, dest))
 
 
 def resolve_gate(
@@ -266,32 +257,29 @@ def resolve_gate(
     state: DeviceState,
     tracker: PendingTracker,
     spec: DeviceSpec,
+    commit: Callable[[PhysOp], None],
 ) -> list[PhysOp]:
-    """Plan the SWAP and shuttle sequence that co-traps a split gate's operands.
+    """Co-trap a split gate's operands, committing each SWAP and shuttle in turn.
 
-    The input state is not modified. After applying the returned ops in order
-    the operands share the destination trap.
+    ``commit`` must apply the op to ``state`` before it returns. Returns the
+    committed ops in order; afterwards the operands share the destination trap.
     """
-    a, b = gate.qubits
-    if state.trap_of(a) == state.trap_of(b):
-        return []
     decision = select_mover(gate, state, tracker, spec)
     mover = decision.mover
-    stationary = b if mover == a else a
-    avoid = frozenset((mover, stationary))
-    sim = state.copy()
+    avoid = frozenset(gate.qubits)
     ops: list[PhysOp] = []
-    evictions: list[tuple[int, int, int]] = []
+
+    def record(op: PhysOp) -> None:
+        commit(op)
+        ops.append(op)
+
     path = decision.path
     for i, (cur, nxt) in enumerate(zip(path, path[1:])):
-        if sim.occupancy(nxt) >= spec.capacity:
-            upcoming = frozenset(path[i + 2 :])
+        if state.occupancy(nxt) >= spec.capacity:
             _evict_one(
-                sim, spec, nxt, avoid, tracker, ops, evictions,
-                visited=frozenset(), blocked=upcoming,
+                state, spec, nxt, avoid, tracker, record,
+                visited=frozenset(), blocked=frozenset(path[i + 2 :]),
             )
-        _walk_to_boundary(sim, spec, mover, nxt, ops)
-        op = PhysOp.shuttle(mover, cur, nxt)
-        sim.apply(op)
-        ops.append(op)
+        _walk_to_boundary(state, mover, nxt, record)
+        record(PhysOp.shuttle(mover, cur, nxt))
     return ops

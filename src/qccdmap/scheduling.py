@@ -108,6 +108,14 @@ def schedule(
         out.append(ScheduledOp(op=op, start=start, end=end))
         return end
 
+    # Movement ops for one split gate run back to back from the clock tick the
+    # gate was taken at; cursor is where the next one may start.
+    cursor = 0.0
+
+    def commit_move(op: PhysOp) -> None:
+        nonlocal cursor
+        cursor = commit_op(op, cursor)
+
     clock = 0.0
     committed = 0
     total = len(circ.gates)
@@ -128,8 +136,8 @@ def schedule(
                     i += 1
                     continue
                 cursor = clock
-                for mop in resolve_gate(g, state, tracker, spec):
-                    cursor = commit_op(mop, cursor)
+                if ta != tb:
+                    resolve_gate(g, state, tracker, spec, commit_move)
                 end = commit_op(
                     PhysOp.gate2(a, b, state.trap_of(a), seq=seq, label=g.label), cursor
                 )
@@ -241,9 +249,12 @@ def verify_schedule(
     missing = [g.seq for g in circ.gates if g.seq not in seen_gate]
     if missing:
         return Verdict(False, f"gates never scheduled: {missing[:8]}{'...' if len(missing) > 8 else ''}")
+    program: dict[int, list[int]] = {q: [] for q in range(circ.n_qubits)}
+    for g in circ.gates:
+        for q in g.qubits:
+            program[q].append(g.seq)
     for q in range(circ.n_qubits):
-        program = [g.seq for g in circ.gates if q in g.qubits]
-        if per_qubit_runs[q] != program:
+        if per_qubit_runs[q] != program[q]:
             return Verdict(False, f"qubit {q} saw gates out of program order")
     return Verdict(True)
 

@@ -10,8 +10,6 @@ from qccdmap.devices import (
     PhysOp,
     TimingModel,
     Topology,
-    apply_op,
-    build_device,
     device_to_text,
     facing_end,
     op_duration,
@@ -168,18 +166,15 @@ def test_gate2_requires_co_trapped_operands():
         st.apply(PhysOp.gate2(1, 2, 0))
 
 
-def test_apply_op_is_pure_copy():
+def test_copy_is_independent_of_original():
     spec = _linear(n_traps=2)
     st = _state(spec, [[3, 2], [4]])
-    out = apply_op(st, PhysOp.shuttle(2, 0, 1))
-    assert st.chains[0] == [3, 2]
-    assert out.chains[0] == [3]
-
-
-def test_build_device_empty():
-    st = build_device(_linear(n_traps=3))
-    assert list(st.occupancies()) == [0, 0, 0]
-
+    out = st.copy()
+    out.apply(PhysOp.shuttle(2, 0, 1))
+    assert st.chains == [[3, 2], [4]]
+    assert st.trap_of(2) == 0
+    assert out.chains == [[3], [2, 4]]
+    assert out.trap_of(2) == 1
 
 def test_state_lookups():
     spec = _linear(n_traps=2)

@@ -5,7 +5,7 @@ import pytest
 
 from qccdmap.circuits import circuit
 from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology
-from qccdmap.errors import DeadlockError
+from qccdmap.errors import DeadlockError, InputError
 from qccdmap.routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate, select_mover
 
 
@@ -21,10 +21,17 @@ def _kinds(ops):
     return [op.kind for op in ops]
 
 
-def _replay(state, ops):
-    for op in ops:
+def _resolve(gate, state, tracker, spec):
+    """Route gate on state in place; the returned ops are exactly those committed."""
+    committed = []
+
+    def commit(op):
         state.apply(op)
-    return state
+        committed.append(op)
+
+    ops = resolve_gate(gate, state, tracker, spec, commit)
+    assert ops == committed
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +73,16 @@ def test_mover_one_swap_one_shuttle(movement_circuit, movement_spec, movement_pl
     state = _state(movement_spec, movement_placement.chains)
     tracker = PendingTracker(movement_circuit)
     gate = movement_circuit.gates[2]  # cx 2 4
-    ops = resolve_gate(gate, state, tracker, movement_spec)
+    ops = _resolve(gate, state, tracker, movement_spec)
     assert _kinds(ops) == [OpKind.SWAP, OpKind.SHUTTLE]
-    final = _replay(state.copy(), ops)
-    assert final.trap_of(2) == final.trap_of(4) == 1
+    assert state.trap_of(2) == state.trap_of(4) == 1
 
 
 def test_mover_already_at_boundary_needs_only_shuttle():
     spec = _spec(2, 4, 2)
     c = circuit(3, [("cx", 1, 2)])
     state = _state(spec, [[0, 1], [2]])
-    ops = resolve_gate(c.gates[0], state, PendingTracker(c), spec)
+    ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
     assert _kinds(ops) == [OpKind.SHUTTLE]
 
 
@@ -84,27 +90,49 @@ def test_transit_across_middle_trap_shuttles_twice():
     spec = _spec(3, 4, 2)
     c = circuit(2, [("cx", 0, 1)])
     state = _state(spec, [[0], [], [1]])
-    ops = resolve_gate(c.gates[0], state, PendingTracker(c), spec)
+    ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
     shuttles = [op for op in ops if op.kind == OpKind.SHUTTLE]
     assert len(shuttles) == 2
-    final = _replay(state.copy(), ops)
-    assert final.trap_of(0) == final.trap_of(1)
+    assert state.trap_of(0) == state.trap_of(1)
 
 
-def test_resolve_does_not_mutate_input_state():
+def test_resolve_commits_each_op_once_in_order():
+    # eviction, SWAP walk and mover shuttle: each op is chosen against the
+    # state the previous commit left, so the log replays from the start state
+    spec = _spec(3, 3, 0)
+    c = circuit(6, [("cx", 0, 2), ("cx", 2, 3)])
+    chains = [[0, 1], [2, 4, 3], [5]]
+    state = _state(spec, chains)
+    log = []
+
+    def commit(op):
+        log.append(op)
+        state.apply(op)
+
+    ops = resolve_gate(c.gates[0], state, PendingTracker(c), spec, commit)
+    assert _kinds(ops) == [OpKind.SWAP, OpKind.SHUTTLE, OpKind.SWAP, OpKind.SHUTTLE]
+    assert log == ops
+    assert state.trap_of(0) == state.trap_of(2)
+    replay = _state(spec, chains)
+    for op in ops:
+        replay.apply(op)
+    assert replay.chains == state.chains
+
+
+def test_resolve_rejects_cotrapped_gate():
     spec = _spec(2, 4, 2)
-    c = circuit(3, [("cx", 1, 2)])
+    c = circuit(3, [("cx", 0, 1)])
     state = _state(spec, [[0, 1], [2]])
-    before = [list(chain) for chain in state.chains]
-    resolve_gate(c.gates[0], state, PendingTracker(c), spec)
-    assert [list(chain) for chain in state.chains] == before
+    with pytest.raises(InputError):
+        resolve_gate(c.gates[0], state, PendingTracker(c), spec, state.apply)
+    assert state.chains == [[0, 1], [2]]
 
 
 def test_at_most_one_swap_per_hop():
     spec = _spec(4, 5, 1)
     c = circuit(8, [("cx", 0, 7)])
     state = _state(spec, [[0, 1, 2, 3], [4, 5], [6], [7]])
-    ops = resolve_gate(c.gates[0], state, PendingTracker(c), spec)
+    ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
     swaps = sum(1 for op in ops if op.kind == OpKind.SWAP)
     shuttles = sum(1 for op in ops if op.kind == OpKind.SHUTTLE)
     assert swaps <= shuttles
@@ -161,20 +189,18 @@ def test_full_destination_evicts_least_attached_resident():
     # trap 1 is full; 3 still has work there, 4 does not, so 4 must leave
     c = circuit(6, [("cx", 0, 2), ("cx", 2, 3)])
     state = _state(spec, [[1, 0], [2, 3, 4], [5]])
-    ops = resolve_gate(c.gates[0], state, PendingTracker(c), spec)
-    final = _replay(state.copy(), ops)
-    assert final.trap_of(4) == 2
-    assert final.trap_of(0) == final.trap_of(2) == 1
-    assert final.trap_of(3) == 1
+    _resolve(c.gates[0], state, PendingTracker(c), spec)
+    assert state.trap_of(4) == 2
+    assert state.trap_of(0) == state.trap_of(2) == 1
+    assert state.trap_of(3) == 1
 
 
 def test_eviction_never_moves_gate_operands():
     spec = _spec(3, 2, 0)
     c = circuit(5, [("cx", 0, 2)])
     state = _state(spec, [[0, 1], [2, 3], [4]])
-    ops = resolve_gate(c.gates[0], state, PendingTracker(c), spec)
-    final = _replay(state.copy(), ops)
-    assert final.trap_of(0) == final.trap_of(2)
+    _resolve(c.gates[0], state, PendingTracker(c), spec)
+    assert state.trap_of(0) == state.trap_of(2)
 
 
 def test_relief_cascades_through_packed_walls():
@@ -184,12 +210,11 @@ def test_relief_cascades_through_packed_walls():
     spec = _spec(4, 2, 0)
     c = circuit(7, [("cx", 0, 2)])
     state = _state(spec, [[0, 1], [2, 3], [4, 5], [6]])
-    ops = resolve_gate(c.gates[0], state, PendingTracker(c), spec)
-    final = _replay(state.copy(), ops)
-    assert final.trap_of(0) == final.trap_of(2)
+    ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
+    assert state.trap_of(0) == state.trap_of(2)
     shuttles = sum(1 for op in ops if op.kind == OpKind.SHUTTLE)
     assert shuttles >= 4  # eviction chain reaches the slack, then the mover
-    assert all(final.occupancy(t) <= spec.capacity for t in range(4))
+    assert all(state.occupancy(t) <= spec.capacity for t in range(4))
 
 
 def test_deadlock_when_no_slack_exists():
@@ -197,7 +222,7 @@ def test_deadlock_when_no_slack_exists():
     c = circuit(4, [("cx", 0, 2)])
     state = _state(spec, [[0, 1], [2, 3]])
     with pytest.raises(DeadlockError) as err:
-        resolve_gate(c.gates[0], state, PendingTracker(c), spec)
+        _resolve(c.gates[0], state, PendingTracker(c), spec)
     assert "occupancy" in str(err.value)
     assert err.value.exit_code == 2
 
@@ -207,12 +232,15 @@ def test_routing_keeps_capacity_invariant_under_replay():
     c = circuit(7, [("cx", 0, 6), ("cx", 1, 5), ("cx", 2, 4)])
     state = _state(spec, [[0, 1, 2], [3, 4, 5], [6]])
     tracker = PendingTracker(c)
+
+    def commit(op):
+        state.apply(op)
+        assert all(state.occupancy(t) <= spec.capacity for t in range(3))
+
     for gate in c.gates:
-        ops = resolve_gate(gate, state, tracker, spec)
-        for op in ops:
-            state.apply(op)
-            assert all(state.occupancy(t) <= spec.capacity for t in range(3))
         a, b = gate.qubits
+        if state.trap_of(a) != state.trap_of(b):
+            resolve_gate(gate, state, tracker, spec, commit)
         assert state.trap_of(a) == state.trap_of(b)
         state.apply(PhysOp.gate2(a, b, state.trap_of(a), seq=gate.seq))
         tracker.mark_done(gate.seq)

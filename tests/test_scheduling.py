@@ -50,7 +50,7 @@ def test_gates_respect_program_order_per_qubit(worked_circuit, worked_spec):
         for q in s.op.qubits:
             order.setdefault(q, []).append(s.op.seq)
     for q, seqs in order.items():
-        gate_seqs = [g.seq for g in worked_circuit.gates_of(q)]
+        gate_seqs = [g.seq for g in worked_circuit.gates if q in g.qubits]
         assert seqs == gate_seqs
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 from qccdmap.circuits import circuit
 from qccdmap.devices import DeviceSpec, OpKind, PhysOp, Topology, op_duration
@@ -90,6 +91,25 @@ def test_mutation_trap_overflow_is_caught():
     v = verify_schedule(mutated, circ, pl, spec)
     assert not v.ok
     assert "full" in v.reason or "capacity" in v.reason
+
+
+def test_mutation_program_order_swap_is_caught():
+    # two gate1 ops on one qubit trade circuit indices: every op stays legal
+    # and every gate still runs once, only the qubit's order is wrong
+    circ = circuit(2, [("h", 0), ("x", 0), ("cx", 0, 1)])
+    pl = Placement(chains=((0, 1),))
+    spec = DeviceSpec(topology=Topology.LINEAR, n_traps=1, capacity=2, excess_capacity=0)
+    sched = schedule(circ, pl, spec)
+    assert verify_schedule(sched, circ, pl, spec).ok
+    i, j = [k for k, s in enumerate(sched.ops) if s.op.kind is OpKind.GATE1]
+    ops = list(sched.ops)
+    ops[i], ops[j] = (
+        ScheduledOp(replace(ops[i].op, seq=ops[j].op.seq), ops[i].start, ops[i].end),
+        ScheduledOp(replace(ops[j].op, seq=ops[i].op.seq), ops[j].start, ops[j].end),
+    )
+    v = verify_schedule(Schedule(ops=tuple(ops)), circ, pl, spec)
+    assert not v.ok
+    assert v.reason == "qubit 0 saw gates out of program order"
 
 
 def test_verdict_reports_offending_op(movement_circuit, movement_spec, movement_placement):
