@@ -74,6 +74,19 @@ class DeviceSpec:
             raise InputError(
                 f"excess capacity {self.excess_capacity} must be smaller than capacity {self.capacity}"
             )
+        # Adjacency and facing tables, built once. Chains run left to right by
+        # trap index; a ring of 3+ traps wraps, so trap T-1's right end faces 0.
+        n = self.n_traps
+        ring = self.topology is Topology.RING and n > 2
+        facing: dict[tuple[int, int], str] = {}
+        adjacency: list[list[int]] = [[] for _ in range(n)]
+        for t in range(n):
+            for u, end in ((t - 1, "left"), (t + 1, "right")):
+                if ring or 0 <= u < n:
+                    facing[t, u % n] = end
+                    adjacency[t].append(u % n)
+        object.__setattr__(self, "_facing", facing)
+        object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in adjacency))
 
     @property
     def usable_capacity(self) -> int:
@@ -81,16 +94,7 @@ class DeviceSpec:
 
     def neighbors(self, trap: int) -> tuple[int, ...]:
         self._check_trap(trap)
-        if self.n_traps == 1:
-            return ()
-        if self.topology is Topology.LINEAR or self.n_traps == 2:
-            out = []
-            if trap > 0:
-                out.append(trap - 1)
-            if trap < self.n_traps - 1:
-                out.append(trap + 1)
-            return tuple(out)
-        return tuple(sorted({(trap - 1) % self.n_traps, (trap + 1) % self.n_traps}))
+        return self._adjacency[trap]
 
     def _check_trap(self, trap: int) -> None:
         if not 0 <= trap < self.n_traps:
@@ -126,14 +130,11 @@ def shortest_path(spec: DeviceSpec, a: int, b: int) -> tuple[int, ...]:
 
 def facing_end(spec: DeviceSpec, trap: int, neighbor: int) -> str:
     """Which end ('left' or 'right') of trap's chain faces the given neighbor."""
-    if neighbor not in spec.neighbors(trap):
-        raise DeviceOpError(f"traps {trap} and {neighbor} are not adjacent")
-    if spec.topology is Topology.LINEAR or spec.n_traps == 2:
-        return "right" if neighbor > trap else "left"
-    # Ring: +1 direction is the right end; the wrap edge follows the same rule.
-    if neighbor == (trap + 1) % spec.n_traps:
-        return "right"
-    return "left"
+    try:
+        return spec._facing[trap, neighbor]
+    except KeyError:
+        spec._check_trap(trap)
+        raise DeviceOpError(f"traps {trap} and {neighbor} are not adjacent") from None
 
 
 class OpKind(Enum):
@@ -213,9 +214,6 @@ class DeviceState:
             return self._trap_of[qubit]
         except KeyError:
             raise DeviceOpError(f"qubit {qubit} is not on the device")
-
-    def position_of(self, qubit: int) -> int:
-        return self.chains[self.trap_of(qubit)].index(qubit)
 
     def boundary_position(self, trap: int, neighbor: int) -> int:
         """Chain index of the end of ``trap`` facing ``neighbor``."""

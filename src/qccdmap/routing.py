@@ -55,24 +55,21 @@ class PendingTracker:
         The excluded gate does not consume a lookahead slot.
         """
         entries = self._per_qubit[qubit]
+        done = self._done
         head = self._heads[qubit]
-        while head < len(entries) and entries[head][0] in self._done:
+        while head < len(entries) and entries[head][0] in done:
             head += 1
         self._heads[qubit] = head
         budget = self.lookahead
-        for seq, partner in entries[head:]:
-            if seq in self._done or seq == exclude_seq:
+        for i in range(head, len(entries)):
+            seq, partner = entries[i]
+            if seq in done or seq == exclude_seq:
                 continue
             yield seq, partner
             if budget is not None:
                 budget -= 1
                 if budget == 0:
                     return
-
-    def pending_partners(self, qubit: int, exclude_seq: int | None = None):
-        """Yield partners of the next pending gates of qubit, oldest first."""
-        for _, partner in self.pending_gates(qubit, exclude_seq=exclude_seq):
-            yield partner
 
 
 @dataclass(frozen=True)
@@ -95,21 +92,13 @@ def _score(
     # +1 per pending partner already in the destination, -1 per partner this
     # move would leave behind in the current trap.
     s = 0
-    for partner in tracker.pending_partners(qubit, exclude_seq=exclude_seq):
+    for _, partner in tracker.pending_gates(qubit, exclude_seq=exclude_seq):
         t = state.trap_of(partner)
         if t == dest_trap:
             s += 1
         elif t == own_trap:
             s -= 1
     return s
-
-
-def _swaps_to_boundary(state: DeviceState, spec: DeviceSpec, qubit: int, toward: int) -> int:
-    # All-to-all in-trap connectivity: one SWAP gate moves any ion straight to
-    # the boundary slot, so the cost is 0 there and 1 anywhere else.
-    trap = state.trap_of(qubit)
-    hop = shortest_path(spec, trap, toward)[1]
-    return 0 if state.position_of(qubit) == state.boundary_position(trap, hop) else 1
 
 
 def select_mover(
@@ -123,15 +112,19 @@ def select_mover(
     ta, tb = state.trap_of(a), state.trap_of(b)
     if ta == tb:
         raise InputError(f"gate {gate.seq} operands already share trap {ta}")
-    score_a = _score(a, ta, tb, state, tracker, gate.seq)
-    score_b = _score(b, tb, ta, state, tracker, gate.seq)
-    key_a = (-score_a, _swaps_to_boundary(state, spec, a, tb), a)
-    key_b = (-score_b, _swaps_to_boundary(state, spec, b, ta), b)
+    path_a, path_b = shortest_path(spec, ta, tb), shortest_path(spec, tb, ta)
+    # All-to-all in-trap connectivity: one SWAP gate moves any ion straight to
+    # the boundary slot, so an operand already there saves that SWAP.
+    key_a = (-_score(a, ta, tb, state, tracker, gate.seq), a != _exit_ion(state, ta, path_a[1]), a)
+    key_b = (-_score(b, tb, ta, state, tracker, gate.seq), b != _exit_ion(state, tb, path_b[1]), b)
     if key_a <= key_b:
-        mover, dest = a, tb
-    else:
-        mover, dest = b, ta
-    return MoveDecision(mover=mover, dest_trap=dest, path=shortest_path(spec, state.trap_of(mover), dest))
+        return MoveDecision(mover=a, dest_trap=tb, path=path_a)
+    return MoveDecision(mover=b, dest_trap=ta, path=path_b)
+
+
+def _exit_ion(state: DeviceState, trap: int, neighbor: int) -> int:
+    """The ion on the slot of trap's chain end that faces neighbor."""
+    return state.chains[trap][state.boundary_position(trap, neighbor)]
 
 
 def _walk_to_boundary(
@@ -144,27 +137,24 @@ def _walk_to_boundary(
     the qubit is already there.
     """
     trap = state.trap_of(qubit)
-    occupant = state.chains[trap][state.boundary_position(trap, neighbor)]
+    occupant = _exit_ion(state, trap, neighbor)
     if occupant != qubit:
         commit(PhysOp.swap(trap, (qubit, occupant)))
 
 
-def _count_cotrapped(qubit: int, state: DeviceState, tracker: PendingTracker) -> int:
-    trap = state.trap_of(qubit)
-    return sum(1 for p in tracker.pending_partners(qubit) if state.trap_of(p) == trap)
+def _attachment(qubit: int, trap: int, state: DeviceState, tracker: PendingTracker) -> tuple[int, int]:
+    """(pending partners in trap, minus the seq of the first), from one window walk.
 
-
-def _next_cotrapped_seq(qubit: int, state: DeviceState, tracker: PendingTracker) -> int:
-    """Sequence index of qubit's earliest pending gate with a co-trapped partner.
-
-    Qubits with no such gate report a sentinel past the end of the circuit, so
-    they sort as needed-last.
+    With no such partner the seq is a sentinel past the circuit's end.
     """
-    trap = state.trap_of(qubit)
+    count = 0
+    first = 1 << 60
     for seq, p in tracker.pending_gates(qubit):
         if state.trap_of(p) == trap:
-            return seq
-    return 1 << 60
+            if not count:
+                first = seq
+            count += 1
+    return count, -first
 
 
 def _dist_to_slack(state: DeviceState, spec: DeviceSpec, excluded: frozenset[int]) -> list[int]:
@@ -237,16 +227,12 @@ def _evict_one(
             visited=visited, blocked=blocked,
         )
     # Among the least-attached residents, prefer the one whose next
-    # co-trapped gate lies farthest in the future, then the one closest to
-    # the exit: evicting a soon-needed ion just schedules a refetch.
+    # co-trapped gate lies farthest in the future, then the one already on
+    # the exit slot: evicting a soon-needed ion just schedules a refetch.
+    at_exit = _exit_ion(state, trap, dest)
     victim = min(
         candidates,
-        key=lambda q: (
-            _count_cotrapped(q, state, tracker),
-            -_next_cotrapped_seq(q, state, tracker),
-            _swaps_to_boundary(state, spec, q, dest),
-            q,
-        ),
+        key=lambda q: (*_attachment(q, trap, state, tracker), q != at_exit, q),
     )
     _walk_to_boundary(state, victim, dest, commit)
     commit(PhysOp.shuttle(victim, trap, dest))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .circuits import Circuit, dependency_graph
 from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, op_duration
-from .errors import DeviceOpError, InputError, QccdError
+from .errors import DeadlockError, DeviceOpError, InputError, QccdError
 from .placement import Placement
 from .routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
 
@@ -71,6 +71,41 @@ def compute_metrics(schedule: Schedule) -> Metrics:
     )
 
 
+class _LiveOccupancy:
+    """Chain length per trap, read from the state at lookup time."""
+
+    __slots__ = ("chains",)
+
+    def __init__(self, state: DeviceState):
+        self.chains = state.chains
+
+    def __getitem__(self, trap: int) -> int:
+        return len(self.chains[trap])
+
+
+def _reject_infeasible(circ: Circuit, state: DeviceState, spec: DeviceSpec) -> None:
+    """Raise DeadlockError for a split two-qubit gate that no routing can join.
+
+    No trap of capacity 1 holds two ions, and on a device without a free slot
+    no shuttle can run, so a gate the placement split stays split.
+    """
+    if spec.capacity == 1:
+        reason = "trap capacity is 1"
+    elif sum(map(len, state.chains)) == spec.n_traps * spec.capacity:
+        reason = "the device has no free slot to shuttle into"
+    else:
+        return
+    for g in circ.gates:
+        if g.is_two_qubit:
+            a, b = g.qubits
+            ta, tb = state.trap_of(a), state.trap_of(b)
+            if ta != tb:
+                raise DeadlockError(
+                    f"gate {g.seq} on qubits {a},{b} (traps {ta},{tb}) can never be co-trapped: {reason}",
+                    state.occupancies(),
+                )
+
+
 def schedule(
     circ: Circuit,
     placement: Placement,
@@ -84,12 +119,14 @@ def schedule(
     """
     placement.validate(spec, circ.n_qubits)
     state = DeviceState(spec, [list(c) for c in placement.chains])
+    _reject_infeasible(circ, state, spec)
     deps = dependency_graph(circ)
     remaining = list(deps.indegree)
     end_of = [0.0] * len(circ.gates)
     tracker = PendingTracker(circ, lookahead)
     trap_free = [0.0] * spec.n_traps
     out: list[ScheduledOp] = []
+    occupancy = _LiveOccupancy(state)
 
     # Gates whose predecessors have all committed, ascending seq. ready_at is
     # when the last predecessor finishes; commits also wait for trap_free.
@@ -100,7 +137,7 @@ def schedule(
         start = earliest
         for t in op.traps_held():
             start = max(start, trap_free[t])
-        dur = op_duration(spec.timing, op, state.occupancies())
+        dur = op_duration(spec.timing, op, occupancy)
         state.apply(op)
         end = start + dur
         for t in op.traps_held():

@@ -108,6 +108,45 @@ def test_facing_end_ring_wraps():
     assert facing_end(spec, 3, 0) == "right"
 
 
+def _reference_neighbors(spec, trap):
+    # the per-call formula the stored adjacency table replaced
+    if spec.n_traps == 1:
+        return ()
+    if spec.topology is Topology.LINEAR or spec.n_traps == 2:
+        out = []
+        if trap > 0:
+            out.append(trap - 1)
+        if trap < spec.n_traps - 1:
+            out.append(trap + 1)
+        return tuple(out)
+    return tuple(sorted({(trap - 1) % spec.n_traps, (trap + 1) % spec.n_traps}))
+
+
+def _reference_facing_end(spec, trap, neighbor):
+    if spec.topology is Topology.LINEAR or spec.n_traps == 2:
+        return "right" if neighbor > trap else "left"
+    return "right" if neighbor == (trap + 1) % spec.n_traps else "left"
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("n_traps", range(1, 9))
+def test_device_tables_match_reference_formulas(topology, n_traps):
+    spec = DeviceSpec(topology=topology, n_traps=n_traps, capacity=4, excess_capacity=2)
+    for trap in range(n_traps):
+        assert spec.neighbors(trap) == _reference_neighbors(spec, trap)
+        for other in range(n_traps):
+            if other in spec.neighbors(trap):
+                assert facing_end(spec, trap, other) == _reference_facing_end(spec, trap, other)
+            else:
+                with pytest.raises(DeviceOpError):
+                    facing_end(spec, trap, other)
+    for bad in (-1, n_traps):
+        with pytest.raises(InputError):
+            spec.neighbors(bad)
+        with pytest.raises(InputError):
+            facing_end(spec, bad, 0)
+
+
 # ---------------------------------------------------------------------------
 # chain mechanics (the two pinned traces)
 # ---------------------------------------------------------------------------
@@ -180,7 +219,6 @@ def test_state_lookups():
     spec = _linear(n_traps=2)
     st = _state(spec, [[3, 2], [4]])
     assert st.trap_of(4) == 1
-    assert st.position_of(2) == 1
     assert st.occupancy(0) == 2
     assert st.boundary_position(0, 1) == 1
     assert st.boundary_position(1, 0) == 0

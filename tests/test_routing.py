@@ -41,9 +41,9 @@ def _resolve(gate, state, tracker, spec):
 def test_tracker_lists_partners_in_program_order():
     c = circuit(4, [("cx", 0, 1), ("cx", 0, 2), ("cx", 0, 3)])
     t = PendingTracker(c)
-    assert list(t.pending_partners(0)) == [1, 2, 3]
+    assert list(t.pending_gates(0)) == [(0, 1), (1, 2), (2, 3)]
     t.mark_done(0)
-    assert list(t.pending_partners(0)) == [2, 3]
+    assert list(t.pending_gates(0)) == [(1, 2), (2, 3)]
 
 
 def test_tracker_window_excludes_resolved_gate():
@@ -193,6 +193,31 @@ def test_full_destination_evicts_least_attached_resident():
     assert state.trap_of(4) == 2
     assert state.trap_of(0) == state.trap_of(2) == 1
     assert state.trap_of(3) == 1
+
+
+def test_eviction_tie_on_attachment_evicts_latest_needed():
+    # 3, 4 and 5 each have one pending gate with 2 in trap 1; 4's comes last,
+    # so 4 leaves although 3 has the lower index and 5 holds the exit slot
+    spec = _spec(3, 4, 0)
+    c = circuit(7, [("cx", 0, 2), ("cx", 2, 3), ("cx", 2, 5), ("cx", 2, 4)])
+    state = _state(spec, [[1, 0], [2, 3, 4, 5], [6]])
+    ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
+    assert ops == [
+        PhysOp.swap(1, (4, 5)),
+        PhysOp.shuttle(4, 1, 2),
+        PhysOp.shuttle(0, 0, 1),
+    ]
+
+
+def test_eviction_tie_on_attachment_and_next_gate_evicts_exit_resident():
+    # 3 and 5 share their next gate and both count one co-trapped partner;
+    # 4 counts two and stays. 5 already holds the slot facing trap 2, so it
+    # leaves without a SWAP although 3 has the lower index
+    spec = _spec(3, 4, 0)
+    c = circuit(7, [("cx", 0, 2), ("cx", 3, 5), ("cx", 2, 4), ("cx", 4, 2)])
+    state = _state(spec, [[1, 0], [2, 3, 4, 5], [6]])
+    ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
+    assert ops == [PhysOp.shuttle(5, 1, 2), PhysOp.shuttle(0, 0, 1)]
 
 
 def test_eviction_never_moves_gate_operands():

@@ -4,10 +4,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qccdmap.circuits import circuit
 from qccdmap.devices import DeviceSpec, OpKind, Topology
-from qccdmap.placement import Placement, sta_place
+from qccdmap.errors import DeadlockError
+from qccdmap.placement import Placement, place, sta_place
 from qccdmap.routing import DEFAULT_LOOKAHEAD
 from qccdmap.scheduling import compute_metrics, schedule, schedule_to_text, verify_schedule
 
@@ -167,3 +170,59 @@ def test_schedule_passes_its_own_verifier(worked_circuit, worked_spec):
     pl = sta_place(worked_circuit, worked_spec)
     sched = schedule(worked_circuit, pl, worked_spec)
     assert verify_schedule(sched, worked_circuit, pl, worked_spec).ok
+
+
+# ---------------------------------------------------------------------------
+# infeasible inputs and the free-slot property
+# ---------------------------------------------------------------------------
+
+def test_full_device_with_split_gate_is_rejected_before_routing():
+    c = circuit(4, [("cx", 0, 1), ("cx", 1, 2)])
+    with pytest.raises(DeadlockError) as err:
+        schedule(c, Placement(chains=((0, 1), (2, 3))), _spec(2, 2, 0))
+    assert "gate 1 on qubits 1,2 (traps 0,1)" in str(err.value)
+    assert "no free slot" in str(err.value)
+    assert err.value.exit_code == 2
+
+
+def test_capacity_one_with_two_qubit_gate_is_rejected_before_routing():
+    # three traps for two ions: slots are free, but no trap holds a pair
+    c = circuit(2, [("h", 0), ("cx", 1, 0)])
+    with pytest.raises(DeadlockError) as err:
+        schedule(c, Placement(chains=((0,), (1,), ())), _spec(3, 1, 0))
+    assert "gate 1 on qubits 1,0 (traps 1,0)" in str(err.value)
+    assert "capacity is 1" in str(err.value)
+
+
+@st.composite
+def _compile_case(draw):
+    topology = draw(st.sampled_from(list(Topology)))
+    n_traps = draw(st.integers(1, 6))
+    capacity = draw(st.integers(2, 7))
+    excess = draw(st.integers(0, capacity - 1))
+    spec = DeviceSpec(topology=topology, n_traps=n_traps, capacity=capacity, excess_capacity=excess)
+    # at least one slot stays free; few free slots is the hard case
+    n = n_traps * capacity - draw(st.integers(1, n_traps * capacity - 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    gates = []
+    for _ in range(draw(st.integers(0, 60))):
+        if n > 1 and rng.random() < 0.8:
+            gates.append(("cx", *rng.sample(range(n), 2)))
+        else:
+            gates.append(("h", rng.randrange(n)))
+    return (
+        circuit(n, gates),
+        spec,
+        draw(st.sampled_from(["sta", "greedy", "random"])),
+        draw(st.sampled_from([None, 1, 4])),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_compile_case())
+def test_compile_with_a_free_slot_always_verifies(case):
+    circ, spec, strategy, lookahead = case
+    pl = place(circ, spec, strategy, seed=0)
+    sched = schedule(circ, pl, spec, lookahead=lookahead)
+    verdict = verify_schedule(sched, circ, pl, spec)
+    assert verdict.ok, verdict.reason
