@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
 from .devices import DeviceSpec, DeviceState, PhysOp, shortest_path
-from .errors import DeadlockError, InputError
+from .errors import DeadlockError, InputError, QccdError
 
 # Default pending-gate window for movement scores. A short horizon keeps the
 # router focused on imminent work; with a wide one, partners from much later
@@ -31,6 +31,10 @@ class PendingTracker:
     The scheduler marks gates done as they commit; the router reads pending
     partners to score movement choices. ``lookahead`` bounds how many pending
     gates per qubit are consulted (None = all of them).
+
+    Gates on one qubit commit in program order, so each qubit's done gates are
+    a prefix of its list and a head index per qubit marks where pending work
+    starts.
     """
 
     def __init__(self, circ: Circuit, lookahead: int | None = None):
@@ -43,33 +47,31 @@ class PendingTracker:
                 a, b = g.qubits
                 self._per_qubit[a].append((g.seq, b))
                 self._per_qubit[b].append((g.seq, a))
-        self._done: set[int] = set()
+        self._operands = [g.qubits if g.is_two_qubit else () for g in circ.gates]
         self._heads: list[int] = [0] * circ.n_qubits
 
     def mark_done(self, seq: int) -> None:
-        self._done.add(seq)
+        heads = self._heads
+        for q in self._operands[seq]:
+            head = heads[q]
+            entries = self._per_qubit[q]
+            if head == len(entries) or entries[head][0] != seq:
+                raise QccdError(f"gate {seq} marked done out of program order on qubit {q}")
+            heads[q] = head + 1
 
-    def pending_gates(self, qubit: int, exclude_seq: int | None = None):
-        """Yield (seq, partner) of the next pending gates of qubit, oldest first.
+    def pending_gates(self, qubit: int, exclude_seq: int | None = None) -> list[tuple[int, int]]:
+        """(seq, partner) of the next pending gates of qubit, oldest first.
 
-        The excluded gate does not consume a lookahead slot.
+        The excluded gate, the one being routed, sits at the head when given
+        and does not consume a lookahead slot.
         """
         entries = self._per_qubit[qubit]
-        done = self._done
         head = self._heads[qubit]
-        while head < len(entries) and entries[head][0] in done:
+        if head < len(entries) and entries[head][0] == exclude_seq:
             head += 1
-        self._heads[qubit] = head
-        budget = self.lookahead
-        for i in range(head, len(entries)):
-            seq, partner = entries[i]
-            if seq in done or seq == exclude_seq:
-                continue
-            yield seq, partner
-            if budget is not None:
-                budget -= 1
-                if budget == 0:
-                    return
+        if self.lookahead is None:
+            return entries[head:]
+        return entries[head : head + self.lookahead]
 
 
 @dataclass(frozen=True)
@@ -142,15 +144,16 @@ def _walk_to_boundary(
         commit(PhysOp.swap(trap, (qubit, occupant)))
 
 
-def _attachment(qubit: int, trap: int, state: DeviceState, tracker: PendingTracker) -> tuple[int, int]:
-    """(pending partners in trap, minus the seq of the first), from one window walk.
+def _attachment(qubit: int, residents: set[int], tracker: PendingTracker) -> tuple[int, int]:
+    """(pending partners among residents, minus the seq of the first), from one
+    window walk.
 
     With no such partner the seq is a sentinel past the circuit's end.
     """
     count = 0
     first = 1 << 60
     for seq, p in tracker.pending_gates(qubit):
-        if state.trap_of(p) == trap:
+        if p in residents:
             if not count:
                 first = seq
             count += 1
@@ -230,9 +233,10 @@ def _evict_one(
     # co-trapped gate lies farthest in the future, then the one already on
     # the exit slot: evicting a soon-needed ion just schedules a refetch.
     at_exit = _exit_ion(state, trap, dest)
+    residents = set(state.chains[trap])
     victim = min(
         candidates,
-        key=lambda q: (*_attachment(q, trap, state, tracker), q != at_exit, q),
+        key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
     )
     _walk_to_boundary(state, victim, dest, commit)
     commit(PhysOp.shuttle(victim, trap, dest))

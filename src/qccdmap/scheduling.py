@@ -1,11 +1,12 @@
 """Discrete-event scheduling of circuits onto a trapped-ion device.
 
 Each trap executes one operation at a time; independent traps run in
-parallel. Gates become available once every predecessor in the dependency
-DAG has committed, and are taken lowest sequence index first among those
-whose traps are free. A split two-qubit gate first commits its movement ops
-(SWAP walks plus shuttles from the router), chained serially, then the gate
-itself.
+parallel. The event loop is one wake heap of (time, seq): a gate enters it
+when its last predecessor in the dependency DAG commits, at that
+predecessor's end, and is taken when popped if its operands' traps are free,
+or pushed back to when they free up. Ties in time go to the lowest sequence
+index. A split two-qubit gate first commits its movement ops (SWAP walks
+plus shuttles from the router), chained serially, then the gate itself.
 
 ``verify_schedule`` replays a schedule against a fresh device state and
 checks it independently of how it was produced.
@@ -13,8 +14,8 @@ checks it independently of how it was produced.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .circuits import Circuit, dependency_graph
 from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, op_duration
@@ -128,19 +129,15 @@ def schedule(
     out: list[ScheduledOp] = []
     occupancy = _LiveOccupancy(state)
 
-    # Gates whose predecessors have all committed, ascending seq. ready_at is
-    # when the last predecessor finishes; commits also wait for trap_free.
-    available: list[int] = [g.seq for g in circ.gates if remaining[g.seq] == 0]
-    ready_at: dict[int, float] = {s: 0.0 for s in available}
-
     def commit_op(op: PhysOp, earliest: float) -> float:
+        held = op.traps_held()
         start = earliest
-        for t in op.traps_held():
+        for t in held:
             start = max(start, trap_free[t])
         dur = op_duration(spec.timing, op, occupancy)
         state.apply(op)
         end = start + dur
-        for t in op.traps_held():
+        for t in held:
             trap_free[t] = end
         out.append(ScheduledOp(op=op, start=start, end=end))
         return end
@@ -153,62 +150,45 @@ def schedule(
         nonlocal cursor
         cursor = commit_op(op, cursor)
 
-    clock = 0.0
-    committed = 0
-    total = len(circ.gates)
-    while committed < total:
-        if not available:
-            raise QccdError("scheduler stalled: gates remain but none are available")
-        i = 0
-        while i < len(available):
-            seq = available[i]
-            if ready_at[seq] > clock:
-                i += 1
+    # Wake heap of (time, seq): a gate enters once, when its last predecessor
+    # commits, and returns at the later of its traps' trap_free while one is
+    # busy. This equals rescanning every waiting gate at each clock tick:
+    # - every push lies strictly after the popped time, so pops come in
+    #   (time, seq) order, which is the lowest-seq-first scan of each tick;
+    # - trap_free only grows and a shuttle holds both its traps, so moving a
+    #   waiting gate's operand never lets that gate start earlier.
+    wake = [(0.0, g.seq) for g in circ.gates if remaining[g.seq] == 0]
+    while wake:
+        clock, seq = heappop(wake)
+        g = circ.gates[seq]
+        if g.is_two_qubit:
+            a, b = g.qubits
+            ta, tb = state.trap_of(a), state.trap_of(b)
+            free = max(trap_free[ta], trap_free[tb])
+            if free > clock:
+                heappush(wake, (free, seq))
                 continue
-            g = circ.gates[seq]
-            if g.is_two_qubit:
-                a, b = g.qubits
-                ta, tb = state.trap_of(a), state.trap_of(b)
-                if trap_free[ta] > clock or trap_free[tb] > clock:
-                    i += 1
-                    continue
-                cursor = clock
-                if ta != tb:
-                    resolve_gate(g, state, tracker, spec, commit_move)
-                end = commit_op(
-                    PhysOp.gate2(a, b, state.trap_of(a), seq=seq, label=g.label), cursor
-                )
-            else:
-                q = g.qubits[0]
-                t = state.trap_of(q)
-                if trap_free[t] > clock:
-                    i += 1
-                    continue
-                end = commit_op(PhysOp.gate1(q, t, seq=seq, label=g.label), clock)
-            end_of[seq] = end
-            tracker.mark_done(seq)
-            committed += 1
-            del available[i]
-            del ready_at[seq]
-            for s in deps.successors[seq]:
-                remaining[s] -= 1
-                if remaining[s] == 0:
-                    ready_at[s] = max(end_of[p] for p in deps.predecessors[s])
-                    insort(available, s)
-        if committed >= total:
-            break
-        # Advance to the next event: a trap freeing up or a gate becoming ready.
-        nxt = None
-        for v in trap_free:
-            if v > clock and (nxt is None or v < nxt):
-                nxt = v
-        for s in available:
-            v = ready_at[s]
-            if v > clock and (nxt is None or v < nxt):
-                nxt = v
-        if nxt is None:
-            raise QccdError("scheduler stalled: no pending events to advance to")
-        clock = nxt
+            cursor = clock
+            if ta != tb:
+                resolve_gate(g, state, tracker, spec, commit_move)
+            end = commit_op(
+                PhysOp.gate2(a, b, state.trap_of(a), seq=seq, label=g.label), cursor
+            )
+        else:
+            q = g.qubits[0]
+            t = state.trap_of(q)
+            if trap_free[t] > clock:
+                heappush(wake, (trap_free[t], seq))
+                continue
+            end = commit_op(PhysOp.gate1(q, t, seq=seq, label=g.label), clock)
+        end_of[seq] = end
+        tracker.mark_done(seq)
+        for s in deps.successors[seq]:
+            remaining[s] -= 1
+            if remaining[s] == 0:
+                heappush(wake, (max(end_of[p] for p in deps.predecessors[s]), s))
+    if any(remaining):
+        raise QccdError("scheduler stalled: gates remain but none can become ready")
     return Schedule(ops=tuple(out))
 
 
@@ -239,21 +219,23 @@ def verify_schedule(
     order = sorted(range(len(sched.ops)), key=lambda i: (sched.ops[i].start, i))
     busy_until = [0.0] * spec.n_traps
     seen_gate: dict[int, int] = {}
+    occupancy = _LiveOccupancy(state)
     per_qubit_runs: dict[int, list[int]] = {q: [] for q in range(circ.n_qubits)}
 
     for i in order:
         s = sched.ops[i]
         op = s.op
+        held = op.traps_held()
         if not s.end > s.start:
             return Verdict(False, f"op has non-positive duration {s.end - s.start}", i)
-        for t in op.traps_held():
+        for t in held:
             if t is None or not 0 <= t < spec.n_traps:
                 return Verdict(False, f"op references invalid trap {t}", i)
             if s.start < busy_until[t] - 1e-12:
                 return Verdict(
                     False, f"trap {t} is busy until {busy_until[t]:.9f} at start {s.start:.9f}", i
                 )
-        expected = op_duration(spec.timing, op, state.occupancies())
+        expected = op_duration(spec.timing, op, occupancy)
         if not math.isclose(s.end - s.start, expected, rel_tol=1e-9, abs_tol=1e-15):
             return Verdict(
                 False,
@@ -279,7 +261,7 @@ def verify_schedule(
             state.apply(op)
         except (DeviceOpError, InputError) as exc:
             return Verdict(False, f"illegal op: {exc}", i)
-        for t in op.traps_held():
+        for t in held:
             if state.occupancy(t) > spec.capacity:
                 return Verdict(False, f"trap {t} exceeds capacity {spec.capacity}", i)
             busy_until[t] = s.end

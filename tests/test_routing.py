@@ -5,7 +5,7 @@ import pytest
 
 from qccdmap.circuits import circuit
 from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology
-from qccdmap.errors import DeadlockError, InputError
+from qccdmap.errors import DeadlockError, InputError, QccdError
 from qccdmap.routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate, select_mover
 
 
@@ -52,6 +52,17 @@ def test_tracker_window_excludes_resolved_gate():
     # excluding the gate being resolved must not consume window budget
     assert [p for _, p in t.pending_gates(0, exclude_seq=0)] == [2, 3]
     assert [p for _, p in t.pending_gates(0, exclude_seq=None)][:2] == [1, 2]
+
+
+def test_tracker_rejects_done_gate_out_of_program_order():
+    # qubit 0's done gates must stay a prefix of its list
+    c = circuit(3, [("cx", 0, 1), ("cx", 0, 2)])
+    t = PendingTracker(c)
+    with pytest.raises(QccdError) as err:
+        t.mark_done(1)
+    assert "gate 1" in str(err.value)
+    assert "qubit 0" in str(err.value)
+    assert t.pending_gates(0) == [(0, 1), (1, 2)]
 
 
 def test_tracker_rejects_non_positive_window():

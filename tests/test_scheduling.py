@@ -7,12 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qccdmap.circuits import circuit
-from qccdmap.devices import DeviceSpec, OpKind, Topology
+from qccdmap.circuits import circuit, dependency_graph
+from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology, op_duration
 from qccdmap.errors import DeadlockError
 from qccdmap.placement import Placement, place, sta_place
-from qccdmap.routing import DEFAULT_LOOKAHEAD
-from qccdmap.scheduling import compute_metrics, schedule, schedule_to_text, verify_schedule
+from qccdmap.routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
+from qccdmap.scheduling import (
+    Schedule,
+    ScheduledOp,
+    compute_metrics,
+    schedule,
+    schedule_to_text,
+    verify_schedule,
+)
 
 
 def _spec(n_traps, capacity, excess, topology=Topology.LINEAR) -> DeviceSpec:
@@ -226,3 +233,100 @@ def test_compile_with_a_free_slot_always_verifies(case):
     sched = schedule(circ, pl, spec, lookahead=lookahead)
     verdict = verify_schedule(sched, circ, pl, spec)
     assert verdict.ok, verdict.reason
+
+
+# ---------------------------------------------------------------------------
+# the wake heap against a rescanning event loop
+# ---------------------------------------------------------------------------
+
+def _rescan_schedule(circ, placement, spec, lookahead):
+    """Reference event loop: at each tick, scan every available gate in seq
+    order, then advance to the smallest later trap_free or ready time.
+
+    It drives the same ``resolve_gate`` as ``schedule``, so a difference
+    between the two can only come from the event loop.
+    """
+    state = DeviceState(spec, [list(c) for c in placement.chains])
+    deps = dependency_graph(circ)
+    remaining = list(deps.indegree)
+    end_of = [0.0] * len(circ.gates)
+    tracker = PendingTracker(circ, lookahead)
+    trap_free = [0.0] * spec.n_traps
+    out = []
+
+    def commit_op(op, earliest):
+        start = max([earliest] + [trap_free[t] for t in op.traps_held()])
+        end = start + op_duration(spec.timing, op, state.occupancies())
+        state.apply(op)
+        for t in op.traps_held():
+            trap_free[t] = end
+        out.append(ScheduledOp(op=op, start=start, end=end))
+        return end
+
+    cursor = 0.0
+
+    def commit_move(op):
+        nonlocal cursor
+        cursor = commit_op(op, cursor)
+
+    available = [g.seq for g in circ.gates if remaining[g.seq] == 0]
+    ready_at = {s: 0.0 for s in available}
+    clock = 0.0
+    while available:
+        for seq in list(available):
+            if ready_at[seq] > clock:
+                continue
+            g = circ.gates[seq]
+            traps = {state.trap_of(q) for q in g.qubits}
+            if any(trap_free[t] > clock for t in traps):
+                continue
+            if g.is_two_qubit:
+                a, b = g.qubits
+                cursor = clock
+                if len(traps) == 2:
+                    resolve_gate(g, state, tracker, spec, commit_move)
+                end = commit_op(PhysOp.gate2(a, b, state.trap_of(a), seq=seq, label=g.label), cursor)
+            else:
+                q = g.qubits[0]
+                end = commit_op(PhysOp.gate1(q, state.trap_of(q), seq=seq, label=g.label), clock)
+            end_of[seq] = end
+            tracker.mark_done(seq)
+            available.remove(seq)
+            for s in deps.successors[seq]:
+                remaining[s] -= 1
+                if remaining[s] == 0:
+                    ready_at[s] = max(end_of[p] for p in deps.predecessors[s])
+                    available.append(s)
+        available.sort()
+        later = [v for v in trap_free + [ready_at[s] for s in available] if v > clock]
+        if available:
+            clock = min(later)
+    return Schedule(ops=tuple(out))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_compile_case())
+def test_wake_heap_matches_rescanning_loop(case):
+    circ, spec, strategy, lookahead = case
+    pl = place(circ, spec, strategy, seed=0)
+    assert schedule_to_text(schedule(circ, pl, spec, lookahead=lookahead)) == schedule_to_text(
+        _rescan_schedule(circ, pl, spec, lookahead)
+    )
+
+
+def test_gate_waits_for_operand_moved_by_lower_seq_eviction():
+    # h 2 (seq 3) is ready at 0 but trap 0 is busy with cx 0 1 until 110 us.
+    # At 110 us cx 3 0 (seq 2) moves 3 into the full trap 0 and evicts 2 to
+    # trap 1 first, so h 2 runs in trap 1 once that routing frees it (770 us),
+    # not in trap 0 where it waited.
+    spec = _spec(3, 3, 1)
+    c = circuit(7, [("cx", 0, 1), ("cx", 3, 4), ("cx", 3, 0), ("h", 2)])
+    pl = Placement(chains=((0, 1, 2), (3, 4), (5, 6)))
+    sched = schedule(c, pl, spec)
+    h2 = next(s for s in sched.ops if s.op.seq == 3)
+    eviction = next(s for s in sched.ops if s.op.kind is OpKind.SHUTTLE and s.op.qubits == (2,))
+    assert (eviction.op.src, eviction.op.dst, eviction.start) == (0, 1, pytest.approx(110e-6))
+    assert h2.op.trap == 1
+    assert h2.start == pytest.approx(770e-6)
+    assert schedule_to_text(sched) == schedule_to_text(_rescan_schedule(c, pl, spec, DEFAULT_LOOKAHEAD))
+    assert verify_schedule(sched, c, pl, spec).ok

@@ -129,3 +129,25 @@ def test_wrong_placement_rejected(movement_circuit, movement_spec, movement_plac
     other = Placement(chains=((5, 4, 2, 3), (0, 1)))
     v = verify_schedule(sched, movement_circuit, other, movement_spec)
     assert not v.ok
+
+
+def test_duration_is_checked_at_occupancy_where_op_starts():
+    # cx 0 2 runs in the trap the shuttle just filled; timing it at the
+    # occupancy from before the shuttle must be rejected
+    spec = DeviceSpec(topology=Topology.LINEAR, n_traps=2, capacity=3, excess_capacity=1)
+    circ = circuit(3, [("cx", 0, 2)])
+    pl = Placement(chains=((0, 1), (2,)))
+    sched = schedule(circ, pl, spec)
+    assert verify_schedule(sched, circ, pl, spec).ok
+    idx = next(i for i, s in enumerate(sched.ops) if s.op.kind is OpKind.GATE2)
+    gate, shuttle = sched.ops[idx], sched.ops[idx - 1]
+    assert shuttle.op.kind is OpKind.SHUTTLE and shuttle.op.dst == gate.op.trap
+    assert gate.start == shuttle.end
+    before = [len(c) for c in pl.chains]
+    stale = ScheduledOp(gate.op, gate.start, gate.start + op_duration(spec.timing, gate.op, before))
+    assert stale.end != gate.end
+    mutated = Schedule(ops=sched.ops[:idx] + (stale,) + sched.ops[idx + 1 :])
+    v = verify_schedule(mutated, circ, pl, spec)
+    assert not v.ok
+    assert "does not match timing model" in v.reason
+    assert v.op_index == idx
