@@ -222,17 +222,31 @@ class DeviceState:
 
     def apply(self, op: PhysOp) -> None:
         kind = op.kind
-        if kind is OpKind.GATE1:
-            t = self.trap_of(op.qubits[0])
-            if op.trap is not None and op.trap != t:
-                raise DeviceOpError(f"gate1 trap {op.trap} does not hold qubit {op.qubits[0]}")
-        elif kind is OpKind.GATE2:
-            a, b = op.qubits
-            ta, tb = self.trap_of(a), self.trap_of(b)
-            if ta != tb:
-                raise DeviceOpError(f"gate2 operands {a},{b} not co-trapped (traps {ta},{tb})")
-            if op.trap is not None and op.trap != ta:
-                raise DeviceOpError(f"gate2 trap {op.trap} does not hold operands {a},{b}")
+        if kind is OpKind.SHUTTLE:
+            q = op.qubits[0]
+            src, dst = op.src, op.dst
+            # One facing lookup both tests adjacency and gives the exit end.
+            facing = self.spec._facing
+            exit_end = facing.get((src, dst))
+            if exit_end is None:
+                self.spec._check_trap(src)
+                raise DeviceOpError(f"shuttle between non-adjacent traps {src} and {dst}")
+            if self.trap_of(q) != src:
+                raise DeviceOpError(f"shuttle qubit {q} is not in source trap {src}")
+            chain = self.chains[src]
+            bpos = len(chain) - 1 if exit_end == "right" else 0
+            if chain[bpos] != q:
+                raise DeviceOpError(
+                    f"shuttle qubit {q} is not at the boundary of trap {src} facing trap {dst}"
+                )
+            if len(self.chains[dst]) >= self.spec.capacity:
+                raise DeviceOpError(f"shuttle destination trap {dst} is full")
+            chain.pop(bpos)
+            if facing[dst, src] == "left":
+                self.chains[dst].insert(0, q)
+            else:
+                self.chains[dst].append(q)
+            self._trap_of[q] = dst
         elif kind is OpKind.SWAP:
             # All-to-all connectivity inside a trap: a SWAP gate exchanges the
             # chain positions of any two resident ions.
@@ -247,26 +261,17 @@ class DeviceState:
             chain = self.chains[ta]
             pa, pb = chain.index(a), chain.index(b)
             chain[pa], chain[pb] = b, a
-        elif kind is OpKind.SHUTTLE:
-            q = op.qubits[0]
-            src, dst = op.src, op.dst
-            if dst not in self.spec.neighbors(src):
-                raise DeviceOpError(f"shuttle between non-adjacent traps {src} and {dst}")
-            if self.trap_of(q) != src:
-                raise DeviceOpError(f"shuttle qubit {q} is not in source trap {src}")
-            bpos = self.boundary_position(src, dst)
-            if self.chains[src][bpos] != q:
-                raise DeviceOpError(
-                    f"shuttle qubit {q} is not at the boundary of trap {src} facing trap {dst}"
-                )
-            if self.occupancy(dst) >= self.spec.capacity:
-                raise DeviceOpError(f"shuttle destination trap {dst} is full")
-            self.chains[src].pop(bpos)
-            if facing_end(self.spec, dst, src) == "left":
-                self.chains[dst].insert(0, q)
-            else:
-                self.chains[dst].append(q)
-            self._trap_of[q] = dst
+        elif kind is OpKind.GATE2:
+            a, b = op.qubits
+            ta, tb = self.trap_of(a), self.trap_of(b)
+            if ta != tb:
+                raise DeviceOpError(f"gate2 operands {a},{b} not co-trapped (traps {ta},{tb})")
+            if op.trap is not None and op.trap != ta:
+                raise DeviceOpError(f"gate2 trap {op.trap} does not hold operands {a},{b}")
+        elif kind is OpKind.GATE1:
+            t = self.trap_of(op.qubits[0])
+            if op.trap is not None and op.trap != t:
+                raise DeviceOpError(f"gate1 trap {op.trap} does not hold qubit {op.qubits[0]}")
         else:  # pragma: no cover - enum is closed
             raise DeviceOpError(f"unknown op kind {kind}")
 

@@ -160,6 +160,14 @@ def _attachment(qubit: int, residents: set[int], tracker: PendingTracker) -> tup
     return count, -first
 
 
+def _unattached(qubit: int, residents: set[int], tracker: PendingTracker) -> bool:
+    """No pending partner of qubit is among residents; _attachment's window."""
+    for _, p in tracker.pending_gates(qubit):
+        if p in residents:
+            return False
+    return True
+
+
 def _dist_to_slack(state: DeviceState, spec: DeviceSpec, excluded: frozenset[int]) -> list[int]:
     """Hop count from each trap to the nearest trap with a free slot.
 
@@ -168,8 +176,8 @@ def _dist_to_slack(state: DeviceState, spec: DeviceSpec, excluded: frozenset[int
     """
     inf = spec.n_traps + 1
     dist = [
-        0 if state.occupancy(t) < spec.capacity and t not in excluded else inf
-        for t in range(spec.n_traps)
+        0 if len(chain) < spec.capacity and t not in excluded else inf
+        for t, chain in enumerate(state.chains)
     ]
     frontier = [t for t, d in enumerate(dist) if d == 0]
     d = 0
@@ -205,15 +213,16 @@ def _evict_one(
     terminates after at most one pass over the traps; a configuration with no
     reachable slack is reported as a deadlock.
     """
-    candidates = [q for q in state.chains[trap] if q not in avoid]
+    chains = state.chains
+    candidates = [q for q in chains[trap] if q not in avoid]
     if not candidates:
         raise DeadlockError(
             f"trap {trap} is full and every resident is pinned", state.occupancies()
         )
     visited = visited | {trap}
-    open_neighbors = [t for t in spec.neighbors(trap) if state.occupancy(t) < spec.capacity]
+    open_neighbors = [t for t in spec.neighbors(trap) if len(chains[t]) < spec.capacity]
     if open_neighbors:
-        dest = min(open_neighbors, key=lambda t: (t in blocked, state.occupancy(t), t))
+        dest = min(open_neighbors, key=lambda t: (t in blocked, len(chains[t]), t))
     else:
         dist = _dist_to_slack(state, spec, excluded=visited)
         relievable = [
@@ -232,12 +241,22 @@ def _evict_one(
     # Among the least-attached residents, prefer the one whose next
     # co-trapped gate lies farthest in the future, then the one already on
     # the exit slot: evicting a soon-needed ion just schedules a refetch.
+    # A candidate with no pending partner among the residents keys
+    # (0, -sentinel, ...) and so beats every attached one; among those the
+    # exit ion wins, then the lowest qubit. The full key is needed only when
+    # every candidate is attached.
     at_exit = _exit_ion(state, trap, dest)
-    residents = set(state.chains[trap])
-    victim = min(
-        candidates,
-        key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
-    )
+    residents = set(chains[trap])
+    if at_exit not in avoid and _unattached(at_exit, residents, tracker):
+        victim = at_exit
+    else:
+        loose = (q for q in sorted(candidates) if _unattached(q, residents, tracker))
+        victim = next(loose, None)
+        if victim is None:
+            victim = min(
+                candidates,
+                key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
+            )
     _walk_to_boundary(state, victim, dest, commit)
     commit(PhysOp.shuttle(victim, trap, dest))
 
@@ -265,7 +284,7 @@ def resolve_gate(
 
     path = decision.path
     for i, (cur, nxt) in enumerate(zip(path, path[1:])):
-        if state.occupancy(nxt) >= spec.capacity:
+        if len(state.chains[nxt]) >= spec.capacity:
             _evict_one(
                 state, spec, nxt, avoid, tracker, record,
                 visited=frozenset(), blocked=frozenset(path[i + 2 :]),

@@ -60,20 +60,20 @@ class Metrics:
 
 
 def compute_metrics(schedule: Schedule) -> Metrics:
-    counts = {kind: 0 for kind in OpKind}
-    for s in schedule.ops:
-        counts[s.op.kind] += 1
+    # list.count compares by identity first, so no Enum is hashed per op.
+    kinds = [s.op.kind for s in schedule.ops]
     return Metrics(
         total_time=schedule.makespan,
-        shuttles=counts[OpKind.SHUTTLE],
-        swaps=counts[OpKind.SWAP],
-        one_qubit_gates=counts[OpKind.GATE1],
-        two_qubit_gates=counts[OpKind.GATE2],
+        shuttles=kinds.count(OpKind.SHUTTLE),
+        swaps=kinds.count(OpKind.SWAP),
+        one_qubit_gates=kinds.count(OpKind.GATE1),
+        two_qubit_gates=kinds.count(OpKind.GATE2),
     )
 
 
 class _LiveOccupancy:
-    """Chain length per trap, read from the state at lookup time."""
+    """The verifier's view of chain length per trap, read from the state at
+    lookup time; the scheduler times ops from its own duration tables."""
 
     __slots__ = ("chains",)
 
@@ -127,18 +127,33 @@ def schedule(
     tracker = PendingTracker(circ, lookahead)
     trap_free = [0.0] * spec.n_traps
     out: list[ScheduledOp] = []
-    occupancy = _LiveOccupancy(state)
+    # Durations by kind and chain length, from the timing model's own
+    # formulas so every float matches op_duration's bit for bit.
+    timing = spec.timing
+    gate2_time = [timing.two_qubit(n) for n in range(spec.capacity + 1)]
+    swap_time = [timing.swap(n) for n in range(spec.capacity + 1)]
+    gate1_time, shuttle_time = timing.one_qubit, timing.shuttle
+    chains = state.chains
+    SHUTTLE, SWAP, GATE2 = OpKind.SHUTTLE, OpKind.SWAP, OpKind.GATE2
 
     def commit_op(op: PhysOp, earliest: float) -> float:
-        held = op.traps_held()
-        start = earliest
-        for t in held:
-            start = max(start, trap_free[t])
-        dur = op_duration(spec.timing, op, occupancy)
-        state.apply(op)
-        end = start + dur
-        for t in held:
-            trap_free[t] = end
+        kind = op.kind
+        if kind is SHUTTLE:
+            src, dst = op.src, op.dst
+            start = max(earliest, trap_free[src], trap_free[dst])
+            state.apply(op)
+            end = trap_free[src] = trap_free[dst] = start + shuttle_time
+        else:
+            t = op.trap
+            start = max(earliest, trap_free[t])
+            if kind is SWAP:
+                dur = swap_time[len(chains[t])]
+            elif kind is GATE2:
+                dur = gate2_time[len(chains[t])]
+            else:
+                dur = gate1_time
+            state.apply(op)
+            end = trap_free[t] = start + dur
         out.append(ScheduledOp(op=op, start=start, end=end))
         return end
 
@@ -284,10 +299,14 @@ def schedule_to_text(sched: Schedule) -> str:
     Times are microseconds with fixed precision so reruns are byte-identical.
     """
     lines = ["start_us,end_us,kind,qubits,traps"]
+    name = {kind: kind.value for kind in OpKind}
+    SHUTTLE = OpKind.SHUTTLE
     for s in sched.ops:
-        qubits = ":".join(str(q) for q in s.op.qubits)
-        traps = ":".join(str(t) for t in s.op.traps_held())
-        lines.append(f"{s.start * 1e6:.3f},{s.end * 1e6:.3f},{s.op.kind.value},{qubits},{traps}")
+        op = s.op
+        kind = op.kind
+        traps = f"{op.src}:{op.dst}" if kind is SHUTTLE else op.trap
+        qubits = ":".join(map(str, op.qubits))
+        lines.append(f"{s.start * 1e6:.3f},{s.end * 1e6:.3f},{name[kind]},{qubits},{traps}")
     m = compute_metrics(sched)
     lines.append(f"# total_time_us={m.total_time * 1e6:.3f}")
     lines.append(f"# shuttles={m.shuttles}")

@@ -196,6 +196,29 @@ def test_shuttle_between_non_adjacent_traps_rejected():
         st.apply(PhysOp.shuttle(0, 0, 2))
 
 
+@pytest.mark.parametrize(
+    "qubit, src, dst, error, message",
+    [
+        (0, 3, 2, InputError, "trap index 3 outside 0..2"),
+        (0, 0, 2, DeviceOpError, "shuttle between non-adjacent traps 0 and 2"),
+        (9, 0, 1, DeviceOpError, "qubit 9 is not on the device"),
+        (2, 0, 1, DeviceOpError, "shuttle qubit 2 is not in source trap 0"),
+        (0, 0, 1, DeviceOpError, "shuttle qubit 0 is not at the boundary of trap 0 facing trap 1"),
+        (4, 2, 1, DeviceOpError, "shuttle destination trap 1 is full"),
+    ],
+    ids=["src-out-of-range", "non-adjacent", "unknown-qubit", "not-in-src", "not-at-boundary", "dst-full"],
+)
+def test_shuttle_rejections_leave_state_unchanged(qubit, src, dst, error, message):
+    spec = _linear(n_traps=3, capacity=2, excess=0)
+    st = _state(spec, [[0, 1], [2, 3], [4]])
+    with pytest.raises(error) as err:
+        st.apply(PhysOp.shuttle(qubit, src, dst))
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert st.chains == [[0, 1], [2, 3], [4]]
+    assert {q: st.trap_of(q) for q in range(5)} == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2}
+
+
 def test_gate2_requires_co_trapped_operands():
     spec = _linear(n_traps=2)
     st = _state(spec, [[0, 1], [2]])

@@ -1,12 +1,22 @@
 """Movement synthesis: mover choice, paths, evictions, deadlock."""
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qccdmap.circuits import circuit
 from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology
 from qccdmap.errors import DeadlockError, InputError, QccdError
-from qccdmap.routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate, select_mover
+from qccdmap.routing import (
+    DEFAULT_LOOKAHEAD,
+    PendingTracker,
+    _evict_one,
+    resolve_gate,
+    select_mover,
+)
 
 
 def _spec(n_traps, capacity, excess, topology=Topology.LINEAR) -> DeviceSpec:
@@ -229,6 +239,80 @@ def test_eviction_tie_on_attachment_and_next_gate_evicts_exit_resident():
     state = _state(spec, [[1, 0], [2, 3, 4, 5], [6]])
     ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
     assert ops == [PhysOp.shuttle(5, 1, 2), PhysOp.shuttle(0, 0, 1)]
+
+
+def _reference_victim(chain, avoid, exit_ion, windows):
+    """The full victim key: fewest pending partners among the trap's
+    residents, then the latest first such gate, then the exit ion, then the
+    lowest qubit."""
+    residents = set(chain)
+
+    def key(q):
+        hits = [seq for seq, p in windows[q] if p in residents]
+        return (len(hits), -hits[0] if hits else -math.inf, q != exit_ion, q)
+
+    return min((q for q in chain if q not in avoid), key=key)
+
+
+@st.composite
+def _eviction_case(draw):
+    capacity = draw(st.integers(2, 7))
+    n_out = draw(st.integers(0, capacity - 1))  # the destination keeps a free slot
+    n = capacity + n_out
+    chain = draw(st.permutations(range(capacity)))
+    outside = list(range(capacity, n))
+    src = draw(st.sampled_from([0, 1]))  # evict rightwards from 0 or leftwards from 1
+    exit_ion = chain[-1] if src == 0 else chain[0]
+    pinned = draw(st.sets(st.sampled_from(chain), max_size=capacity - 1))
+    if draw(st.booleans()) and len(pinned) < capacity - 1:
+        pinned.add(exit_ion)  # as when the exit ion is a gate operand
+    pair = st.lists(st.sampled_from(range(n)), min_size=2, max_size=2, unique=True)
+    done = draw(st.lists(pair, max_size=10))
+    forced = []
+    if draw(st.booleans()):
+        # every candidate's next gate is with another resident
+        for q in chain:
+            forced.append([q, draw(st.sampled_from([r for r in chain if r != q]))])
+    later = draw(st.lists(pair, max_size=25))
+    return {
+        "capacity": capacity,
+        "chains": [list(chain), outside] if src == 0 else [outside, list(chain)],
+        "src": src,
+        "exit_ion": exit_ion,
+        "avoid": frozenset(pinned),
+        "gates": done + forced + later,
+        "n_done": len(done),
+        "n": n,
+        "lookahead": draw(st.sampled_from([None, 1, 4])),
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_eviction_case())
+def test_eviction_victim_matches_full_key(case):
+    spec = _spec(2, case["capacity"], 0)
+    state = _state(spec, case["chains"])
+    gates = case["gates"]
+    c = circuit(case["n"], [("cx", a, b) for a, b in gates])
+    tracker = PendingTracker(c, lookahead=case["lookahead"])
+    for seq in range(case["n_done"]):
+        tracker.mark_done(seq)
+    windows = {q: [] for q in range(case["n"])}
+    for seq, (a, b) in enumerate(gates[case["n_done"] :], start=case["n_done"]):
+        windows[a].append((seq, b))
+        windows[b].append((seq, a))
+    if case["lookahead"] is not None:
+        windows = {q: w[: case["lookahead"]] for q, w in windows.items()}
+    src = case["src"]
+    expected = _reference_victim(state.chains[src], case["avoid"], case["exit_ion"], windows)
+    committed = []
+
+    def commit(op):
+        state.apply(op)
+        committed.append(op)
+
+    _evict_one(state, spec, src, case["avoid"], tracker, commit, visited=frozenset())
+    assert committed[-1] == PhysOp.shuttle(expected, src, 1 - src)
 
 
 def test_eviction_never_moves_gate_operands():

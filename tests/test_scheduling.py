@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qccdmap.benchmarks import generate
 from qccdmap.circuits import circuit, dependency_graph
-from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology, op_duration
+from qccdmap.devices import (
+    DeviceSpec,
+    DeviceState,
+    OpKind,
+    PhysOp,
+    TimingModel,
+    Topology,
+    op_duration,
+)
 from qccdmap.errors import DeadlockError
 from qccdmap.placement import Placement, place, sta_place
 from qccdmap.routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
@@ -87,6 +96,29 @@ def test_durations_match_occupancy_at_start(movement_circuit, movement_spec, mov
     # cx 2 4 runs in trap 1 after qubit 2 arrives (3 ions)
     g24 = next(s for s in sched.ops if s.op.kind == OpKind.GATE2 and set(s.op.qubits) == {2, 4})
     assert g24.end - g24.start == pytest.approx(100e-6 * (1 + 0.05 * 2))
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("slope", [0.0, 0.3])
+def test_scheduled_durations_equal_timing_model_exactly(topology, slope):
+    # the verifier's isclose would pass a duration off by under 1e-9; the
+    # scheduler's durations must be the timing model's floats themselves
+    timing = TimingModel(two_qubit_slope=slope, swap_factor=2.5)
+    spec = DeviceSpec(topology=topology, n_traps=4, capacity=7, excess_capacity=2, timing=timing)
+    circ = generate("rnd", 24, gates=300, seed=3)
+    pl = place(circ, spec, "sta")
+    sched = schedule(circ, pl, spec)
+    state = DeviceState(spec, [list(c) for c in pl.chains])
+    lengths = set()
+    for s in sched.ops:
+        occupancy = state.occupancies()
+        assert s.start + op_duration(timing, s.op, occupancy) == s.end
+        if s.op.kind in (OpKind.GATE2, OpKind.SWAP):
+            lengths.add((s.op.kind, occupancy[s.op.trap]))
+        state.apply(s.op)
+    assert {kind for kind, _ in lengths} == {OpKind.GATE2, OpKind.SWAP}
+    assert len(lengths) >= 6
+    assert compute_metrics(sched).shuttles > 0
 
 
 def test_metrics_count_kinds(movement_circuit, movement_spec, movement_placement):
