@@ -2,135 +2,30 @@
 
 The pipeline: parse or generate a circuit, place qubits into trap chains,
 schedule gates with routing (SWAPs and shuttles) inserted on demand, verify
-the schedule by independent replay, and report metrics.
+the schedule by independent replay, and report metrics. The package top level
+exports what the README's library example uses and the error types; every
+other name is imported from its module.
 """
-from .benchmarks import (
-    FAMILIES,
-    gen_cuccaro,
-    gen_draper,
-    gen_qaoa,
-    gen_qft,
-    gen_qv,
-    gen_random,
-    generate,
-    largest_valid_size,
-)
-from .circuits import (
-    Circuit,
-    DependencyGraph,
-    Gate,
-    InteractionGraph,
-    SliceList,
-    circuit,
-    circuit_to_text,
-    compute_slices,
-    dependency_graph,
-    interaction_graph,
-    parse_circuit,
-    parse_circuit_file,
-)
-from .devices import (
-    DeviceSpec,
-    DeviceState,
-    OpKind,
-    PhysOp,
-    TimingModel,
-    Topology,
-    device_to_text,
-    facing_end,
-    op_duration,
-    parse_device,
-    parse_device_file,
-    shortest_path,
-    trap_distance,
-)
+from .benchmarks import generate
+from .devices import DeviceSpec, Topology
 from .errors import DeadlockError, DeviceOpError, InputError, QccdError, VerificationError
-from .placement import (
-    Placement,
-    compute_ratios,
-    compute_temporal_weights,
-    greedy_place,
-    place,
-    random_place,
-    sta_place,
-)
-from .reporting import RunRecord, compare, emit, emit_compare, load_records
-from .routing import MoveDecision, PendingTracker, resolve_gate, select_mover
-from .scheduling import (
-    Metrics,
-    Schedule,
-    ScheduledOp,
-    Verdict,
-    compute_metrics,
-    schedule,
-    schedule_to_text,
-    verify_schedule,
-)
+from .placement import place
+from .scheduling import compute_metrics, schedule, verify_schedule
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FAMILIES",
-    "gen_cuccaro",
-    "gen_draper",
-    "gen_qaoa",
-    "gen_qft",
-    "gen_qv",
-    "gen_random",
-    "generate",
-    "largest_valid_size",
-    "Circuit",
-    "DependencyGraph",
-    "Gate",
-    "InteractionGraph",
-    "SliceList",
-    "circuit",
-    "circuit_to_text",
-    "compute_slices",
-    "dependency_graph",
-    "interaction_graph",
-    "parse_circuit",
-    "parse_circuit_file",
     "DeviceSpec",
-    "DeviceState",
-    "OpKind",
-    "PhysOp",
-    "TimingModel",
     "Topology",
-    "device_to_text",
-    "facing_end",
-    "op_duration",
-    "parse_device",
-    "parse_device_file",
-    "shortest_path",
-    "trap_distance",
+    "generate",
+    "place",
+    "schedule",
+    "compute_metrics",
+    "verify_schedule",
     "DeadlockError",
     "DeviceOpError",
     "InputError",
     "QccdError",
     "VerificationError",
-    "Placement",
-    "compute_ratios",
-    "compute_temporal_weights",
-    "greedy_place",
-    "place",
-    "random_place",
-    "sta_place",
-    "RunRecord",
-    "compare",
-    "emit",
-    "emit_compare",
-    "load_records",
-    "MoveDecision",
-    "PendingTracker",
-    "resolve_gate",
-    "select_mover",
-    "Metrics",
-    "Schedule",
-    "ScheduledOp",
-    "Verdict",
-    "compute_metrics",
-    "schedule",
-    "schedule_to_text",
-    "verify_schedule",
+    "__version__",
 ]

@@ -215,11 +215,6 @@ class DeviceState:
         except KeyError:
             raise DeviceOpError(f"qubit {qubit} is not on the device")
 
-    def boundary_position(self, trap: int, neighbor: int) -> int:
-        """Chain index of the end of ``trap`` facing ``neighbor``."""
-        end = facing_end(self.spec, trap, neighbor)
-        return len(self.chains[trap]) - 1 if end == "right" else 0
-
     def apply(self, op: PhysOp) -> None:
         kind = op.kind
         if kind is OpKind.SHUTTLE:

@@ -1,6 +1,8 @@
 """Initial qubit-to-trap placement strategies.
 
-Three strategies share one Placement output type:
+Three strategies share one Placement output type and one slot allocator,
+``_Slots``, which checks the device size, co-traps or splits pairs, places a
+qubit near its partner and round-robins the qubits left over:
 
 * ``sta_place``: spatio-temporal placement. Qubits are ranked by how widely
   they interact (interaction ratio) and pairs by how early and often they
@@ -53,8 +55,11 @@ class Placement:
             if len(chain) > spec.capacity:
                 raise InputError(f"placement overfills trap {t}: {len(chain)} > {spec.capacity}")
         placed = set(self.trap_of)
-        if placed != set(range(n_qubits)):
-            missing = sorted(set(range(n_qubits)) - placed)
+        stray = sorted(q for q in placed if not 0 <= q < n_qubits)
+        if stray:
+            raise InputError(f"placement holds qubits {stray} outside 0..{n_qubits - 1}")
+        missing = sorted(set(range(n_qubits)) - placed)
+        if missing:
             raise InputError(f"placement misses qubits {missing}")
 
 
@@ -91,36 +96,20 @@ def compute_temporal_weights(slices: SliceList) -> list[tuple[tuple[int, int], f
             a, b = g.qubits
             key = (a, b) if a < b else (b, a)
             weights[key] = weights.get(key, 0.0) + contrib
-    ordered = sorted(weights.items(), key=lambda e: (-e[1], e[0]))
-    return ordered
+    return sorted(weights.items(), key=lambda e: (-e[1], e[0]))
 
 
-class StaState:
-    """Working state for the spatio-temporal strategy.
+class _Slots:
+    """Chains under construction; every strategy places through these rules."""
 
-    Holds the live ratio and weight lists (entries are retired as qubits get
-    placed) plus the chains being built. ``map_qubit`` and ``order_qubits``
-    operate on this state; ``sta_place`` drives them.
-    """
-
-    def __init__(self, circ: Circuit, spec: DeviceSpec):
-        if circ.n_qubits > spec.n_traps * spec.capacity:
+    def __init__(self, spec: DeviceSpec, n_qubits: int):
+        if n_qubits > spec.n_traps * spec.capacity:
             raise InputError(
-                f"device too small: {circ.n_qubits} qubits, {spec.n_traps * spec.capacity} physical slots"
+                f"device too small: {n_qubits} qubits, {spec.n_traps * spec.capacity} physical slots"
             )
         self.spec = spec
-        self.n_qubits = circ.n_qubits
-        graph = interaction_graph(circ)
-        self.ratios: list[tuple[int, float]] = compute_ratios(graph)
-        self.weights: list[tuple[tuple[int, int], float]] = compute_temporal_weights(
-            compute_slices(circ)
-        )
-        # Full copy kept for the relocation pass; the live list shrinks.
-        self.weights_all = list(self.weights)
         self.chains: list[list[int]] = [[] for _ in range(spec.n_traps)]
         self.trap_of: dict[int, int] = {}
-
-    # -- slot accounting ---------------------------------------------------
 
     def _usable_free(self, trap: int) -> int:
         return max(0, self.spec.usable_capacity - len(self.chains[trap]))
@@ -131,8 +120,6 @@ class StaState:
     def _append(self, qubit: int, trap: int) -> None:
         self.chains[trap].append(qubit)
         self.trap_of[qubit] = trap
-
-    # -- pair and single placement ----------------------------------------
 
     def _place_pair(self, q1: int, q2: int) -> None:
         spec = self.spec
@@ -174,38 +161,8 @@ class StaState:
                 return
         raise InputError(f"device has no physical space left for qubit {qubit}")
 
-    # -- live-list helpers --------------------------------------------------
-
-    def _first_pair_index(self, qubit: int) -> int:
-        for i, (pair, _) in enumerate(self.weights):
-            if qubit in pair:
-                return i
-        raise InputError(f"qubit {qubit} has no remaining interaction pair")
-
-    def _appears_before(self, qubit: int, index: int) -> bool:
-        return any(qubit in pair for pair, _ in self.weights[:index])
-
-    def _retire(self, q1: int, q2: int, pair_index: int) -> None:
-        del self.weights[pair_index]
-        self.ratios = [e for e in self.ratios if e[0] not in (q1, q2)]
-
-    # -- the strategy steps --------------------------------------------------
-
-    def map_qubit(self, q1: int) -> None:
-        """Place q1 together with its heaviest remaining partner.
-
-        If that partner interacts even more heavily with a third qubit, the
-        partner is mapped first (recursively), and q1 then lands as close to
-        it as the slots allow.
-        """
-        idx = self._first_pair_index(q1)
-        pair = self.weights[idx][0]
-        q2 = pair[1] if pair[0] == q1 else pair[0]
-        if self._appears_before(q2, idx):
-            self.map_qubit(q2)
-            # The recursion only retires strictly earlier entries, so the
-            # pair is still live; its index may have shifted.
-            idx = next(i for i, (p, _) in enumerate(self.weights) if p == pair)
+    def join(self, q1: int, q2: int) -> None:
+        """Place whichever of q1 and q2 is unplaced, as near the other as slots allow."""
         placed1 = q1 in self.trap_of
         placed2 = q2 in self.trap_of
         if not placed1 and not placed2:
@@ -214,143 +171,131 @@ class StaState:
             self._place_single(q1, q2)
         elif not placed2:
             self._place_single(q2, q1)
-        self._retire(q1, q2, idx)
 
-    def order_qubits(self) -> None:
-        """Relocate split pairs to the trap ends nearest their partners.
-
-        Pairs are visited in ascending weight, so heavier (earlier) pairs
-        relocate last and win the boundary slots.
-        """
-        for pair, _ in reversed(self.weights_all):
-            a, b = pair
-            ta, tb = self.trap_of[a], self.trap_of[b]
-            if ta == tb:
-                continue
-            self._move_to_end(a, ta, tb)
-            self._move_to_end(b, tb, ta)
-
-    def _move_to_end(self, qubit: int, trap: int, toward: int) -> None:
-        path = shortest_path(self.spec, trap, toward)
-        end = facing_end(self.spec, trap, path[1])
-        chain = self.chains[trap]
-        chain.remove(qubit)
-        if end == "right":
-            chain.append(qubit)
-        else:
-            chain.insert(0, qubit)
-
-    def place_isolated(self) -> None:
-        """Round-robin leftover non-interacting qubits into remaining slots."""
-        leftovers = [q for q in range(self.n_qubits) if q not in self.trap_of]
+    def place_rest(self, qubits: list[int]) -> None:
+        """Round-robin qubits into the remaining slots, usable ones first. One
+        counter runs on across both passes: each qubit left over laps it once."""
+        n = self.spec.n_traps
         t = 0
         for free in (self._usable_free, self._physical_free):
             remaining = []
-            for q in leftovers:
-                placed = False
-                for _ in range(self.spec.n_traps):
-                    if free(t % self.spec.n_traps) >= 1:
-                        self._append(q, t % self.spec.n_traps)
-                        t += 1
-                        placed = True
-                        break
+            for q in qubits:
+                for _ in range(n):
+                    trap = t % n
                     t += 1
-                if not placed:
+                    if free(trap) >= 1:
+                        self._append(q, trap)
+                        break
+                else:
                     remaining.append(q)
-            leftovers = remaining
-            if not leftovers:
+            qubits = remaining
+            if not qubits:
                 return
-        if leftovers:
-            raise InputError(f"device has no physical space left for qubits {leftovers}")
+        raise InputError(f"device has no physical space left for qubits {qubits}")
 
-    def to_placement(self) -> Placement:
-        return Placement(chains=tuple(tuple(c) for c in self.chains))
+    def to_placement(self, n_qubits: int) -> Placement:
+        placement = Placement(chains=tuple(tuple(c) for c in self.chains))
+        placement.validate(self.spec, n_qubits)
+        return placement
 
 
 def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
     """Spatio-temporal placement: rank by interaction ratio, co-trap by
-    temporal weight, then pre-position split pairs at trap boundaries."""
-    state = StaState(circ, spec)
-    while state.ratios:
-        state.map_qubit(state.ratios[0][0])
-    state.place_isolated()
-    state.order_qubits()
-    placement = state.to_placement()
-    placement.validate(spec, circ.n_qubits)
-    return placement
+    temporal weight, then pre-position split pairs at trap boundaries.
+
+    Pairs keep their fixed temporal-weight order; a mapped pair is marked
+    retired, and each qubit's cursor over its own pair positions only moves
+    forward, past retired ones.
+    """
+    slots = _Slots(spec, circ.n_qubits)
+    trap_of = slots.trap_of
+    ratios = compute_ratios(interaction_graph(circ))
+    pairs = [pair for pair, _ in compute_temporal_weights(compute_slices(circ))]
+    positions: list[list[int]] = [[] for _ in range(circ.n_qubits)]
+    for i, (a, b) in enumerate(pairs):
+        positions[a].append(i)
+        positions[b].append(i)
+    cursor = [0] * circ.n_qubits
+    retired = bytearray(len(pairs))
+
+    def first_live(q: int) -> int:
+        pos, c = positions[q], cursor[q]
+        while retired[pos[c]]:
+            c += 1
+        cursor[q] = c
+        return pos[c]
+
+    def map_qubit(q1: int) -> None:
+        """Place q1 with its heaviest live partner, mapping the partner first
+        (recursively) if it is in an earlier live pair. The recursion retires
+        only earlier pairs, so pair idx stays live."""
+        idx = first_live(q1)
+        a, b = pairs[idx]
+        q2 = b if a == q1 else a
+        if first_live(q2) < idx:
+            map_qubit(q2)
+        slots.join(q1, q2)
+        retired[idx] = 1
+
+    # Mapping places exactly the qubits of the pairs it retires, so skipping
+    # placed qubits walks the ranking as a list shrunk after each map would.
+    for q, _ in ratios:
+        if q not in trap_of:
+            map_qubit(q)
+    slots.place_rest([q for q in range(circ.n_qubits) if q not in trap_of])
+
+    # Relocate split pairs to the trap ends facing their partners' first hop.
+    # Pairs go in ascending weight, so heavier pairs relocate last and win
+    # the boundary slots.
+    n = spec.n_traps
+    ends = [[facing_end(spec, t, shortest_path(spec, t, u)[1]) if u != t else None for u in range(n)]
+            for t in range(n)]
+    for a, b in reversed(pairs):
+        ta, tb = trap_of[a], trap_of[b]
+        if ta == tb:
+            continue
+        for q, t, toward in ((a, ta, tb), (b, tb, ta)):
+            chain = slots.chains[t]
+            chain.remove(q)
+            if ends[t][toward] == "right":
+                chain.append(q)
+            else:
+                chain.insert(0, q)
+    return slots.to_placement(circ.n_qubits)
 
 
 def greedy_place(circ: Circuit, spec: DeviceSpec) -> Placement:
     """Co-trap the endpoints of the heaviest interaction edges first."""
-    state = StaState(circ, spec)
-    graph = interaction_graph(circ)
-    edges = sorted(graph.weights.items(), key=lambda e: (-e[1], e[0]))
+    slots = _Slots(spec, circ.n_qubits)
+    edges = sorted(interaction_graph(circ).weights.items(), key=lambda e: (-e[1], e[0]))
     for (a, b), _ in edges:
-        placed_a = a in state.trap_of
-        placed_b = b in state.trap_of
-        if placed_a and placed_b:
-            continue
-        if not placed_a and not placed_b:
-            state._place_pair(a, b)
-        elif placed_a:
-            state._place_single(b, a)
-        else:
-            state._place_single(a, b)
-    state.place_isolated()
-    placement = state.to_placement()
-    placement.validate(spec, circ.n_qubits)
-    return placement
+        slots.join(a, b)
+    slots.place_rest([q for q in range(circ.n_qubits) if q not in slots.trap_of])
+    return slots.to_placement(circ.n_qubits)
 
 
 def random_place(circ: Circuit, spec: DeviceSpec, seed: int) -> Placement:
     """Uniform shuffle dealt into traps up to usable capacity, then overflow."""
-    if circ.n_qubits > spec.n_traps * spec.capacity:
-        raise InputError(
-            f"device too small: {circ.n_qubits} qubits, {spec.n_traps * spec.capacity} physical slots"
-        )
-    rng = random.Random(seed)
+    slots = _Slots(spec, circ.n_qubits)
     order = list(range(circ.n_qubits))
-    rng.shuffle(order)
-    chains: list[list[int]] = [[] for _ in range(spec.n_traps)]
-    it = iter(order)
-    done = False
+    random.Random(seed).shuffle(order)
+    u = spec.usable_capacity
     for t in range(spec.n_traps):
-        while len(chains[t]) < spec.usable_capacity:
-            q = next(it, None)
-            if q is None:
-                done = True
-                break
-            chains[t].append(q)
-        if done:
-            break
-    # Leftovers spill into the excess slack, round-robin.
-    t = 0
-    for q in it:
-        for _ in range(spec.n_traps):
-            if len(chains[t % spec.n_traps]) < spec.capacity:
-                chains[t % spec.n_traps].append(q)
-                t += 1
-                break
-            t += 1
-    placement = Placement(chains=tuple(tuple(c) for c in chains))
-    placement.validate(spec, circ.n_qubits)
-    return placement
-
-
-_STRATEGIES = {
-    "sta": lambda c, s, seed: sta_place(c, s),
-    "greedy": lambda c, s, seed: greedy_place(c, s),
-    "random": lambda c, s, seed: random_place(c, s, seed if seed is not None else _require_seed()),
-}
-
-
-def _require_seed():
-    raise InputError("random placement requires a seed")
+        for q in order[t * u:(t + 1) * u]:
+            slots._append(q, t)
+    # Leftovers exist only when every usable slot is full; the usable pass
+    # then laps once per qubit, so the overflow starts at trap 0.
+    slots.place_rest(order[spec.n_traps * u:])
+    return slots.to_placement(circ.n_qubits)
 
 
 def place(circ: Circuit, spec: DeviceSpec, strategy: str, seed: int | None = None) -> Placement:
-    try:
-        fn = _STRATEGIES[strategy]
-    except KeyError:
+    if strategy == "sta":
+        return sta_place(circ, spec)
+    if strategy == "greedy":
+        return greedy_place(circ, spec)
+    if strategy != "random":
         raise InputError(f"unknown placement strategy {strategy!r} (sta, greedy, random)")
-    return fn(circ, spec, seed)
+    if seed is None:
+        raise InputError("random placement requires a seed")
+    return random_place(circ, spec, seed)

@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
-from .devices import DeviceSpec, DeviceState, PhysOp, shortest_path
+from .devices import DeviceSpec, DeviceState, PhysOp, facing_end, shortest_path
 from .errors import DeadlockError, InputError, QccdError
 
 # Default pending-gate window for movement scores. A short horizon keeps the
@@ -126,7 +126,8 @@ def select_mover(
 
 def _exit_ion(state: DeviceState, trap: int, neighbor: int) -> int:
     """The ion on the slot of trap's chain end that faces neighbor."""
-    return state.chains[trap][state.boundary_position(trap, neighbor)]
+    chain = state.chains[trap]
+    return chain[-1] if facing_end(state.spec, trap, neighbor) == "right" else chain[0]
 
 
 def _walk_to_boundary(

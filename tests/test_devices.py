@@ -243,8 +243,6 @@ def test_state_lookups():
     st = _state(spec, [[3, 2], [4]])
     assert st.trap_of(4) == 1
     assert st.occupancy(0) == 2
-    assert st.boundary_position(0, 1) == 1
-    assert st.boundary_position(1, 0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,37 @@
+"""The package top level: the README library example and the export list."""
+from __future__ import annotations
+
+import qccdmap
+from qccdmap import (
+    DeviceSpec, Topology, generate, place, schedule,
+    compute_metrics, verify_schedule,
+)
+
+
+def test_readme_library_example_runs_from_top_level():
+    spec = DeviceSpec(topology=Topology.LINEAR, n_traps=3, capacity=6, excess_capacity=2)
+    circ = generate("qaoa", 8)
+    pl = place(circ, spec, "sta")
+    sched = schedule(circ, pl, spec)
+    assert verify_schedule(sched, circ, pl, spec).ok
+    assert compute_metrics(sched).two_qubit_gates == sum(g.is_two_qubit for g in circ.gates)
+
+
+def test_top_level_exports_only_the_library_example_and_errors():
+    assert qccdmap.__all__ == [
+        "DeviceSpec",
+        "Topology",
+        "generate",
+        "place",
+        "schedule",
+        "compute_metrics",
+        "verify_schedule",
+        "DeadlockError",
+        "DeviceOpError",
+        "InputError",
+        "QccdError",
+        "VerificationError",
+        "__version__",
+    ]
+    for name in qccdmap.__all__:
+        assert hasattr(qccdmap, name)

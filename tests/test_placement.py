@@ -1,10 +1,14 @@
 """Placement strategies against hand-traced references."""
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qccdmap.circuits import circuit, compute_slices, interaction_graph
-from qccdmap.devices import DeviceSpec, Topology
+from qccdmap.devices import DeviceSpec, Topology, facing_end, shortest_path, trap_distance
 from qccdmap.errors import InputError
 from qccdmap.placement import (
     Placement,
@@ -177,6 +181,14 @@ def test_placement_validate_catches_overflow_and_duplicates():
         Placement(chains=((0, 1), ())).validate(spec, 3)
 
 
+def test_placement_validate_names_qubits_outside_the_circuit():
+    spec = _spec(n_traps=2, capacity=2, excess=0)
+    with pytest.raises(InputError, match=r"placement holds qubits \[-1\] outside 0..2"):
+        Placement(chains=((0, 1), (2, -1))).validate(spec, 3)
+    with pytest.raises(InputError, match=r"placement holds qubits \[9\] outside 0..2"):
+        Placement(chains=((0, 1), (9,))).validate(spec, 3)
+
+
 def test_placement_trap_lookup(movement_placement):
     assert movement_placement.trap(2) == 0
     assert movement_placement.trap(4) == 1
@@ -187,3 +199,258 @@ def test_place_dispatch(worked_circuit, worked_spec):
     assert place(worked_circuit, worked_spec, "greedy") == greedy_place(worked_circuit, worked_spec)
     with pytest.raises(InputError):
         place(worked_circuit, worked_spec, "bogus", seed=1)
+
+
+# ---------------------------------------------------------------------------
+# differential: the three strategies against the earlier implementation
+# ---------------------------------------------------------------------------
+# The reference below is the placement code as it stood before the shared
+# slot allocator and STA's forward cursors: a live weight list scanned and
+# shrunk per mapped qubit, and random's own deal and overflow loop.
+
+
+class _RefStaState:
+    def __init__(self, circ, spec):
+        if circ.n_qubits > spec.n_traps * spec.capacity:
+            raise InputError(
+                f"device too small: {circ.n_qubits} qubits, {spec.n_traps * spec.capacity} physical slots"
+            )
+        self.spec = spec
+        self.n_qubits = circ.n_qubits
+        graph = interaction_graph(circ)
+        self.ratios = compute_ratios(graph)
+        self.weights = compute_temporal_weights(compute_slices(circ))
+        self.weights_all = list(self.weights)
+        self.chains = [[] for _ in range(spec.n_traps)]
+        self.trap_of = {}
+
+    def _usable_free(self, trap):
+        return max(0, self.spec.usable_capacity - len(self.chains[trap]))
+
+    def _physical_free(self, trap):
+        return self.spec.capacity - len(self.chains[trap])
+
+    def _append(self, qubit, trap):
+        self.chains[trap].append(qubit)
+        self.trap_of[qubit] = trap
+
+    def _place_pair(self, q1, q2):
+        spec = self.spec
+        for free in (self._usable_free, self._physical_free):
+            for t in range(spec.n_traps):
+                if free(t) >= 2:
+                    self._append(q1, t)
+                    self._append(q2, t)
+                    return
+            open_traps = [t for t in range(spec.n_traps) if free(t) >= 1]
+            if len(open_traps) >= 2:
+                best = None
+                for ta in open_traps:
+                    for tb in open_traps:
+                        if ta == tb:
+                            continue
+                        key = (trap_distance(spec, ta, tb), ta, tb)
+                        if best is None or key < best:
+                            best = key
+                if best is not None:
+                    self._append(q1, best[1])
+                    self._append(q2, best[2])
+                    return
+            if len(open_traps) == 1 and free is self._usable_free:
+                self._append(q1, open_traps[0])
+                self._place_single(q2, q1)
+                return
+        raise InputError("device has no physical space left for a qubit pair")
+
+    def _place_single(self, qubit, partner):
+        home = self.trap_of[partner]
+        for free in (self._usable_free, self._physical_free):
+            candidates = [t for t in range(self.spec.n_traps) if free(t) >= 1]
+            if candidates:
+                candidates.sort(key=lambda t: (trap_distance(self.spec, home, t), t))
+                self._append(qubit, candidates[0])
+                return
+        raise InputError(f"device has no physical space left for qubit {qubit}")
+
+    def _first_pair_index(self, qubit):
+        for i, (pair, _) in enumerate(self.weights):
+            if qubit in pair:
+                return i
+        raise InputError(f"qubit {qubit} has no remaining interaction pair")
+
+    def _appears_before(self, qubit, index):
+        return any(qubit in pair for pair, _ in self.weights[:index])
+
+    def _retire(self, q1, q2, pair_index):
+        del self.weights[pair_index]
+        self.ratios = [e for e in self.ratios if e[0] not in (q1, q2)]
+
+    def map_qubit(self, q1):
+        idx = self._first_pair_index(q1)
+        pair = self.weights[idx][0]
+        q2 = pair[1] if pair[0] == q1 else pair[0]
+        if self._appears_before(q2, idx):
+            self.map_qubit(q2)
+            idx = next(i for i, (p, _) in enumerate(self.weights) if p == pair)
+        placed1 = q1 in self.trap_of
+        placed2 = q2 in self.trap_of
+        if not placed1 and not placed2:
+            self._place_pair(q1, q2)
+        elif not placed1:
+            self._place_single(q1, q2)
+        elif not placed2:
+            self._place_single(q2, q1)
+        self._retire(q1, q2, idx)
+
+    def order_qubits(self):
+        for pair, _ in reversed(self.weights_all):
+            a, b = pair
+            ta, tb = self.trap_of[a], self.trap_of[b]
+            if ta == tb:
+                continue
+            self._move_to_end(a, ta, tb)
+            self._move_to_end(b, tb, ta)
+
+    def _move_to_end(self, qubit, trap, toward):
+        path = shortest_path(self.spec, trap, toward)
+        end = facing_end(self.spec, trap, path[1])
+        chain = self.chains[trap]
+        chain.remove(qubit)
+        if end == "right":
+            chain.append(qubit)
+        else:
+            chain.insert(0, qubit)
+
+    def place_isolated(self):
+        leftovers = [q for q in range(self.n_qubits) if q not in self.trap_of]
+        t = 0
+        for free in (self._usable_free, self._physical_free):
+            remaining = []
+            for q in leftovers:
+                placed = False
+                for _ in range(self.spec.n_traps):
+                    if free(t % self.spec.n_traps) >= 1:
+                        self._append(q, t % self.spec.n_traps)
+                        t += 1
+                        placed = True
+                        break
+                    t += 1
+                if not placed:
+                    remaining.append(q)
+            leftovers = remaining
+            if not leftovers:
+                return
+        if leftovers:
+            raise InputError(f"device has no physical space left for qubits {leftovers}")
+
+    def to_placement(self):
+        return Placement(chains=tuple(tuple(c) for c in self.chains))
+
+
+def _ref_sta_place(circ, spec):
+    state = _RefStaState(circ, spec)
+    while state.ratios:
+        state.map_qubit(state.ratios[0][0])
+    state.place_isolated()
+    state.order_qubits()
+    placement = state.to_placement()
+    placement.validate(spec, circ.n_qubits)
+    return placement
+
+
+def _ref_greedy_place(circ, spec):
+    state = _RefStaState(circ, spec)
+    graph = interaction_graph(circ)
+    edges = sorted(graph.weights.items(), key=lambda e: (-e[1], e[0]))
+    for (a, b), _ in edges:
+        placed_a = a in state.trap_of
+        placed_b = b in state.trap_of
+        if placed_a and placed_b:
+            continue
+        if not placed_a and not placed_b:
+            state._place_pair(a, b)
+        elif placed_a:
+            state._place_single(b, a)
+        else:
+            state._place_single(a, b)
+    state.place_isolated()
+    placement = state.to_placement()
+    placement.validate(spec, circ.n_qubits)
+    return placement
+
+
+def _ref_random_place(circ, spec, seed):
+    if circ.n_qubits > spec.n_traps * spec.capacity:
+        raise InputError(
+            f"device too small: {circ.n_qubits} qubits, {spec.n_traps * spec.capacity} physical slots"
+        )
+    rng = random.Random(seed)
+    order = list(range(circ.n_qubits))
+    rng.shuffle(order)
+    chains = [[] for _ in range(spec.n_traps)]
+    it = iter(order)
+    done = False
+    for t in range(spec.n_traps):
+        while len(chains[t]) < spec.usable_capacity:
+            q = next(it, None)
+            if q is None:
+                done = True
+                break
+            chains[t].append(q)
+        if done:
+            break
+    t = 0
+    for q in it:
+        for _ in range(spec.n_traps):
+            if len(chains[t % spec.n_traps]) < spec.capacity:
+                chains[t % spec.n_traps].append(q)
+                t += 1
+                break
+            t += 1
+    placement = Placement(chains=tuple(tuple(c) for c in chains))
+    placement.validate(spec, circ.n_qubits)
+    return placement
+
+
+@st.composite
+def _placement_cases(draw):
+    """Linear and ring devices (2-trap rings included) with 1-7 traps of
+    capacity 1-7 and any excess, filled from one qubit up to a full device
+    plus one; up to 60 gates, some one-qubit, over a prefix of the qubits so
+    that the rest stay isolated.
+
+    Hypothesis leans toward small draws, so the prefix and the gate count are
+    drawn as distances from their maximum: STA revisits retired pairs mostly
+    in long circuits over many qubits."""
+    topology = draw(st.sampled_from([Topology.LINEAR, Topology.RING]))
+    n_traps = draw(st.integers(1, 7))
+    capacity = draw(st.integers(1, 7))
+    spec = _spec(n_traps, capacity, draw(st.integers(0, capacity - 1)), topology)
+    full = n_traps * capacity
+    near_full = st.integers(max(1, n_traps * spec.usable_capacity - 1), full + 1)
+    n_qubits = draw(st.integers(1, full + 1) | near_full)
+    active = n_qubits - draw(st.integers(0, n_qubits - 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    gates = []
+    for _ in range(60 - draw(st.integers(0, 60))):
+        if active > 1 and rng.random() < 0.7:
+            gates.append(("cx", *rng.sample(range(active), 2)))
+        else:
+            gates.append(("h", rng.randrange(active)))
+    return circuit(n_qubits, gates), spec, draw(st.integers(0, 2**16))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).chains
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_placement_cases())
+def test_placements_match_reference(case):
+    circ, spec, seed = case
+    assert _outcome(sta_place, circ, spec) == _outcome(_ref_sta_place, circ, spec)
+    assert _outcome(greedy_place, circ, spec) == _outcome(_ref_greedy_place, circ, spec)
+    assert _outcome(random_place, circ, spec, seed) == _outcome(_ref_random_place, circ, spec, seed)

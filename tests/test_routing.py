@@ -14,6 +14,7 @@ from qccdmap.routing import (
     DEFAULT_LOOKAHEAD,
     PendingTracker,
     _evict_one,
+    _exit_ion,
     resolve_gate,
     select_mover,
 )
@@ -42,6 +43,16 @@ def _resolve(gate, state, tracker, spec):
     ops = resolve_gate(gate, state, tracker, spec, commit)
     assert ops == committed
     return ops
+
+
+def test_exit_ion_is_on_the_end_facing_the_neighbor():
+    st = _state(_spec(2, 4, 2), [[3, 2], [4]])
+    assert _exit_ion(st, 0, 1) == 2
+    assert _exit_ion(st, 1, 0) == 4
+    # ring wrap: trap 0's left end faces trap 2, trap 2's right end faces 0
+    ring = _state(_spec(3, 4, 1, Topology.RING), [[0, 1], [2, 3], [4, 5]])
+    assert [_exit_ion(ring, 0, 2), _exit_ion(ring, 0, 1)] == [0, 1]
+    assert [_exit_ion(ring, 2, 0), _exit_ion(ring, 2, 1)] == [5, 4]
 
 
 # ---------------------------------------------------------------------------
