@@ -194,34 +194,18 @@ def _sweep_run(args, traps, capacity, excess, n) -> list[RunRecord]:
     )
     circ = generate(args.family, n, rounds=args.rounds, gates=args.gates, seed=args.seed)
     label = f"{args.family}{n}"
+    seeds = [args.seed]
     if args.placement == "random":
         if args.seed is None:
             raise InputError("random placement requires --seed")
-        records = []
-        for i in range(args.seeds):
-            rec, _ = run_compile(
-                circ,
-                spec,
-                "random",
-                seed=args.seed + i,
-                lookahead=args.lookahead,
-                label=label,
-                family=args.family,
-                invocation=args.invocation,
-            )
-            records.append(rec)
-        return records
-    rec, _ = run_compile(
-        circ,
-        spec,
-        args.placement,
-        seed=args.seed,
-        lookahead=args.lookahead,
-        label=label,
-        family=args.family,
-        invocation=args.invocation,
-    )
-    return [rec]
+        seeds = [args.seed + i for i in range(args.seeds)]
+    return [
+        run_compile(
+            circ, spec, args.placement, seed=seed, lookahead=args.lookahead,
+            label=label, family=args.family, invocation=args.invocation,
+        )[0]
+        for seed in seeds
+    ]
 
 
 def _cmd_sweep(args) -> int:

@@ -45,9 +45,6 @@ class Placement:
                 mapping[q] = t
         object.__setattr__(self, "trap_of", mapping)
 
-    def trap(self, q: int) -> int:
-        return self.trap_of[q]
-
     def validate(self, spec: DeviceSpec, n_qubits: int) -> None:
         if len(self.chains) != spec.n_traps:
             raise InputError(f"placement has {len(self.chains)} chains for {spec.n_traps} traps")
@@ -225,17 +222,24 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
         cursor[q] = c
         return pos[c]
 
-    def map_qubit(q1: int) -> None:
-        """Place q1 with its heaviest live partner, mapping the partner first
-        (recursively) if it is in an earlier live pair. The recursion retires
-        only earlier pairs, so pair idx stays live."""
-        idx = first_live(q1)
-        a, b = pairs[idx]
-        q2 = b if a == q1 else a
-        if first_live(q2) < idx:
-            map_qubit(q2)
-        slots.join(q1, q2)
-        retired[idx] = 1
+    def map_qubit(q: int) -> None:
+        """Place q with its heaviest live partner, mapping the partner first
+        if it is in an earlier live pair, and so on down the chain of links.
+        Each link's pair is earlier than the one before, so the links are
+        distinct and each is joined and retired only after the ones below it."""
+        links = []
+        idx = first_live(q)
+        while True:
+            a, b = pairs[idx]
+            partner = b if a == q else a
+            links.append((q, partner, idx))
+            below = first_live(partner)
+            if below >= idx:
+                break
+            q, idx = partner, below
+        for q1, q2, i in reversed(links):
+            slots.join(q1, q2)
+            retired[i] = 1
 
     # Mapping places exactly the qubits of the pairs it retires, so skipping
     # placed qubits walks the ranking as a list shrunk after each map would.

@@ -3,8 +3,10 @@
 When a gate's operands sit in different traps, one of them (the mover) is
 walked to its trap boundary by SWAPs and shuttled along the shortest trap
 path to its partner. The mover is chosen by comparing how much each operand
-still has to gain from relocating; full traps on the way are cleared by
-evicting their least-attached resident to a neighbouring trap.
+still has to gain from relocating. A full trap on the way is cleared along a
+relief route, the trap line from it to the nearest trap with a free slot:
+each trap on the route, farthest first, evicts its least-attached resident
+into the slot the next one holds open.
 
 Each op is handed to the caller's ``commit`` as soon as it is chosen, so the
 next choice sees the state that op left behind.
@@ -169,29 +171,9 @@ def _unattached(qubit: int, residents: set[int], tracker: PendingTracker) -> boo
     return True
 
 
-def _dist_to_slack(state: DeviceState, spec: DeviceSpec, excluded: frozenset[int]) -> list[int]:
-    """Hop count from each trap to the nearest trap with a free slot.
-
-    Traps in ``excluded`` neither count as slack nor relay it; distances are
-    for cascades that must not re-enter them.
-    """
-    inf = spec.n_traps + 1
-    dist = [
-        0 if len(chain) < spec.capacity and t not in excluded else inf
-        for t, chain in enumerate(state.chains)
-    ]
-    frontier = [t for t, d in enumerate(dist) if d == 0]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for t in frontier:
-            for u in spec.neighbors(t):
-                if u not in excluded and dist[u] > d:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return dist
+def _require_unpinned(state: DeviceState, trap: int, avoid: frozenset[int]) -> None:
+    if avoid.issuperset(state.chains[trap]):
+        raise DeadlockError(f"trap {trap} is full and every resident is pinned", state.occupancies())
 
 
 def _evict_one(
@@ -201,65 +183,61 @@ def _evict_one(
     avoid: frozenset[int],
     tracker: PendingTracker,
     commit: Callable[[PhysOp], None],
-    visited: frozenset[int],
     blocked: frozenset[int] = frozenset(),
 ) -> None:
     """Free one slot in trap by shuttling out its least-attached resident.
 
     Destinations in ``blocked`` (traps the mover still has to pass through)
-    are taken only as a last resort, so the eviction does not refill a trap
-    that is about to need a slot again. When every neighbour is full, relief
-    cascades: a full neighbour not yet visited evicts first, opening a slot
-    for this trap's victim. ``visited`` keeps the cascade acyclic, so it
-    terminates after at most one pass over the traps; a configuration with no
-    reachable slack is reported as a deadlock.
+    are taken only as a last resort. When every neighbour is full, each one
+    starts a walk away from trap through full traps to the first free one,
+    dropped at a line end or back round a ring at trap; with at most two
+    neighbours per trap, a walk is the shortest way to slack on its side.
+    Relief cascades back along the chosen route, farthest trap first.
     """
     chains = state.chains
-    candidates = [q for q in chains[trap] if q not in avoid]
-    if not candidates:
-        raise DeadlockError(
-            f"trap {trap} is full and every resident is pinned", state.occupancies()
-        )
-    visited = visited | {trap}
-    open_neighbors = [t for t in spec.neighbors(trap) if len(chains[t]) < spec.capacity]
+    capacity = spec.capacity
+    _require_unpinned(state, trap, avoid)
+    open_neighbors = [t for t in spec.neighbors(trap) if len(chains[t]) < capacity]
     if open_neighbors:
-        dest = min(open_neighbors, key=lambda t: (t in blocked, len(chains[t]), t))
+        route = [trap, min(open_neighbors, key=lambda t: (t in blocked, len(chains[t]), t))]
     else:
-        dist = _dist_to_slack(state, spec, excluded=visited)
-        relievable = [
-            t for t in spec.neighbors(trap)
-            if t not in visited and dist[t] <= spec.n_traps
-        ]
-        if not relievable:
-            raise DeadlockError(
-                f"no free slot reachable from trap {trap}", state.occupancies()
-            )
-        dest = min(relievable, key=lambda t: (t in blocked, dist[t], t))
-        _evict_one(
-            state, spec, dest, avoid, tracker, commit,
-            visited=visited, blocked=blocked,
-        )
-    # Among the least-attached residents, prefer the one whose next
-    # co-trapped gate lies farthest in the future, then the one already on
-    # the exit slot: evicting a soon-needed ion just schedules a refetch.
-    # A candidate with no pending partner among the residents keys
-    # (0, -sentinel, ...) and so beats every attached one; among those the
-    # exit ion wins, then the lowest qubit. The full key is needed only when
-    # every candidate is attached.
-    at_exit = _exit_ion(state, trap, dest)
-    residents = set(chains[trap])
-    if at_exit not in avoid and _unattached(at_exit, residents, tracker):
-        victim = at_exit
-    else:
-        loose = (q for q in sorted(candidates) if _unattached(q, residents, tracker))
-        victim = next(loose, None)
-        if victim is None:
-            victim = min(
-                candidates,
-                key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
-            )
-    _walk_to_boundary(state, victim, dest, commit)
-    commit(PhysOp.shuttle(victim, trap, dest))
+        walks = []
+        for first in spec.neighbors(trap):
+            walk = [trap, first]
+            while len(chains[walk[-1]]) >= capacity:
+                ahead = [u for u in spec.neighbors(walk[-1]) if u != walk[-2]]
+                if not ahead or ahead[0] == trap:
+                    break
+                walk.append(ahead[0])
+            else:
+                walks.append(walk)
+        if not walks:
+            raise DeadlockError(f"no free slot reachable from trap {trap}", state.occupancies())
+        route = min(walks, key=lambda w: (w[1] in blocked, len(w), w[1]))
+        for t in route[1:-1]:
+            _require_unpinned(state, t, avoid)
+    # Deeper evictions leave the traps nearer trap untouched, so each victim
+    # is chosen against its own trap as it stood when the route was found.
+    for i in range(len(route) - 2, -1, -1):
+        src, dest = route[i], route[i + 1]
+        # Least attached first, then the latest next co-trapped gate (evicting
+        # a soon-needed ion just schedules a refetch), then the exit ion, then
+        # the lowest qubit. An unattached candidate beats every attached one,
+        # so the full key is needed only when every candidate is attached.
+        at_exit = _exit_ion(state, src, dest)
+        residents = set(chains[src])
+        if at_exit not in avoid and _unattached(at_exit, residents, tracker):
+            victim = at_exit
+        else:
+            candidates = [q for q in chains[src] if q not in avoid]
+            victim = next((q for q in sorted(candidates) if _unattached(q, residents, tracker)), None)
+            if victim is None:
+                victim = min(
+                    candidates,
+                    key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
+                )
+        _walk_to_boundary(state, victim, dest, commit)
+        commit(PhysOp.shuttle(victim, src, dest))
 
 
 def resolve_gate(
@@ -286,10 +264,7 @@ def resolve_gate(
     path = decision.path
     for i, (cur, nxt) in enumerate(zip(path, path[1:])):
         if len(state.chains[nxt]) >= spec.capacity:
-            _evict_one(
-                state, spec, nxt, avoid, tracker, record,
-                visited=frozenset(), blocked=frozenset(path[i + 2 :]),
-            )
+            _evict_one(state, spec, nxt, avoid, tracker, record, frozenset(path[i + 2 :]))
         _walk_to_boundary(state, mover, nxt, record)
         record(PhysOp.shuttle(mover, cur, nxt))
     return ops

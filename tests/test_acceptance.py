@@ -157,7 +157,7 @@ def test_06_zero_movement():
         circ = circuit(n, gates)
         pl = sta_place(circ, spec)
         ok &= all(
-            len({pl.trap(q) for q in range(comp * u, (comp + 1) * u)}) == 1
+            len({pl.trap_of[q] for q in range(comp * u, (comp + 1) * u)}) == 1
             for comp in range(n // u)
         )
         m = compute_metrics(schedule(circ, pl, spec))

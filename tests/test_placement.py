@@ -94,6 +94,16 @@ def test_sta_deterministic(worked_circuit, worked_spec):
     assert sta_place(worked_circuit, worked_spec) == sta_place(worked_circuit, worked_spec)
 
 
+def test_sta_maps_a_long_partner_chain_without_recursion():
+    # Pairs (k, k+1) weigh more the higher k, so mapping qubit 1 first has to
+    # map 1,199 partners down the chain before it can join its own pair.
+    c = circuit(1200, [("cx", k, k + 1) for k in range(1198, -1, -1)])
+    spec = DeviceSpec(topology=Topology.LINEAR, n_traps=80, capacity=17, excess_capacity=2)
+    pl = sta_place(c, spec)
+    pl.validate(spec, c.n_qubits)
+    assert sorted(pl.trap_of) == list(range(1200))
+
+
 # ---------------------------------------------------------------------------
 # greedy
 # ---------------------------------------------------------------------------
@@ -190,8 +200,8 @@ def test_placement_validate_names_qubits_outside_the_circuit():
 
 
 def test_placement_trap_lookup(movement_placement):
-    assert movement_placement.trap(2) == 0
-    assert movement_placement.trap(4) == 1
+    assert movement_placement.trap_of[2] == 0
+    assert movement_placement.trap_of[4] == 1
 
 
 def test_place_dispatch(worked_circuit, worked_spec):

@@ -13,8 +13,11 @@ from qccdmap.errors import DeadlockError, InputError, QccdError
 from qccdmap.routing import (
     DEFAULT_LOOKAHEAD,
     PendingTracker,
+    _attachment,
     _evict_one,
     _exit_ion,
+    _unattached,
+    _walk_to_boundary,
     resolve_gate,
     select_mover,
 )
@@ -322,8 +325,144 @@ def test_eviction_victim_matches_full_key(case):
         state.apply(op)
         committed.append(op)
 
-    _evict_one(state, spec, src, case["avoid"], tracker, commit, visited=frozenset())
+    _evict_one(state, spec, src, case["avoid"], tracker, commit)
     assert committed[-1] == PhysOp.shuttle(expected, src, 1 - src)
+
+
+# The recursive eviction this module replaced with a relief-route walk: a
+# breadth-first search for the nearest slack, then one call per trap on the
+# way, threading the visited traps through.
+def _reference_dist_to_slack(state, spec, excluded):
+    inf = spec.n_traps + 1
+    dist = [
+        0 if len(chain) < spec.capacity and t not in excluded else inf
+        for t, chain in enumerate(state.chains)
+    ]
+    frontier = [t for t, d in enumerate(dist) if d == 0]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for t in frontier:
+            for u in spec.neighbors(t):
+                if u not in excluded and dist[u] > d:
+                    dist[u] = d
+                    nxt.append(u)
+        frontier = nxt
+    return dist
+
+
+def _reference_evict_one(state, spec, trap, avoid, tracker, commit, visited, blocked):
+    chains = state.chains
+    candidates = [q for q in chains[trap] if q not in avoid]
+    if not candidates:
+        raise DeadlockError(
+            f"trap {trap} is full and every resident is pinned", state.occupancies()
+        )
+    visited = visited | {trap}
+    open_neighbors = [t for t in spec.neighbors(trap) if len(chains[t]) < spec.capacity]
+    if open_neighbors:
+        dest = min(open_neighbors, key=lambda t: (t in blocked, len(chains[t]), t))
+    else:
+        dist = _reference_dist_to_slack(state, spec, excluded=visited)
+        relievable = [
+            t for t in spec.neighbors(trap)
+            if t not in visited and dist[t] <= spec.n_traps
+        ]
+        if not relievable:
+            raise DeadlockError(
+                f"no free slot reachable from trap {trap}", state.occupancies()
+            )
+        dest = min(relievable, key=lambda t: (t in blocked, dist[t], t))
+        _reference_evict_one(state, spec, dest, avoid, tracker, commit, visited, blocked)
+    at_exit = _exit_ion(state, trap, dest)
+    residents = set(chains[trap])
+    if at_exit not in avoid and _unattached(at_exit, residents, tracker):
+        victim = at_exit
+    else:
+        loose = (q for q in sorted(candidates) if _unattached(q, residents, tracker))
+        victim = next(loose, None)
+        if victim is None:
+            victim = min(
+                candidates,
+                key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
+            )
+    _walk_to_boundary(state, victim, dest, commit)
+    commit(PhysOp.shuttle(victim, trap, dest))
+
+
+@st.composite
+def _relief_case(draw):
+    topology = draw(st.sampled_from([Topology.LINEAR, Topology.RING]))
+    n_traps = draw(st.integers(1, 7))
+    capacity = draw(st.integers(1, 5))
+    trap = draw(st.integers(0, n_traps - 1))
+    # At most two traps with a free slot, so relief mostly has to cascade.
+    others = [t for t in range(n_traps) if t != trap]
+    n_open = min(len(others), (draw(st.integers(0, 4)) + 1) // 2)
+    open_traps = draw(st.permutations(others))[:n_open]
+    fill = [
+        draw(st.integers(0, capacity - 1)) if t in open_traps else capacity
+        for t in range(n_traps)
+    ]
+    n = sum(fill)
+    order = draw(st.permutations(range(n)))
+    chains, start = [], 0
+    for k in fill:
+        chains.append(list(order[start : start + k]))
+        start += k
+    avoid = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    if others and draw(st.integers(0, 3)) == 0:
+        avoid |= set(chains[draw(st.sampled_from(others))])  # pin a whole trap
+    blocked = draw(st.sets(st.integers(0, n_traps - 1), max_size=n_traps))
+    gates = []
+    if n >= 2:
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        gates = draw(st.lists(pair, max_size=20))
+    return {
+        "spec": _spec(n_traps, capacity, 0, topology),
+        "chains": chains,
+        "trap": trap,
+        "avoid": frozenset(avoid),
+        "blocked": frozenset(blocked),
+        "n": n,
+        "gates": gates,
+        "n_done": draw(st.integers(0, len(gates))),
+        "lookahead": draw(st.sampled_from([None, 1, 4])),
+    }
+
+
+def _run_eviction(case, evict):
+    """Committed ops, final chains and any error of one eviction on a fresh state."""
+    spec = case["spec"]
+    state = _state(spec, case["chains"])
+    tracker = PendingTracker(
+        circuit(case["n"], [("cx", a, b) for a, b in case["gates"]]),
+        lookahead=case["lookahead"],
+    )
+    for seq in range(case["n_done"]):
+        tracker.mark_done(seq)
+    committed = []
+
+    def commit(op):
+        state.apply(op)
+        committed.append(op)
+
+    try:
+        evict(state, spec, case["trap"], case["avoid"], tracker, commit, case["blocked"])
+        error = None
+    except DeadlockError as err:
+        error = (type(err), str(err))
+    return committed, state.chains, error
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_relief_case())
+def test_relief_route_matches_recursive_eviction(case):
+    def reference(state, spec, trap, avoid, tracker, commit, blocked):
+        _reference_evict_one(state, spec, trap, avoid, tracker, commit, frozenset(), blocked)
+
+    assert _run_eviction(case, _evict_one) == _run_eviction(case, reference)
 
 
 def test_eviction_never_moves_gate_operands():

@@ -191,7 +191,7 @@ def test_component_fitting_circuits_need_no_movement():
         pl = sta_place(circ, spec)
         # precondition: every component really was co-trapped
         for comp in range(circ.n_qubits // u):
-            traps = {pl.trap(q) for q in range(comp * u, (comp + 1) * u)}
+            traps = {pl.trap_of[q] for q in range(comp * u, (comp + 1) * u)}
             assert len(traps) == 1, f"component {comp} split across {traps}"
         m = compute_metrics(schedule(circ, pl, spec))
         assert m.shuttles == 0
