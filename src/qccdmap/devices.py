@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DeviceOpError, InputError
 
@@ -33,11 +35,16 @@ class TimingModel:
     merge: float = 80e-6
 
     def __post_init__(self) -> None:
+        # isfinite first: nan fails every comparison, so "<= 0" alone lets it in.
         for name in ("one_qubit", "two_qubit_base", "swap_factor", "split", "move_per_edge", "merge"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"timing parameter {name} must be positive")
-        if self.two_qubit_slope < 0:
-            raise InputError("timing parameter two_qubit_slope must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"timing parameter {name} must be finite and positive, got {value!r}")
+        slope = self.two_qubit_slope
+        if not (math.isfinite(slope) and slope >= 0):
+            raise InputError(
+                f"timing parameter two_qubit_slope must be finite and non-negative, got {slope!r}"
+            )
 
     def two_qubit(self, chain_length: int) -> float:
         return self.two_qubit_base * (1.0 + self.two_qubit_slope * (chain_length - 1))
@@ -144,9 +151,12 @@ class OpKind(Enum):
     SHUTTLE = "shuttle"
 
 
-@dataclass(frozen=True)
-class PhysOp:
-    """One physical operation. Unused fields stay None for the other kinds."""
+class PhysOp(NamedTuple):
+    """One physical operation. Unused fields stay None for the other kinds.
+
+    A named tuple: immutable, hashable and equal by field, and cheap to build,
+    which matters because the router emits one per SWAP and shuttle.
+    """
 
     kind: OpKind
     qubits: tuple[int, ...] = ()
@@ -158,19 +168,19 @@ class PhysOp:
 
     @staticmethod
     def gate1(qubit: int, trap: int, seq: int | None = None, label: str | None = None) -> "PhysOp":
-        return PhysOp(kind=OpKind.GATE1, qubits=(qubit,), trap=trap, seq=seq, label=label)
+        return PhysOp(OpKind.GATE1, (qubit,), trap, None, None, seq, label)
 
     @staticmethod
     def gate2(a: int, b: int, trap: int, seq: int | None = None, label: str | None = None) -> "PhysOp":
-        return PhysOp(kind=OpKind.GATE2, qubits=(a, b), trap=trap, seq=seq, label=label)
+        return PhysOp(OpKind.GATE2, (a, b), trap, None, None, seq, label)
 
     @staticmethod
     def swap(trap: int, qubits: tuple[int, int]) -> "PhysOp":
-        return PhysOp(kind=OpKind.SWAP, qubits=tuple(qubits), trap=trap)
+        return PhysOp(OpKind.SWAP, tuple(qubits), trap)
 
     @staticmethod
     def shuttle(qubit: int, src: int, dst: int) -> "PhysOp":
-        return PhysOp(kind=OpKind.SHUTTLE, qubits=(qubit,), src=src, dst=dst)
+        return PhysOp(OpKind.SHUTTLE, (qubit,), None, src, dst)
 
     def traps_held(self) -> tuple[int, ...]:
         """Traps this operation occupies for its full duration."""

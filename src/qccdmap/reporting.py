@@ -154,7 +154,13 @@ def load_records(text: str) -> list[dict]:
     if not stripped:
         return []
     if stripped.startswith("["):
-        return json.loads(text)
+        try:
+            rows = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"malformed report JSON: {exc}") from None
+        if not all(isinstance(row, dict) for row in rows):
+            raise InputError("malformed report JSON: every row must be an object")
+        return rows
     rows = list(csv.DictReader(io.StringIO(text)))
     if rows and None in rows[0]:
         raise InputError("malformed report CSV: row wider than header")
@@ -203,6 +209,13 @@ def _representatives(rows: list[dict]) -> dict[tuple, dict]:
     return out
 
 
+def _number(row: dict, col: str, side: str, key: tuple) -> float:
+    try:
+        return float(row[col])
+    except (KeyError, TypeError, ValueError):
+        raise InputError(f"{side} {col} for {key} is not a number: {row.get(col)!r}") from None
+
+
 def compare(baseline: list[dict], candidate: list[dict]) -> list[dict]:
     """Pair up baseline and candidate rows by workload and compute deltas.
 
@@ -220,7 +233,7 @@ def compare(baseline: list[dict], candidate: list[dict]) -> list[dict]:
     out = []
     for key in sorted(base_by_key):
         b, c = base_by_key[key], cand_by_key[key]
-        tb, tc = float(b["total_time"]), float(c["total_time"])
+        tb, tc = _number(b, "total_time", "baseline", key), _number(c, "total_time", "candidate", key)
         if tb <= 0:
             raise InputError(f"baseline total_time must be positive for {key}")
         row = dict(zip(_COMPARE_KEY, key))
@@ -230,7 +243,7 @@ def compare(baseline: list[dict], candidate: list[dict]) -> list[dict]:
         row["total_time_cand"] = tc
         row["time_delta_pct"] = (tb - tc) / tb * 100.0
         for col in ("shuttles", "swaps"):
-            vb, vc = float(b[col]), float(c[col])
+            vb, vc = _number(b, col, "baseline", key), _number(c, col, "candidate", key)
             row[f"{col}_base"] = vb
             row[f"{col}_cand"] = vc
             row[f"{col}_delta"] = vb - vc

@@ -8,24 +8,28 @@ or pushed back to when they free up. Ties in time go to the lowest sequence
 index. A split two-qubit gate first commits its movement ops (SWAP walks
 plus shuttles from the router), chained serially, then the gate itself.
 
+Ops and their timed records (``PhysOp``, ``ScheduledOp``) are immutable named
+tuples, built once per op and never copied.
+
 ``verify_schedule`` replays a schedule against a fresh device state and
-checks it independently of how it was produced.
+checks it independently of how it was produced; it times each op from its own
+duration tables, built from the ``TimingModel``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .circuits import Circuit, dependency_graph
-from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, op_duration
+from .devices import DeviceSpec, DeviceState, OpKind, PhysOp
 from .errors import DeadlockError, DeviceOpError, InputError, QccdError
 from .placement import Placement
 from .routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
 
 
-@dataclass(frozen=True)
-class ScheduledOp:
+class ScheduledOp(NamedTuple):
     """A physical op with its committed start and end times in seconds."""
 
     op: PhysOp
@@ -69,19 +73,6 @@ def compute_metrics(schedule: Schedule) -> Metrics:
         one_qubit_gates=kinds.count(OpKind.GATE1),
         two_qubit_gates=kinds.count(OpKind.GATE2),
     )
-
-
-class _LiveOccupancy:
-    """The verifier's view of chain length per trap, read from the state at
-    lookup time; the scheduler times ops from its own duration tables."""
-
-    __slots__ = ("chains",)
-
-    def __init__(self, state: DeviceState):
-        self.chains = state.chains
-
-    def __getitem__(self, trap: int) -> int:
-        return len(self.chains[trap])
 
 
 def _reject_infeasible(circ: Circuit, state: DeviceState, spec: DeviceSpec) -> None:
@@ -134,36 +125,36 @@ def schedule(
     swap_time = [timing.swap(n) for n in range(spec.capacity + 1)]
     gate1_time, shuttle_time = timing.one_qubit, timing.shuttle
     chains = state.chains
+    apply = state.apply
+    record = out.append
     SHUTTLE, SWAP, GATE2 = OpKind.SHUTTLE, OpKind.SWAP, OpKind.GATE2
+    # Where the next op may start. A gate sets it to the clock tick it was
+    # taken at; its movement ops, then the gate itself, each start no earlier
+    # than the op before.
+    cursor = 0.0
 
-    def commit_op(op: PhysOp, earliest: float) -> float:
+    def commit(op: PhysOp) -> None:
+        """Apply op at the first time from cursor on that its traps are free,
+        and advance cursor to its end."""
+        nonlocal cursor
         kind = op.kind
         if kind is SHUTTLE:
             src, dst = op.src, op.dst
-            start = max(earliest, trap_free[src], trap_free[dst])
-            state.apply(op)
-            end = trap_free[src] = trap_free[dst] = start + shuttle_time
+            start = max(cursor, trap_free[src], trap_free[dst])
+            apply(op)
+            cursor = trap_free[src] = trap_free[dst] = start + shuttle_time
         else:
             t = op.trap
-            start = max(earliest, trap_free[t])
+            start = max(cursor, trap_free[t])
             if kind is SWAP:
                 dur = swap_time[len(chains[t])]
             elif kind is GATE2:
                 dur = gate2_time[len(chains[t])]
             else:
                 dur = gate1_time
-            state.apply(op)
-            end = trap_free[t] = start + dur
-        out.append(ScheduledOp(op=op, start=start, end=end))
-        return end
-
-    # Movement ops for one split gate run back to back from the clock tick the
-    # gate was taken at; cursor is where the next one may start.
-    cursor = 0.0
-
-    def commit_move(op: PhysOp) -> None:
-        nonlocal cursor
-        cursor = commit_op(op, cursor)
+            apply(op)
+            cursor = trap_free[t] = start + dur
+        record(ScheduledOp(op, start, cursor))
 
     # Wake heap of (time, seq): a gate enters once, when its last predecessor
     # commits, and returns at the later of its traps' trap_free while one is
@@ -175,6 +166,7 @@ def schedule(
     wake = [(0.0, g.seq) for g in circ.gates if remaining[g.seq] == 0]
     while wake:
         clock, seq = heappop(wake)
+        cursor = clock
         g = circ.gates[seq]
         if g.is_two_qubit:
             a, b = g.qubits
@@ -183,20 +175,17 @@ def schedule(
             if free > clock:
                 heappush(wake, (free, seq))
                 continue
-            cursor = clock
             if ta != tb:
-                resolve_gate(g, state, tracker, spec, commit_move)
-            end = commit_op(
-                PhysOp.gate2(a, b, state.trap_of(a), seq=seq, label=g.label), cursor
-            )
+                resolve_gate(g, state, tracker, spec, commit)
+            commit(PhysOp.gate2(a, b, state.trap_of(a), seq, g.label))
         else:
             q = g.qubits[0]
             t = state.trap_of(q)
             if trap_free[t] > clock:
                 heappush(wake, (trap_free[t], seq))
                 continue
-            end = commit_op(PhysOp.gate1(q, t, seq=seq, label=g.label), clock)
-        end_of[seq] = end
+            commit(PhysOp.gate1(q, t, seq, g.label))
+        end_of[seq] = cursor
         tracker.mark_done(seq)
         for s in deps.successors[seq]:
             remaining[s] -= 1
@@ -231,33 +220,54 @@ def verify_schedule(
     except (InputError, DeviceOpError) as exc:
         return Verdict(False, f"invalid initial placement: {exc}")
 
-    order = sorted(range(len(sched.ops)), key=lambda i: (sched.ops[i].start, i))
-    busy_until = [0.0] * spec.n_traps
+    ops = sched.ops
+    starts = [s.start for s in ops]
+    # A stable sort on start alone keeps equal starts in index order.
+    order = sorted(range(len(ops)), key=starts.__getitem__)
+    n_traps, capacity = spec.n_traps, spec.capacity
+    busy_until = [0.0] * n_traps
     seen_gate: dict[int, int] = {}
-    occupancy = _LiveOccupancy(state)
     per_qubit_runs: dict[int, list[int]] = {q: [] for q in range(circ.n_qubits)}
+    # Durations by kind and chain length, from the timing model. A chain
+    # never outgrows capacity, since apply refuses to overfill a trap.
+    timing = spec.timing
+    gate2_time = [timing.two_qubit(n) for n in range(capacity + 1)]
+    swap_time = [timing.swap(n) for n in range(capacity + 1)]
+    gate1_time, shuttle_time = timing.one_qubit, timing.shuttle
+    chains = state.chains
+    apply = state.apply
+    GATE1, GATE2, SWAP, SHUTTLE = OpKind.GATE1, OpKind.GATE2, OpKind.SWAP, OpKind.SHUTTLE
 
     for i in order:
-        s = sched.ops[i]
-        op = s.op
-        held = op.traps_held()
-        if not s.end > s.start:
-            return Verdict(False, f"op has non-positive duration {s.end - s.start}", i)
+        op, start, end = ops[i]
+        kind = op.kind
+        held = (op.src, op.dst) if kind is SHUTTLE else (op.trap,)
+        if not end > start:
+            return Verdict(False, f"op has non-positive duration {end - start}", i)
         for t in held:
-            if t is None or not 0 <= t < spec.n_traps:
+            if t is None or not 0 <= t < n_traps:
                 return Verdict(False, f"op references invalid trap {t}", i)
-            if s.start < busy_until[t] - 1e-12:
+            if start < busy_until[t] - 1e-12:
                 return Verdict(
-                    False, f"trap {t} is busy until {busy_until[t]:.9f} at start {s.start:.9f}", i
+                    False, f"trap {t} is busy until {busy_until[t]:.9f} at start {start:.9f}", i
                 )
-        expected = op_duration(spec.timing, op, occupancy)
-        if not math.isclose(s.end - s.start, expected, rel_tol=1e-9, abs_tol=1e-15):
+        if kind is SHUTTLE:
+            expected = shuttle_time
+        elif kind is SWAP:
+            expected = swap_time[len(chains[op.trap])]
+        elif kind is GATE2:
+            expected = gate2_time[len(chains[op.trap])]
+        elif kind is GATE1:
+            expected = gate1_time
+        else:
+            raise InputError(f"unknown op kind {kind}")
+        if not math.isclose(end - start, expected, rel_tol=1e-9, abs_tol=1e-15):
             return Verdict(
                 False,
-                f"duration {s.end - s.start:.12f} does not match timing model {expected:.12f}",
+                f"duration {end - start:.12f} does not match timing model {expected:.12f}",
                 i,
             )
-        if op.kind in (OpKind.GATE1, OpKind.GATE2):
+        if kind is GATE1 or kind is GATE2:
             if op.seq is None or not 0 <= op.seq < len(circ.gates):
                 return Verdict(False, f"gate op carries unknown circuit index {op.seq}", i)
             g = circ.gates[op.seq]
@@ -265,7 +275,7 @@ def verify_schedule(
                 return Verdict(
                     False, f"gate {op.seq} operands {op.qubits} differ from circuit {g.qubits}", i
                 )
-            if (op.kind is OpKind.GATE2) != g.is_two_qubit:
+            if (kind is GATE2) != g.is_two_qubit:
                 return Verdict(False, f"gate {op.seq} arity mismatch", i)
             if op.seq in seen_gate:
                 return Verdict(False, f"gate {op.seq} scheduled more than once", i)
@@ -273,13 +283,13 @@ def verify_schedule(
             for q in g.qubits:
                 per_qubit_runs[q].append(op.seq)
         try:
-            state.apply(op)
+            apply(op)
         except (DeviceOpError, InputError) as exc:
             return Verdict(False, f"illegal op: {exc}", i)
         for t in held:
-            if state.occupancy(t) > spec.capacity:
-                return Verdict(False, f"trap {t} exceeds capacity {spec.capacity}", i)
-            busy_until[t] = s.end
+            if len(chains[t]) > capacity:
+                return Verdict(False, f"trap {t} exceeds capacity {capacity}", i)
+            busy_until[t] = end
     missing = [g.seq for g in circ.gates if g.seq not in seen_gate]
     if missing:
         return Verdict(False, f"gates never scheduled: {missing[:8]}{'...' if len(missing) > 8 else ''}")

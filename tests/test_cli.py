@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from qccdmap import cli
 from qccdmap.circuits import parse_circuit_file
 from qccdmap.reporting import load_records
@@ -85,6 +87,15 @@ def test_exit_1_on_malformed_circuit(tmp_path, capsys):
     dev = _write(tmp_path, "dev.toml", DEVICE_2X4E2)
     assert cli.main(["compile", circ, "--device", dev]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("timing", ["one_qubit = nan", "split = inf"])
+def test_exit_1_on_non_finite_timing(tmp_path, capsys, timing):
+    circ = _write(tmp_path, "pair.circ", SIX_QUBIT_CIRC)
+    dev = _write(tmp_path, "dev.toml", DEVICE_2X4E2 + f"\n[timing]\n{timing}\n")
+    assert cli.main(["compile", circ, "--device", dev, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"timing parameter {timing.split()[0]} must be finite" in err
 
 
 def test_exit_2_on_deadlock(tmp_path, capsys):
@@ -211,3 +222,35 @@ def test_compare_mismatch_exits_1(tmp_path, capsys):
     )
     assert rc == 1
     capsys.readouterr()
+
+
+REPORT_CSV = "label,status,total_time,shuttles,swaps\npair,ok,0.0015,2,3\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[", "malformed report JSON"),
+        ("[1, 2]", "malformed report JSON: every row must be an object"),
+    ],
+    ids=["truncated", "scalar-rows"],
+)
+def test_compare_malformed_json_exits_1(tmp_path, capsys, text, message):
+    good = _write(tmp_path, "good.csv", REPORT_CSV)
+    bad = _write(tmp_path, "bad.json", text)
+    assert cli.main(["compare", good, bad]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", ["total_time", "shuttles", "swaps"])
+@pytest.mark.parametrize("value", ["", "fast"])
+def test_compare_non_numeric_column_exits_1(tmp_path, capsys, column, value):
+    header, row = REPORT_CSV.splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    cells[column] = value
+    good = _write(tmp_path, "good.csv", REPORT_CSV)
+    bad = _write(tmp_path, "bad.csv", header + "\n" + ",".join(cells.values()) + "\n")
+    assert cli.main(["compare", good, bad]) == 1
+    assert f"candidate {column} for" in capsys.readouterr().err
+    assert cli.main(["compare", bad, good]) == 1
+    assert f"baseline {column} for" in capsys.readouterr().err

@@ -70,6 +70,19 @@ def test_parse_device_rejects_garbage():
         parse_device("not even a config")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "key",
+    ["one_qubit", "two_qubit_base", "two_qubit_slope", "swap_factor", "split", "move_per_edge", "merge"],
+)
+def test_timing_rejects_non_finite_values(key, value):
+    text = "[device]\ntopology = linear\ntraps = 2\ncapacity = 4\nexcess_capacity = 2\n"
+    with pytest.raises(InputError, match=rf"timing parameter {key} must be finite"):
+        parse_device(text + f"[timing]\n{key} = {value}\n")
+    with pytest.raises(InputError, match=rf"timing parameter {key} must be finite"):
+        TimingModel(**{key: float(value)})
+
+
 # ---------------------------------------------------------------------------
 # topology
 # ---------------------------------------------------------------------------

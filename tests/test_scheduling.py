@@ -154,6 +154,26 @@ def test_schedule_to_text_is_deterministic(movement_circuit, movement_spec, move
     assert a.splitlines()[0] == "start_us,end_us,kind,qubits,traps"
 
 
+def test_op_records_are_immutable_hashable_values():
+    op = PhysOp.shuttle(3, 0, 1)
+    rec = ScheduledOp(op, 0.0, 165e-6)
+    for obj, field in ((op, "kind"), (op, "src"), (rec, "op"), (rec, "end")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+    assert PhysOp(kind=OpKind.SHUTTLE, qubits=(3,), src=0, dst=1) == op
+    assert PhysOp(kind=OpKind.SWAP, qubits=(4, 5), trap=2) == PhysOp.swap(2, [4, 5])
+    assert PhysOp(kind=OpKind.GATE1, qubits=(1,), trap=0, seq=7, label="h") == PhysOp.gate1(
+        1, 0, seq=7, label="h"
+    )
+    assert PhysOp(kind=OpKind.GATE2, qubits=(0, 1), trap=2, seq=5, label="cx") == PhysOp.gate2(
+        0, 1, 2, seq=5, label="cx"
+    )
+    assert ScheduledOp(op=op, start=0.0, end=165e-6) == rec
+    assert rec.traps == op.traps_held() == (0, 1)
+    assert len({op, PhysOp.shuttle(3, 0, 1), PhysOp.shuttle(3, 1, 0)}) == 2
+    assert len({rec, ScheduledOp(PhysOp.shuttle(3, 0, 1), 0.0, 165e-6)}) == 1
+
+
 # ---------------------------------------------------------------------------
 # zero movement for trap-fitting components
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import replace
 
 from qccdmap.circuits import circuit
-from qccdmap.devices import DeviceSpec, OpKind, PhysOp, Topology, op_duration
+from qccdmap.devices import DeviceSpec, OpKind, PhysOp, TimingModel, Topology, op_duration
 from qccdmap.placement import Placement, place
 from qccdmap.scheduling import Schedule, ScheduledOp, schedule, verify_schedule
 
@@ -104,8 +103,8 @@ def test_mutation_program_order_swap_is_caught():
     i, j = [k for k, s in enumerate(sched.ops) if s.op.kind is OpKind.GATE1]
     ops = list(sched.ops)
     ops[i], ops[j] = (
-        ScheduledOp(replace(ops[i].op, seq=ops[j].op.seq), ops[i].start, ops[i].end),
-        ScheduledOp(replace(ops[j].op, seq=ops[i].op.seq), ops[j].start, ops[j].end),
+        ScheduledOp(ops[i].op._replace(seq=ops[j].op.seq), ops[i].start, ops[i].end),
+        ScheduledOp(ops[j].op._replace(seq=ops[i].op.seq), ops[j].start, ops[j].end),
     )
     v = verify_schedule(Schedule(ops=tuple(ops)), circ, pl, spec)
     assert not v.ok
@@ -151,3 +150,39 @@ def test_duration_is_checked_at_occupancy_where_op_starts():
     assert not v.ok
     assert "does not match timing model" in v.reason
     assert v.op_index == idx
+
+    # a SWAP on a non-default timing model, timed one ion short of its trap
+    timing = TimingModel(two_qubit_slope=0.3, swap_factor=2.5)
+    spec = DeviceSpec(topology=Topology.LINEAR, n_traps=2, capacity=3, excess_capacity=1, timing=timing)
+    circ = circuit(4, [("cx", 0, 2)])
+    pl = Placement(chains=((0, 1), (3, 2)))
+    sched = schedule(circ, pl, spec)
+    assert verify_schedule(sched, circ, pl, spec).ok
+    idx = next(i for i, s in enumerate(sched.ops) if s.op.kind is OpKind.SWAP)
+    swap = sched.ops[idx]
+    assert not any(set(s.traps) & set(swap.traps) for s in sched.ops[:idx])
+    n = len(pl.chains[swap.op.trap])
+    assert swap.end - swap.start == timing.swap(n)
+    short = ScheduledOp(swap.op, swap.start, swap.start + timing.swap(n - 1))
+    mutated = Schedule(ops=sched.ops[:idx] + (short,) + sched.ops[idx + 1 :])
+    v = verify_schedule(mutated, circ, pl, spec)
+    assert not v.ok
+    assert "does not match timing model" in v.reason
+    assert v.op_index == idx
+
+
+def test_invalid_ops_with_equal_starts_report_the_lower_index():
+    # two one-qubit gates start together in different traps; both are
+    # stretched, and replay in (start, index) order meets the lower first
+    spec = DeviceSpec(topology=Topology.LINEAR, n_traps=2, capacity=2, excess_capacity=0)
+    circ = circuit(4, [("h", 2), ("h", 0)])
+    pl = Placement(chains=((0, 1), (2, 3)))
+    sched = schedule(circ, pl, spec)
+    assert verify_schedule(sched, circ, pl, spec).ok
+    assert [s.start for s in sched.ops] == [0.0, 0.0]
+    for ops in (sched.ops, sched.ops[::-1]):
+        stretched = tuple(ScheduledOp(s.op, s.start, s.end + 5e-5) for s in ops)
+        v = verify_schedule(Schedule(ops=stretched), circ, pl, spec)
+        assert not v.ok
+        assert "does not match timing model" in v.reason
+        assert v.op_index == 0
