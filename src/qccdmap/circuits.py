@@ -6,14 +6,15 @@ interpreted: placement, routing and scheduling only care about arity and
 operands. Three derived views are computed here:
 
 * ASAP time slices over the two-qubit gates (single-qubit gates are not
-  sliced),
-* the weighted qubit interaction graph (pair -> number of two-qubit gates),
+  sliced), a plain tuple of slices, each a tuple of gates,
+* the weighted qubit interaction graph, a plain dict from pair (a, b) with
+  a < b to its number of two-qubit gates,
 * the gate dependency DAG (gate -> next gate sharing a qubit).
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -51,10 +52,6 @@ class Circuit:
                     )
             if len(g.qubits) == 2 and g.qubits[0] == g.qubits[1]:
                 raise InputError(f"gate {i} ({g.label}) repeats operand {g.qubits[0]}")
-
-    @property
-    def two_qubit_gates(self) -> tuple[Gate, ...]:
-        return tuple(g for g in self.gates if g.is_two_qubit)
 
 
 def circuit(n_qubits: int, gate_list) -> Circuit:
@@ -208,26 +205,15 @@ def _parse_qasm(text: str) -> Circuit:
 # derived structures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SliceList:
-    """ASAP slices over the two-qubit gates. ``slice_of`` maps gate seq -> slice."""
-
-    slices: tuple[tuple[Gate, ...], ...]
-    slice_of: dict[int, int] = field(compare=False)
-
-    def __len__(self) -> int:
-        return len(self.slices)
-
-
-def compute_slices(circ: Circuit) -> SliceList:
+def compute_slices(circ: Circuit) -> tuple[tuple[Gate, ...], ...]:
     """Greedy earliest-slice layering of the two-qubit gates.
 
+    Returns the slices in order, each a tuple of its gates in program order.
     Each gate lands in the earliest slice strictly after the last slice that
     contains either of its operands. Single-qubit gates are excluded.
     """
     last = [-1] * circ.n_qubits
     buckets: list[list[Gate]] = []
-    slice_of: dict[int, int] = {}
     for g in circ.gates:
         if not g.is_two_qubit:
             continue
@@ -237,19 +223,12 @@ def compute_slices(circ: Circuit) -> SliceList:
             buckets.append([])
         buckets[s].append(g)
         last[a] = last[b] = s
-        slice_of[g.seq] = s
-    return SliceList(slices=tuple(tuple(b) for b in buckets), slice_of=slice_of)
+    return tuple(tuple(b) for b in buckets)
 
 
-@dataclass(frozen=True)
-class InteractionGraph:
-    """Symmetric weighted interaction graph: (a, b) with a < b -> gate count."""
-
-    n_qubits: int
-    weights: dict[tuple[int, int], int] = field(compare=False)
-
-
-def interaction_graph(circ: Circuit) -> InteractionGraph:
+def interaction_graph(circ: Circuit) -> dict[tuple[int, int], int]:
+    """Interaction weights: (a, b) with a < b -> number of two-qubit gates on
+    that pair, in order of each pair's first gate."""
     weights: dict[tuple[int, int], int] = {}
     for g in circ.gates:
         if not g.is_two_qubit:
@@ -257,7 +236,7 @@ def interaction_graph(circ: Circuit) -> InteractionGraph:
         a, b = g.qubits
         key = (a, b) if a < b else (b, a)
         weights[key] = weights.get(key, 0) + 1
-    return InteractionGraph(n_qubits=circ.n_qubits, weights=weights)
+    return weights
 
 
 @dataclass(frozen=True)

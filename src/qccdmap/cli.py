@@ -71,8 +71,8 @@ def run_compile(
         traps=spec.n_traps,
         capacity=spec.capacity,
         excess=spec.excess_capacity,
-        one_qubit_gates=sum(1 for g in circ.gates if not g.is_two_qubit),
-        two_qubit_gates=len(circ.two_qubit_gates),
+        one_qubit_gates=m.one_qubit_gates,
+        two_qubit_gates=m.two_qubit_gates,
         slices=len(compute_slices(circ)),
         shuttles=m.shuttles,
         swaps=m.swaps,
@@ -132,20 +132,24 @@ def _cmd_bench_gen(args) -> int:
 
 # Sweep point: (traps, capacity, excess, qubits, feasible).
 
-def _strong_points(args):
+def _trap_range(args, default_max: int) -> range:
     lo = args.traps_min if args.traps_min is not None else 2
-    hi = args.traps_max if args.traps_max is not None else 14
-    for traps in range(lo, hi + 1):
+    hi = args.traps_max if args.traps_max is not None else default_max
+    if not 1 <= lo <= hi:
+        raise InputError(f"sweep trap range needs 1 <= --traps-min <= --traps-max, got {lo}..{hi}")
+    return range(lo, hi + 1)
+
+
+def _strong_points(args):
+    for traps in _trap_range(args, 14):
         n = largest_valid_size(args.family, traps * 15)
         yield traps, 17, 2, n, True
 
 
 def _weak_points(args):
-    lo = args.traps_min if args.traps_min is not None else 2
-    hi = args.traps_max if args.traps_max is not None else 26
     total_ions = 180
     n = largest_valid_size(args.family, 128)
-    for traps in range(lo, hi + 1):
+    for traps in _trap_range(args, 26):
         capacity = total_ions // traps
         feasible = capacity > 2 and n <= traps * capacity
         yield traps, capacity, 2, n, feasible
@@ -177,12 +181,6 @@ def _infeasible_record(args, traps, capacity, excess, n) -> RunRecord:
         traps=traps,
         capacity=capacity,
         excess=excess,
-        one_qubit_gates=None,
-        two_qubit_gates=None,
-        slices=None,
-        shuttles=None,
-        swaps=None,
-        total_time=None,
         status="infeasible",
         invocation=args.invocation,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -35,16 +35,14 @@ class TimingModel:
     merge: float = 80e-6
 
     def __post_init__(self) -> None:
-        # isfinite first: nan fails every comparison, so "<= 0" alone lets it in.
-        for name in ("one_qubit", "two_qubit_base", "swap_factor", "split", "move_per_edge", "merge"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InputError(f"timing parameter {name} must be finite and positive, got {value!r}")
-        slope = self.two_qubit_slope
-        if not (math.isfinite(slope) and slope >= 0):
-            raise InputError(
-                f"timing parameter two_qubit_slope must be finite and non-negative, got {slope!r}"
-            )
+        # The slope alone may be zero; it is checked after the others.
+        for f in sorted(fields(self), key=lambda f: f.name == "two_qubit_slope"):
+            value = getattr(self, f.name)
+            slope = f.name == "two_qubit_slope"
+            # isfinite first: nan fails every comparison, so "<= 0" alone lets it in.
+            if not (math.isfinite(value) and (value >= 0 if slope else value > 0)):
+                sign = "non-negative" if slope else "positive"
+                raise InputError(f"timing parameter {f.name} must be finite and {sign}, got {value!r}")
 
     def two_qubit(self, chain_length: int) -> float:
         return self.two_qubit_base * (1.0 + self.two_qubit_slope * (chain_length - 1))
@@ -213,9 +211,6 @@ class DeviceState:
         dup._trap_of = dict(self._trap_of)
         return dup
 
-    def occupancy(self, trap: int) -> int:
-        return len(self.chains[trap])
-
     def occupancies(self) -> list[int]:
         return [len(c) for c in self.chains]
 
@@ -299,16 +294,8 @@ def op_duration(timing: TimingModel, op: PhysOp, occupancy) -> float:
 # device config files
 # ---------------------------------------------------------------------------
 
-_DEVICE_KEYS = {"topology", "traps", "capacity", "excess_capacity"}
-_TIMING_KEYS = {
-    "one_qubit",
-    "two_qubit_base",
-    "two_qubit_slope",
-    "swap_factor",
-    "split",
-    "move_per_edge",
-    "merge",
-}
+_DEVICE_KEYS = ("topology", "traps", "capacity", "excess_capacity")
+_TIMING_KEYS = frozenset(f.name for f in fields(TimingModel))
 
 
 def parse_device(text: str) -> DeviceSpec:
@@ -327,7 +314,7 @@ def parse_device(text: str) -> DeviceSpec:
     for key in dev:
         if key not in _DEVICE_KEYS:
             raise InputError(f"unknown device config key {key!r}")
-    for key in ("topology", "traps", "capacity", "excess_capacity"):
+    for key in _DEVICE_KEYS:
         if key not in dev:
             raise InputError(f"device config is missing key {key!r}")
     topo_raw = dev["topology"].strip().lower()
@@ -368,21 +355,3 @@ def parse_device_file(path) -> DeviceSpec:
     except OSError as exc:
         raise InputError(f"cannot read device file {path}: {exc}") from exc
 
-
-def device_to_text(spec: DeviceSpec) -> str:
-    tm = spec.timing
-    return (
-        "[device]\n"
-        f"topology = {spec.topology.value}\n"
-        f"traps = {spec.n_traps}\n"
-        f"capacity = {spec.capacity}\n"
-        f"excess_capacity = {spec.excess_capacity}\n"
-        "\n[timing]\n"
-        f"one_qubit = {tm.one_qubit!r}\n"
-        f"two_qubit_base = {tm.two_qubit_base!r}\n"
-        f"two_qubit_slope = {tm.two_qubit_slope!r}\n"
-        f"swap_factor = {tm.swap_factor!r}\n"
-        f"split = {tm.split!r}\n"
-        f"move_per_edge = {tm.move_per_edge!r}\n"
-        f"merge = {tm.merge!r}\n"
-    )

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .circuits import Circuit, InteractionGraph, SliceList, compute_slices, interaction_graph
+from .circuits import Circuit, Gate, compute_slices, interaction_graph
 from .devices import DeviceSpec, facing_end, shortest_path, trap_distance
 from .errors import InputError
 
@@ -60,26 +60,26 @@ class Placement:
             raise InputError(f"placement misses qubits {missing}")
 
 
-def compute_ratios(graph: InteractionGraph) -> list[tuple[int, float]]:
+def compute_ratios(weights: dict[tuple[int, int], int], n_qubits: int) -> list[tuple[int, float]]:
     """Interaction ratios (distinct partners / qubit count), sorted descending.
 
-    Ties break toward the qubit with more total incident gates, then the
-    lower index. Qubits without interactions are omitted.
+    ``weights`` is the ``interaction_graph`` of an ``n_qubits`` circuit. Ties
+    break toward the qubit with more total incident gates, then the lower
+    index. Qubits without interactions are omitted.
     """
-    n = graph.n_qubits
-    degree = {q: 0 for q in range(n)}
-    incident = {q: 0 for q in range(n)}
-    for (a, b), w in graph.weights.items():
+    degree = {q: 0 for q in range(n_qubits)}
+    incident = {q: 0 for q in range(n_qubits)}
+    for (a, b), w in weights.items():
         degree[a] += 1
         degree[b] += 1
         incident[a] += w
         incident[b] += w
     entries = [(q, d) for q, d in degree.items() if d > 0]
     entries.sort(key=lambda e: (-e[1], -incident[e[0]], e[0]))
-    return [(q, d / n) for q, d in entries]
+    return [(q, d / n_qubits) for q, d in entries]
 
 
-def compute_temporal_weights(slices: SliceList) -> list[tuple[tuple[int, int], float]]:
+def compute_temporal_weights(slices: tuple[tuple[Gate, ...], ...]) -> list[tuple[tuple[int, int], float]]:
     """Pair weights sum(2^-s over slices s where the pair interacts), descending.
 
     Ties break lexicographically by (min index, max index). Slice indices
@@ -87,7 +87,7 @@ def compute_temporal_weights(slices: SliceList) -> list[tuple[tuple[int, int], f
     which is the faithful floating-point reading of the weight formula.
     """
     weights: dict[tuple[int, int], float] = {}
-    for s, bucket in enumerate(slices.slices):
+    for s, bucket in enumerate(slices):
         contrib = math.ldexp(1.0, -s) if s <= 1074 else 0.0
         for g in bucket:
             a, b = g.qubits
@@ -129,18 +129,12 @@ class _Slots:
             # No trap fits both: split across the closest trap pair.
             open_traps = [t for t in range(spec.n_traps) if free(t) >= 1]
             if len(open_traps) >= 2:
-                best = None
-                for ta in open_traps:
-                    for tb in open_traps:
-                        if ta == tb:
-                            continue
-                        key = (trap_distance(spec, ta, tb), ta, tb)
-                        if best is None or key < best:
-                            best = key
-                if best is not None:
-                    self._append(q1, best[1])
-                    self._append(q2, best[2])
-                    return
+                _, ta, tb = min(
+                    (trap_distance(spec, a, b), a, b) for a in open_traps for b in open_traps if a != b
+                )
+                self._append(q1, ta)
+                self._append(q2, tb)
+                return
             if len(open_traps) == 1 and free is self._usable_free:
                 # One usable slot left: take it, partner overflows nearby.
                 self._append(q1, open_traps[0])
@@ -206,7 +200,7 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
     """
     slots = _Slots(spec, circ.n_qubits)
     trap_of = slots.trap_of
-    ratios = compute_ratios(interaction_graph(circ))
+    ratios = compute_ratios(interaction_graph(circ), circ.n_qubits)
     pairs = [pair for pair, _ in compute_temporal_weights(compute_slices(circ))]
     positions: list[list[int]] = [[] for _ in range(circ.n_qubits)]
     for i, (a, b) in enumerate(pairs):
@@ -271,7 +265,7 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
 def greedy_place(circ: Circuit, spec: DeviceSpec) -> Placement:
     """Co-trap the endpoints of the heaviest interaction edges first."""
     slots = _Slots(spec, circ.n_qubits)
-    edges = sorted(interaction_graph(circ).weights.items(), key=lambda e: (-e[1], e[0]))
+    edges = sorted(interaction_graph(circ).items(), key=lambda e: (-e[1], e[0]))
     for (a, b), _ in edges:
         slots.join(a, b)
     slots.place_rest([q for q in range(circ.n_qubits) if q not in slots.trap_of])

@@ -20,27 +20,42 @@ from dataclasses import dataclass, fields
 
 from .errors import InputError
 
-COLUMNS = [
-    "label",
-    "family",
-    "qubits",
-    "placement",
-    "seed",
-    "lookahead",
-    "topology",
-    "traps",
-    "capacity",
-    "excess",
-    "one_qubit_gates",
-    "two_qubit_gates",
-    "slices",
-    "shuttles",
-    "swaps",
-    "total_time",
-    "status",
-    "stat",
-    "invocation",
-]
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One run's report row. The metric fields stay None on a point that was
+    not compiled, such as an infeasible sweep point."""
+
+    label: str
+    family: str
+    qubits: int
+    placement: str
+    seed: int | None
+    lookahead: int | None
+    topology: str
+    traps: int
+    capacity: int
+    excess: int
+    one_qubit_gates: int | None = None
+    two_qubit_gates: int | None = None
+    slices: int | None = None
+    shuttles: int | None = None
+    swaps: int | None = None
+    total_time: float | None = None
+    status: str = "ok"
+    invocation: str = ""
+    wall_clock: float | None = None
+
+    def as_row(self) -> dict:
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row["stat"] = ""
+        return row
+
+
+# Report columns: the record's fields in order, with the summary-row marker
+# ``stat`` before ``invocation``; wall_clock is appended only on request.
+COLUMNS = [f.name for f in fields(RunRecord) if f.name != "wall_clock"]
+COLUMNS.insert(COLUMNS.index("invocation"), "stat")
 
 # Metric columns that summary rows aggregate over.
 _STAT_COLUMNS = ("shuttles", "swaps", "total_time")
@@ -57,34 +72,6 @@ _GROUP_COLUMNS = (
     "capacity",
     "excess",
 )
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    label: str
-    family: str
-    qubits: int
-    placement: str
-    seed: int | None
-    lookahead: int | None
-    topology: str
-    traps: int
-    capacity: int
-    excess: int
-    one_qubit_gates: int | None
-    two_qubit_gates: int | None
-    slices: int | None
-    shuttles: int | None
-    swaps: int | None
-    total_time: float | None
-    status: str = "ok"
-    invocation: str = ""
-    wall_clock: float | None = None
-
-    def as_row(self) -> dict:
-        row = {f.name: getattr(self, f.name) for f in fields(self)}
-        row["stat"] = ""
-        return row
 
 
 def _fmt(value) -> str:

@@ -78,10 +78,10 @@ class PendingTracker:
 
 @dataclass(frozen=True)
 class MoveDecision:
-    """Which operand moves where: the full trap path is committed up front."""
+    """Which operand moves where: the full trap path, from the mover's trap to
+    its partner's, is committed up front."""
 
     mover: int
-    dest_trap: int
     path: tuple[int, ...]
 
 
@@ -122,8 +122,8 @@ def select_mover(
     key_a = (-_score(a, ta, tb, state, tracker, gate.seq), a != _exit_ion(state, ta, path_a[1]), a)
     key_b = (-_score(b, tb, ta, state, tracker, gate.seq), b != _exit_ion(state, tb, path_b[1]), b)
     if key_a <= key_b:
-        return MoveDecision(mover=a, dest_trap=tb, path=path_a)
-    return MoveDecision(mover=b, dest_trap=ta, path=path_b)
+        return MoveDecision(mover=a, path=path_a)
+    return MoveDecision(mover=b, path=path_b)
 
 
 def _exit_ion(state: DeviceState, trap: int, neighbor: int) -> int:

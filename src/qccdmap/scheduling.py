@@ -261,7 +261,9 @@ def verify_schedule(
             expected = gate1_time
         else:
             raise InputError(f"unknown op kind {kind}")
-        if not math.isclose(end - start, expected, rel_tol=1e-9, abs_tol=1e-15):
+        # end was rounded once when start + duration was stored, so allow
+        # the float spacing at end as well as the fixed floor.
+        if not math.isclose(end - start, expected, rel_tol=1e-9, abs_tol=max(1e-15, math.ulp(end))):
             return Verdict(
                 False,
                 f"duration {end - start:.12f} does not match timing model {expected:.12f}",

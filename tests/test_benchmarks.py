@@ -19,7 +19,7 @@ from qccdmap.errors import InputError
 
 
 def _two_qubit_count(circ) -> int:
-    return len(circ.two_qubit_gates)
+    return sum(g.is_two_qubit for g in circ.gates)
 
 
 def test_qft_counts():
@@ -44,8 +44,8 @@ def test_qaoa_counts():
 def test_qaoa_is_complete_graph_with_mixers():
     c = gen_qaoa(6)
     g = interaction_graph(c)
-    assert set(g.weights) == {(i, j) for i in range(6) for j in range(i + 1, 6)}
-    assert all(w == 1 for w in g.weights.values())
+    assert set(g) == {(i, j) for i in range(6) for j in range(i + 1, 6)}
+    assert all(w == 1 for w in g.values())
     labels = {gate.label for gate in c.gates if not gate.is_two_qubit}
     assert labels == {"h", "rx"}
 

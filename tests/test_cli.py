@@ -125,7 +125,7 @@ def test_bench_gen_to_file(tmp_path, capsys):
     assert rc == 0
     circ = parse_circuit_file(str(out))
     assert circ.n_qubits == 8
-    assert len(circ.two_qubit_gates) == 28
+    assert sum(g.is_two_qubit for g in circ.gates) == 28
     assert out.read_text().startswith("# family=qft qubits=8")
     capsys.readouterr()
 
@@ -177,6 +177,20 @@ def test_sweep_random_seed_group(tmp_path, capsys):
     assert [r["stat"] for r in rows] == ["", "", "", "mean", "stddev"]
     assert [r["seed"] for r in rows[:3]] == ["0", "1", "2"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "mode, lo, hi",
+    [("weak", "0", "1"), ("weak", "-3", "-1"), ("weak", "5", "3"), ("strong", "5", "3")],
+)
+def test_sweep_rejects_trap_range_outside_one_to_max(tmp_path, capsys, mode, lo, hi):
+    rc = cli.main(
+        ["sweep", mode, "--family", "qft", "--traps-min", lo, "--traps-max", hi,
+         "--out", str(tmp_path)]
+    )
+    assert rc == 1
+    assert "1 <= --traps-min <= --traps-max" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sweep_*"))
 
 
 def test_sweep_random_requires_seed(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Device model: specs, chain mechanics, op legality, timing, topology."""
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from qccdmap.devices import (
@@ -10,7 +12,6 @@ from qccdmap.devices import (
     PhysOp,
     TimingModel,
     Topology,
-    device_to_text,
     facing_end,
     op_duration,
     parse_device,
@@ -60,7 +61,11 @@ def test_usable_capacity():
 
 def test_device_config_roundtrip():
     spec = _ring(n_traps=7, capacity=6, excess=1)
-    assert parse_device(device_to_text(spec)) == spec
+    text = (
+        f"[device]\ntopology = {spec.topology.value}\ntraps = {spec.n_traps}\n"
+        f"capacity = {spec.capacity}\nexcess_capacity = {spec.excess_capacity}\n\n[timing]\n"
+    ) + "".join(f"{f.name} = {getattr(spec.timing, f.name)!r}\n" for f in fields(TimingModel))
+    assert parse_device(text) == spec
 
 
 def test_parse_device_rejects_garbage():
@@ -255,7 +260,7 @@ def test_state_lookups():
     spec = _linear(n_traps=2)
     st = _state(spec, [[3, 2], [4]])
     assert st.trap_of(4) == 1
-    assert st.occupancy(0) == 2
+    assert len(st.chains[0]) == 2
 
 
 # ---------------------------------------------------------------------------

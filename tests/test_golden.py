@@ -7,6 +7,9 @@ greedy and random placement, ring devices (a two-trap ring included), a
 near-full linear device, and ``lookahead`` 1 and ``None``. A digest changes
 only when a compile decision changes; a change that alters one must say why
 and re-record the table.
+
+``REPORT_GOLDEN`` pins the report writer's bytes the same way: ``emit`` and
+``emit_compare`` output, CSV and JSON.
 """
 from __future__ import annotations
 
@@ -15,9 +18,11 @@ from functools import cache
 
 import pytest
 
+from qccdmap import cli
 from qccdmap.benchmarks import generate
 from qccdmap.devices import DeviceSpec, Topology
 from qccdmap.placement import place
+from qccdmap.reporting import compare, emit, emit_compare, load_records
 from qccdmap.scheduling import schedule, schedule_to_text
 
 CIRCUITS = {
@@ -136,3 +141,58 @@ def test_schedule_digest(case):
     placement = place(circ, spec, strategy, seed=0)
     text = schedule_to_text(schedule(circ, placement, spec, lookahead=lookahead))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case]
+
+
+# Report bytes: (case, format) -> sha256 of the emitted text. The cases cover
+# a plain compile record, a three-seed random group (which adds mean and
+# stddev rows), an infeasible weak-sweep row and a baseline comparison.
+REPORT_GOLDEN = {
+    ("compile", "csv"): "bc6045f1545a17d1c374fce33cd83aa6b547ac43b0015dc0ddac7793947cf219",
+    ("compile", "json"): "a45fdbdad8eda809c77e37c32c55855e5c865e67bcecc434c8ab9177494041c9",
+    ("random_group", "csv"): "fe34cf8eda69cfaad8f140cf07e93f576130cc90c0799116b2d3264036199692",
+    ("random_group", "json"): "02d1cad33971e1e9c3c7f5ab59e85a9eb07c703693d968f5a7704ab0306494c9",
+    ("infeasible_sweep", "csv"): "90ddbcd4ab1e0f46aeaf4df5c8b8ee249c9bf90433beb857ce0ecc5653508e37",
+    ("infeasible_sweep", "json"): "187995e315be1f87c7daae8eaa215ca06751983440854c7ceffd6120e8128d20",
+    ("compare", "csv"): "d3de9fb32fbf248bb78eb2908bc52526616bf38ebcfcc08f62a3b74d96837008",
+    ("compare", "json"): "d22c48f1674f4779f1e66046ab58ca74c27dea76c47ca80f887bc4d6df1bf46a",
+}
+
+_REPORT_DEVICE = DeviceSpec(topology=Topology.LINEAR, n_traps=2, capacity=10, excess_capacity=2)
+
+
+@cache
+def _report_records():
+    circ = generate("qft", 16)
+
+    def run(strategy, seed):
+        return cli.run_compile(
+            circ, _REPORT_DEVICE, strategy, seed=seed, label="qft16", family="qft",
+            invocation=f"qccdmap compile qft16.circ --placement {strategy}",
+        )[0]
+
+    return [run("sta", None)], [run("random", s) for s in range(3)]
+
+
+def _report_text(case, fmt, tmp_path, monkeypatch):
+    single, group = _report_records()
+    if case == "compile":
+        return emit(single, fmt)
+    if case == "random_group":
+        return emit(group, fmt)
+    if case == "compare":
+        rows = compare(load_records(emit(single)), load_records(emit(group)))
+        return emit_compare(rows, fmt)
+    # traps=70 leaves capacity 180 // 70 = 2, too small to run: one
+    # infeasible row and no compile. A relative --out keeps the invocation
+    # column the same in every run.
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "weak", "--family", "qft", "--traps-min", "70", "--traps-max", "70",
+            "--out", ".", "--format", fmt]
+    assert cli.main(argv) == 0
+    return (tmp_path / f"sweep_weak_qft_sta.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("case", list(REPORT_GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_report_digest(case, tmp_path, monkeypatch):
+    text = _report_text(*case, tmp_path, monkeypatch)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_GOLDEN[case]

@@ -1,6 +1,11 @@
 """The package top level: the README library example and the export list."""
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import pytest
+
 import qccdmap
 from qccdmap import (
     DeviceSpec, Topology, generate, place, schedule,
@@ -35,3 +40,9 @@ def test_top_level_exports_only_the_library_example_and_errors():
     ]
     for name in qccdmap.__all__:
         assert hasattr(qccdmap, name)
+
+
+@pytest.mark.parametrize("module", sorted(Path(qccdmap.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_modules_parse_as_python_3_10(module):
+    # pyproject.toml declares requires-python >= 3.10.
+    ast.parse(module.read_text(encoding="utf-8"), filename=str(module), feature_version=(3, 10))

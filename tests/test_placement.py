@@ -30,14 +30,14 @@ def _spec(n_traps=2, capacity=4, excess=2, topology=Topology.LINEAR) -> DeviceSp
 # ---------------------------------------------------------------------------
 
 def test_ratios_worked_example(worked_circuit):
-    r = compute_ratios(interaction_graph(worked_circuit))
+    r = compute_ratios(interaction_graph(worked_circuit), worked_circuit.n_qubits)
     assert r[0] == (2, pytest.approx(0.8))
     # ties on ratio 0.6 break by total incident gates, then index
     assert [q for q, _ in r] == [2, 4, 1, 3, 0]
 
 
 def test_ratios_omit_isolated_qubits():
-    r = compute_ratios(interaction_graph(circuit(4, [("cx", 1, 2)])))
+    r = compute_ratios(interaction_graph(circuit(4, [("cx", 1, 2)])), 4)
     assert [q for q, _ in r] == [1, 2]
 
 
@@ -227,8 +227,7 @@ class _RefStaState:
             )
         self.spec = spec
         self.n_qubits = circ.n_qubits
-        graph = interaction_graph(circ)
-        self.ratios = compute_ratios(graph)
+        self.ratios = compute_ratios(interaction_graph(circ), circ.n_qubits)
         self.weights = compute_temporal_weights(compute_slices(circ))
         self.weights_all = list(self.weights)
         self.chains = [[] for _ in range(spec.n_traps)]
@@ -371,7 +370,7 @@ def _ref_sta_place(circ, spec):
 def _ref_greedy_place(circ, spec):
     state = _RefStaState(circ, spec)
     graph = interaction_graph(circ)
-    edges = sorted(graph.weights.items(), key=lambda e: (-e[1], e[0]))
+    edges = sorted(graph.items(), key=lambda e: (-e[1], e[0]))
     for (a, b), _ in edges:
         placed_a = a in state.trap_of
         placed_b = b in state.trap_of

@@ -184,7 +184,7 @@ def test_mover_prefers_operand_with_more_to_gain():
     state = _state(spec, [[0, 1, 2], [3, 4, 5]])
     decision = select_mover(c.gates[0], state, PendingTracker(c), spec)
     assert decision.mover == 0
-    assert decision.dest_trap == 1
+    assert decision.path[-1] == 1
     assert decision.path == (0, 1)
 
 
@@ -195,7 +195,7 @@ def test_mover_scores_count_own_trap_partners_negative():
     state = _state(spec, [[0, 1, 2], [3, 4, 5]])
     decision = select_mover(c.gates[0], state, PendingTracker(c), spec)
     assert decision.mover == 3
-    assert decision.dest_trap == 0
+    assert decision.path[-1] == 0
 
 
 def test_mover_tie_breaks_on_boundary_distance():
@@ -484,7 +484,7 @@ def test_relief_cascades_through_packed_walls():
     assert state.trap_of(0) == state.trap_of(2)
     shuttles = sum(1 for op in ops if op.kind == OpKind.SHUTTLE)
     assert shuttles >= 4  # eviction chain reaches the slack, then the mover
-    assert all(state.occupancy(t) <= spec.capacity for t in range(4))
+    assert all(len(state.chains[t]) <= spec.capacity for t in range(4))
 
 
 def test_deadlock_when_no_slack_exists():
@@ -505,7 +505,7 @@ def test_routing_keeps_capacity_invariant_under_replay():
 
     def commit(op):
         state.apply(op)
-        assert all(state.occupancy(t) <= spec.capacity for t in range(3))
+        assert all(len(state.chains[t]) <= spec.capacity for t in range(3))
 
     for gate in c.gates:
         a, b = gate.qubits

@@ -5,6 +5,7 @@ import random
 import time
 
 from qccdmap.circuits import circuit
+from qccdmap.cli import run_compile
 from qccdmap.devices import DeviceSpec, OpKind, PhysOp, TimingModel, Topology, op_duration
 from qccdmap.placement import Placement, place
 from qccdmap.scheduling import Schedule, ScheduledOp, schedule, verify_schedule
@@ -186,3 +187,22 @@ def test_invalid_ops_with_equal_starts_report_the_lower_index():
         assert not v.ok
         assert "does not match timing model" in v.reason
         assert v.op_index == 0
+
+
+def test_long_schedule_verifies_despite_rounding_at_large_start():
+    # 300 one-second gates put the 10 us one-qubit gates at start ~300 s,
+    # where start + duration rounds by more than 1e-15
+    spec = DeviceSpec(Topology.LINEAR, 1, 4, 1, TimingModel(two_qubit_base=1.0))
+    circ = circuit(2, [("cx", 0, 1)] * 300 + [("h", 0)] * 50)
+    record, sched = run_compile(circ, spec, "sta")
+    assert record.total_time == sched.ops[-1].end
+    pl = place(circ, spec, "sta")
+    # stretching the last gate by 1 ns, far above the float spacing at 300 s,
+    # is still rejected
+    last = sched.ops[-1]
+    assert last.start > 300.0
+    stretched = ScheduledOp(last.op, last.start, last.end + 1e-9)
+    v = verify_schedule(Schedule(ops=sched.ops[:-1] + (stretched,)), circ, pl, spec)
+    assert not v.ok
+    assert "does not match timing model" in v.reason
+    assert v.op_index == len(sched.ops) - 1
