@@ -187,6 +187,12 @@ class PhysOp(NamedTuple):
         return (self.trap,)
 
 
+# Builds a named tuple from the tuple of all its fields, skipping the class's
+# Python-level __new__: new_record(PhysOp, (kind, qubits, trap, src, dst, seq,
+# label)). The router and scheduler build one record per op this way.
+new_record = tuple.__new__
+
+
 class DeviceState:
     """Mutable trap-chain state. One instance is owned by a compilation run."""
 
@@ -222,58 +228,63 @@ class DeviceState:
 
     def apply(self, op: PhysOp) -> None:
         kind = op.kind
-        if kind is OpKind.SHUTTLE:
-            q = op.qubits[0]
-            src, dst = op.src, op.dst
-            # One facing lookup both tests adjacency and gives the exit end.
-            facing = self.spec._facing
-            exit_end = facing.get((src, dst))
-            if exit_end is None:
-                self.spec._check_trap(src)
-                raise DeviceOpError(f"shuttle between non-adjacent traps {src} and {dst}")
-            if self.trap_of(q) != src:
-                raise DeviceOpError(f"shuttle qubit {q} is not in source trap {src}")
-            chain = self.chains[src]
-            bpos = len(chain) - 1 if exit_end == "right" else 0
-            if chain[bpos] != q:
-                raise DeviceOpError(
-                    f"shuttle qubit {q} is not at the boundary of trap {src} facing trap {dst}"
-                )
-            if len(self.chains[dst]) >= self.spec.capacity:
-                raise DeviceOpError(f"shuttle destination trap {dst} is full")
-            chain.pop(bpos)
-            if facing[dst, src] == "left":
-                self.chains[dst].insert(0, q)
-            else:
-                self.chains[dst].append(q)
-            self._trap_of[q] = dst
-        elif kind is OpKind.SWAP:
-            # All-to-all connectivity inside a trap: a SWAP gate exchanges the
-            # chain positions of any two resident ions.
-            if len(op.qubits) != 2 or op.qubits[0] == op.qubits[1]:
-                raise DeviceOpError(f"swap needs two distinct ions, got {op.qubits}")
-            a, b = op.qubits
-            ta, tb = self.trap_of(a), self.trap_of(b)
-            if ta != tb:
-                raise DeviceOpError(f"swap ions {a},{b} not co-trapped (traps {ta},{tb})")
-            if op.trap is not None and op.trap != ta:
-                raise DeviceOpError(f"swap trap {op.trap} does not hold ions {a},{b}")
-            chain = self.chains[ta]
-            pa, pb = chain.index(a), chain.index(b)
-            chain[pa], chain[pb] = b, a
-        elif kind is OpKind.GATE2:
-            a, b = op.qubits
-            ta, tb = self.trap_of(a), self.trap_of(b)
-            if ta != tb:
-                raise DeviceOpError(f"gate2 operands {a},{b} not co-trapped (traps {ta},{tb})")
-            if op.trap is not None and op.trap != ta:
-                raise DeviceOpError(f"gate2 trap {op.trap} does not hold operands {a},{b}")
-        elif kind is OpKind.GATE1:
-            t = self.trap_of(op.qubits[0])
-            if op.trap is not None and op.trap != t:
-                raise DeviceOpError(f"gate1 trap {op.trap} does not hold qubit {op.qubits[0]}")
-        else:  # pragma: no cover - enum is closed
-            raise DeviceOpError(f"unknown op kind {kind}")
+        trap_of = self._trap_of
+        try:
+            if kind is OpKind.SHUTTLE:
+                q = op.qubits[0]
+                src, dst = op.src, op.dst
+                # One facing lookup both tests adjacency and gives the exit end.
+                facing = self.spec._facing
+                exit_end = facing.get((src, dst))
+                if exit_end is None:
+                    self.spec._check_trap(src)
+                    raise DeviceOpError(f"shuttle between non-adjacent traps {src} and {dst}")
+                if trap_of[q] != src:
+                    raise DeviceOpError(f"shuttle qubit {q} is not in source trap {src}")
+                chain = self.chains[src]
+                bpos = len(chain) - 1 if exit_end == "right" else 0
+                if chain[bpos] != q:
+                    raise DeviceOpError(
+                        f"shuttle qubit {q} is not at the boundary of trap {src} facing trap {dst}"
+                    )
+                if len(self.chains[dst]) >= self.spec.capacity:
+                    raise DeviceOpError(f"shuttle destination trap {dst} is full")
+                chain.pop(bpos)
+                if facing[dst, src] == "left":
+                    self.chains[dst].insert(0, q)
+                else:
+                    self.chains[dst].append(q)
+                trap_of[q] = dst
+            elif kind is OpKind.SWAP:
+                # All-to-all connectivity inside a trap: a SWAP gate exchanges the
+                # chain positions of any two resident ions.
+                if len(op.qubits) != 2 or op.qubits[0] == op.qubits[1]:
+                    raise DeviceOpError(f"swap needs two distinct ions, got {op.qubits}")
+                a, b = op.qubits
+                ta, tb = trap_of[a], trap_of[b]
+                if ta != tb:
+                    raise DeviceOpError(f"swap ions {a},{b} not co-trapped (traps {ta},{tb})")
+                if op.trap is not None and op.trap != ta:
+                    raise DeviceOpError(f"swap trap {op.trap} does not hold ions {a},{b}")
+                chain = self.chains[ta]
+                pa, pb = chain.index(a), chain.index(b)
+                chain[pa], chain[pb] = b, a
+            elif kind is OpKind.GATE2:
+                a, b = op.qubits
+                ta, tb = trap_of[a], trap_of[b]
+                if ta != tb:
+                    raise DeviceOpError(f"gate2 operands {a},{b} not co-trapped (traps {ta},{tb})")
+                if op.trap is not None and op.trap != ta:
+                    raise DeviceOpError(f"gate2 trap {op.trap} does not hold operands {a},{b}")
+            elif kind is OpKind.GATE1:
+                t = trap_of[op.qubits[0]]
+                if op.trap is not None and op.trap != t:
+                    raise DeviceOpError(f"gate1 trap {op.trap} does not hold qubit {op.qubits[0]}")
+            else:  # pragma: no cover - enum is closed
+                raise DeviceOpError(f"unknown op kind {kind}")
+        except KeyError as exc:
+            # Only trap_of lookups raise KeyError here: a qubit no trap holds.
+            raise DeviceOpError(f"qubit {exc.args[0]} is not on the device") from None
 
 
 def op_duration(timing: TimingModel, op: PhysOp, occupancy) -> float:

@@ -17,7 +17,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
-from .devices import DeviceSpec, DeviceState, PhysOp, facing_end, shortest_path
+from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, facing_end, new_record, shortest_path
 from .errors import DeadlockError, InputError, QccdError
 
 # Default pending-gate window for movement scores. A short horizon keeps the
@@ -129,22 +129,23 @@ def select_mover(
 def _exit_ion(state: DeviceState, trap: int, neighbor: int) -> int:
     """The ion on the slot of trap's chain end that faces neighbor."""
     chain = state.chains[trap]
-    return chain[-1] if facing_end(state.spec, trap, neighbor) == "right" else chain[0]
+    # facing_end only runs to raise its error for a non-adjacent pair.
+    end = state.spec._facing.get((trap, neighbor)) or facing_end(state.spec, trap, neighbor)
+    return chain[-1] if end == "right" else chain[0]
 
 
 def _walk_to_boundary(
-    state: DeviceState, qubit: int, neighbor: int, commit: Callable[[PhysOp], None]
+    state: DeviceState, qubit: int, trap: int, neighbor: int, commit: Callable[[PhysOp], None]
 ) -> None:
-    """Commit the SWAP that puts qubit at its trap end facing neighbor.
+    """Commit the SWAP that puts qubit, held by trap, at the end facing neighbor.
 
     In-trap connectivity is all-to-all, so one SWAP gate exchanges the qubit
     with whatever ion currently holds the boundary slot; no op is needed when
     the qubit is already there.
     """
-    trap = state.trap_of(qubit)
     occupant = _exit_ion(state, trap, neighbor)
     if occupant != qubit:
-        commit(PhysOp.swap(trap, (qubit, occupant)))
+        commit(new_record(PhysOp, (OpKind.SWAP, (qubit, occupant), trap, None, None, None, None)))
 
 
 def _attachment(qubit: int, residents: set[int], tracker: PendingTracker) -> tuple[int, int]:
@@ -236,8 +237,8 @@ def _evict_one(
                     candidates,
                     key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
                 )
-        _walk_to_boundary(state, victim, dest, commit)
-        commit(PhysOp.shuttle(victim, src, dest))
+        _walk_to_boundary(state, victim, src, dest, commit)
+        commit(new_record(PhysOp, (OpKind.SHUTTLE, (victim,), None, src, dest, None, None)))
 
 
 def resolve_gate(
@@ -265,6 +266,6 @@ def resolve_gate(
     for i, (cur, nxt) in enumerate(zip(path, path[1:])):
         if len(state.chains[nxt]) >= spec.capacity:
             _evict_one(state, spec, nxt, avoid, tracker, record, frozenset(path[i + 2 :]))
-        _walk_to_boundary(state, mover, nxt, record)
-        record(PhysOp.shuttle(mover, cur, nxt))
+        _walk_to_boundary(state, mover, cur, nxt, record)
+        record(new_record(PhysOp, (OpKind.SHUTTLE, (mover,), None, cur, nxt, None, None)))
     return ops

@@ -11,19 +11,28 @@ plus shuttles from the router), chained serially, then the gate itself.
 Ops and their timed records (``PhysOp``, ``ScheduledOp``) are immutable named
 tuples, built once per op and never copied.
 
+``schedule`` pauses Python's cyclic garbage collector while it builds them.
+Each record holds an ``OpKind`` member, which the collector tracks, so every
+full collection would walk all records built so far, and a compile builds
+hundreds of thousands. The pause frees nothing later than reference counting
+would: the records form no cycles, and they all live until ``schedule``
+returns. The collector's state is process-wide, so another thread compiling
+at the same time sees it paused too.
+
 ``verify_schedule`` replays a schedule against a fresh device state and
 checks it independently of how it was produced; it times each op from its own
 duration tables, built from the ``TimingModel``.
 """
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .circuits import Circuit, dependency_graph
-from .devices import DeviceSpec, DeviceState, OpKind, PhysOp
+from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, new_record
 from .errors import DeadlockError, DeviceOpError, InputError, QccdError
 from .placement import Placement
 from .routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
@@ -107,15 +116,30 @@ def schedule(
     """Compile a circuit to a timed op sequence starting from placement.
 
     ``lookahead`` is the pending-gate window used for movement scores;
-    ``None`` means the whole remaining circuit.
+    ``None`` means the whole remaining circuit. The cyclic garbage collector
+    is paused while the schedule is built and restored to its prior state on
+    return or on error.
     """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _schedule(circ, placement, spec, lookahead)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: int | None) -> Schedule:
     placement.validate(spec, circ.n_qubits)
     state = DeviceState(spec, [list(c) for c in placement.chains])
     _reject_infeasible(circ, state, spec)
     deps = dependency_graph(circ)
     remaining = list(deps.indegree)
-    end_of = [0.0] * len(circ.gates)
+    successors, predecessors = deps.successors, deps.predecessors
+    gates = circ.gates
+    end_of = [0.0] * len(gates)
     tracker = PendingTracker(circ, lookahead)
+    mark_done = tracker.mark_done
     trap_free = [0.0] * spec.n_traps
     out: list[ScheduledOp] = []
     # Durations by kind and chain length, from the timing model's own
@@ -125,9 +149,10 @@ def schedule(
     swap_time = [timing.swap(n) for n in range(spec.capacity + 1)]
     gate1_time, shuttle_time = timing.one_qubit, timing.shuttle
     chains = state.chains
+    trap_of = state._trap_of
     apply = state.apply
     record = out.append
-    SHUTTLE, SWAP, GATE2 = OpKind.SHUTTLE, OpKind.SWAP, OpKind.GATE2
+    SHUTTLE, SWAP, GATE1, GATE2 = OpKind.SHUTTLE, OpKind.SWAP, OpKind.GATE1, OpKind.GATE2
     # Where the next op may start. A gate sets it to the clock tick it was
     # taken at; its movement ops, then the gate itself, each start no earlier
     # than the op before.
@@ -141,8 +166,8 @@ def schedule(
         if kind is SHUTTLE:
             src, dst = op.src, op.dst
             start = max(cursor, trap_free[src], trap_free[dst])
-            apply(op)
-            cursor = trap_free[src] = trap_free[dst] = start + shuttle_time
+            dur = shuttle_time
+            cursor = trap_free[src] = trap_free[dst] = start + dur
         else:
             t = op.trap
             start = max(cursor, trap_free[t])
@@ -152,9 +177,16 @@ def schedule(
                 dur = gate2_time[len(chains[t])]
             else:
                 dur = gate1_time
-            apply(op)
             cursor = trap_free[t] = start + dur
-        record(ScheduledOp(op, start, cursor))
+        # A duration far below the float spacing at start is lost in the sum,
+        # and a huge one overflows it; either would record a wrong duration.
+        if not start < cursor < math.inf:
+            raise InputError(
+                f"op {len(out)} starting at {start!r} s with duration {dur!r} s has no"
+                " representable end; the timing parameters are too large"
+            )
+        apply(op)
+        record(new_record(ScheduledOp, (op, start, cursor)))
 
     # Wake heap of (time, seq): a gate enters once, when its last predecessor
     # commits, and returns at the later of its traps' trap_free while one is
@@ -163,34 +195,37 @@ def schedule(
     #   (time, seq) order, which is the lowest-seq-first scan of each tick;
     # - trap_free only grows and a shuttle holds both its traps, so moving a
     #   waiting gate's operand never lets that gate start earlier.
-    wake = [(0.0, g.seq) for g in circ.gates if remaining[g.seq] == 0]
+    wake = [(0.0, g.seq) for g in gates if remaining[g.seq] == 0]
     while wake:
         clock, seq = heappop(wake)
         cursor = clock
-        g = circ.gates[seq]
-        if g.is_two_qubit:
-            a, b = g.qubits
-            ta, tb = state.trap_of(a), state.trap_of(b)
-            free = max(trap_free[ta], trap_free[tb])
-            if free > clock:
-                heappush(wake, (free, seq))
-                continue
+        g = gates[seq]
+        qubits = g.qubits
+        try:
+            if len(qubits) == 2:
+                a, b = qubits
+                ta, tb = trap_of[a], trap_of[b]
+            else:
+                q = qubits[0]
+                ta = tb = trap_of[q]
+        except KeyError as exc:
+            raise DeviceOpError(f"qubit {exc.args[0]} is not on the device") from None
+        free = max(trap_free[ta], trap_free[tb])
+        if free > clock:
+            heappush(wake, (free, seq))
+            continue
+        if len(qubits) == 2:
             if ta != tb:
                 resolve_gate(g, state, tracker, spec, commit)
-            commit(PhysOp.gate2(a, b, state.trap_of(a), seq, g.label))
+            commit(new_record(PhysOp, (GATE2, (a, b), trap_of[a], None, None, seq, g.label)))
         else:
-            q = g.qubits[0]
-            t = state.trap_of(q)
-            if trap_free[t] > clock:
-                heappush(wake, (trap_free[t], seq))
-                continue
-            commit(PhysOp.gate1(q, t, seq, g.label))
+            commit(new_record(PhysOp, (GATE1, (q,), ta, None, None, seq, g.label)))
         end_of[seq] = cursor
-        tracker.mark_done(seq)
-        for s in deps.successors[seq]:
+        mark_done(seq)
+        for s in successors[seq]:
             remaining[s] -= 1
             if remaining[s] == 0:
-                heappush(wake, (max(end_of[p] for p in deps.predecessors[s]), s))
+                heappush(wake, (max(end_of[p] for p in predecessors[s]), s))
     if any(remaining):
         raise QccdError("scheduler stalled: gates remain but none can become ready")
     return Schedule(ops=tuple(out))
@@ -311,14 +346,21 @@ def schedule_to_text(sched: Schedule) -> str:
     Times are microseconds with fixed precision so reruns are byte-identical.
     """
     lines = ["start_us,end_us,kind,qubits,traps"]
-    name = {kind: kind.value for kind in OpKind}
+    row = lines.append
     SHUTTLE = OpKind.SHUTTLE
-    for s in sched.ops:
-        op = s.op
+    # Most ops start where the one before ended, so its end text is reused.
+    # Equal floats format alike unless they are 0.0 and -0.0, so a zero start
+    # is always formatted.
+    prev_end, end_us = None, ""
+    for op, start, end in sched.ops:
+        start_us = end_us if start == prev_end and start else f"{start * 1e6:.3f}"
+        prev_end, end_us = end, f"{end * 1e6:.3f}"
         kind = op.kind
         traps = f"{op.src}:{op.dst}" if kind is SHUTTLE else op.trap
-        qubits = ":".join(map(str, op.qubits))
-        lines.append(f"{s.start * 1e6:.3f},{s.end * 1e6:.3f},{name[kind]},{qubits},{traps}")
+        qubits = op.qubits
+        qubits = f"{qubits[0]}:{qubits[1]}" if len(qubits) == 2 else ":".join(map(str, qubits))
+        # _value_ is the plain attribute behind Enum.value's descriptor.
+        row(f"{start_us},{end_us},{kind._value_},{qubits},{traps}")
     m = compute_metrics(sched)
     lines.append(f"# total_time_us={m.total_time * 1e6:.3f}")
     lines.append(f"# shuttles={m.shuttles}")

@@ -98,6 +98,16 @@ def test_exit_1_on_non_finite_timing(tmp_path, capsys, timing):
     assert f"timing parameter {timing.split()[0]} must be finite" in err
 
 
+def test_exit_1_on_timing_too_large_for_the_schedule(tmp_path, capsys):
+    # finite, but a later op's duration is lost when added to a start near 1e308
+    circ = _write(tmp_path, "pair.circ", SIX_QUBIT_CIRC)
+    dev = _write(tmp_path, "dev.toml", DEVICE_2X4E2 + "\n[timing]\nsplit = 1e308\n")
+    assert cli.main(["compile", circ, "--device", dev, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "op 4 starting at 1e+308 s" in err
+    assert "the timing parameters are too large" in err
+
+
 def test_exit_2_on_deadlock(tmp_path, capsys):
     circ = _write(tmp_path, "stuck.circ", "qubits 4\ncx 0 1\ncx 0 2\n")
     dev = _write(

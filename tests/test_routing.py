@@ -387,7 +387,7 @@ def _reference_evict_one(state, spec, trap, avoid, tracker, commit, visited, blo
                 candidates,
                 key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
             )
-    _walk_to_boundary(state, victim, dest, commit)
+    _walk_to_boundary(state, victim, trap, dest, commit)
     commit(PhysOp.shuttle(victim, trap, dest))
 
 

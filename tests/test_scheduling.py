@@ -1,6 +1,7 @@
 """Scheduler: serialization, dependencies, timing, and the no-movement case."""
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -18,9 +19,10 @@ from qccdmap.devices import (
     Topology,
     op_duration,
 )
-from qccdmap.errors import DeadlockError
+from qccdmap.errors import DeadlockError, InputError
 from qccdmap.placement import Placement, place, sta_place
 from qccdmap.routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
+from qccdmap import scheduling
 from qccdmap.scheduling import (
     Schedule,
     ScheduledOp,
@@ -382,3 +384,162 @@ def test_gate_waits_for_operand_moved_by_lower_seq_eviction():
     assert h2.start == pytest.approx(770e-6)
     assert schedule_to_text(sched) == schedule_to_text(_rescan_schedule(c, pl, spec, DEFAULT_LOOKAHEAD))
     assert verify_schedule(sched, c, pl, spec).ok
+
+
+# ---------------------------------------------------------------------------
+# unrepresentable op ends
+# ---------------------------------------------------------------------------
+
+def test_duration_lost_at_a_huge_start_raises_input_error():
+    # split = 1e308 puts the gates after the first shuttle at a start so large
+    # that their 330 us SWAPs and 110 us gates vanish in start + duration.
+    spec = DeviceSpec(Topology.LINEAR, 2, 4, 2, TimingModel(split=1e308))
+    c = circuit(6, [("cx", 0, 1), ("cx", 4, 5), ("cx", 2, 4), ("cx", 2, 5)])
+    with pytest.raises(InputError) as err:
+        schedule(c, sta_place(c, spec), spec)
+    assert str(err.value) == (
+        "op 4 starting at 1e+308 s with duration 0.00033000000000000005 s has no"
+        " representable end; the timing parameters are too large"
+    )
+
+
+def test_end_overflowing_to_infinity_raises_input_error():
+    spec = DeviceSpec(Topology.LINEAR, 3, 2, 1, TimingModel(split=1e308))
+    c = circuit(2, [("cx", 0, 1)])
+    with pytest.raises(InputError, match=r"^op 1 starting at 1e\+308 s with duration 1e\+308 s"):
+        schedule(c, Placement(chains=((0,), (), (1,))), spec)
+
+
+# ---------------------------------------------------------------------------
+# the collector pause
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def collector():
+    """Run a test with the collector enabled and leave it enabled after."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_schedule_pauses_the_collector_and_restores_it(
+    collector, monkeypatch, movement_circuit, movement_spec, movement_placement
+):
+    seen = []
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return resolve_gate(*args)
+
+    monkeypatch.setattr(scheduling, "resolve_gate", spy)
+    schedule(movement_circuit, movement_placement, movement_spec)
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_schedule_restores_the_collector_after_an_error(collector):
+    c = circuit(4, [("cx", 0, 1), ("cx", 1, 2)])
+    with pytest.raises(DeadlockError):
+        schedule(c, Placement(chains=((0, 1), (2, 3))), _spec(2, 2, 0))
+    assert gc.isenabled()
+    with pytest.raises(DeadlockError):
+        schedule(circuit(2, [("cx", 1, 0)]), Placement(chains=((0,), (1,), ())), _spec(3, 1, 0))
+    assert gc.isenabled()
+
+
+def test_schedule_leaves_a_disabled_collector_disabled(
+    collector, movement_circuit, movement_spec, movement_placement
+):
+    gc.disable()
+    schedule(movement_circuit, movement_placement, movement_spec)
+    assert not gc.isenabled()
+
+
+def _evictions(sched) -> int:
+    """Shuttles of an ion that is not an operand of the gate they serve.
+
+    The router commits a gate's movement ops just before the gate itself.
+    """
+    ops = [s.op for s in sched.ops]
+    count = 0
+    for i, op in enumerate(ops):
+        if op.kind is OpKind.SHUTTLE:
+            gate = next(o for o in ops[i:] if o.kind is OpKind.GATE2)
+            count += op.qubits[0] not in gate.qubits
+    return count
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_compile_leaves_no_reference_cycles(collector, topology):
+    # The pause is safe only because nothing a compile builds needs the
+    # collector: every object it drops is freed by its reference count.
+    spec = DeviceSpec(topology, n_traps=4, capacity=5, excess_capacity=1)
+    circ = generate("rnd", 16, gates=200, seed=2)
+    gc.collect()
+    gc.disable()
+    pl = place(circ, spec, "sta")
+    sched = schedule(circ, pl, spec)
+    assert verify_schedule(sched, circ, pl, spec).ok
+    schedule_to_text(sched)
+    m = compute_metrics(sched)
+    assert m.swaps > 0 and m.shuttles > 0 and _evictions(sched) > 0
+    del pl, sched
+    assert gc.collect() == 0
+
+
+# ---------------------------------------------------------------------------
+# schedule_to_text against the one-format-per-time writer
+# ---------------------------------------------------------------------------
+
+def _reference_schedule_to_text(sched):
+    """The writer that formats both times of every row afresh."""
+    lines = ["start_us,end_us,kind,qubits,traps"]
+    name = {kind: kind.value for kind in OpKind}
+    for s in sched.ops:
+        op = s.op
+        traps = f"{op.src}:{op.dst}" if op.kind is OpKind.SHUTTLE else op.trap
+        qubits = ":".join(map(str, op.qubits))
+        lines.append(f"{s.start * 1e6:.3f},{s.end * 1e6:.3f},{name[op.kind]},{qubits},{traps}")
+    m = compute_metrics(sched)
+    lines.append(f"# total_time_us={m.total_time * 1e6:.3f}")
+    lines.append(f"# shuttles={m.shuttles}")
+    lines.append(f"# swaps={m.swaps}")
+    lines.append(f"# one_qubit_gates={m.one_qubit_gates}")
+    lines.append(f"# two_qubit_gates={m.two_qubit_gates}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_compile_case())
+def test_schedule_to_text_matches_reference_writer(case):
+    circ, spec, strategy, lookahead = case
+    sched = schedule(circ, place(circ, spec, strategy, seed=0), spec, lookahead=lookahead)
+    assert schedule_to_text(sched) == _reference_schedule_to_text(sched)
+
+
+def test_schedule_to_text_reuses_only_the_previous_rows_end():
+    def rec(op, start, end):
+        return ScheduledOp(op, start, end)
+
+    sched = Schedule(
+        ops=(
+            rec(PhysOp.gate1(0, 0), 0.0, 10e-6),
+            rec(PhysOp.gate1(1, 1), 0.0, 20e-6),
+            # starts at the first row's end, not at the second's
+            rec(PhysOp.gate2(0, 2, 0), 10e-6, 30e-6),
+            rec(PhysOp.swap(0, (0, 2)), 30e-6, 60e-6),
+            rec(PhysOp.shuttle(2, 0, 1), 60e-6, 225e-6),
+            # zeros of opposite sign compare equal but print differently
+            rec(PhysOp.gate1(3, 2), -5e-6, 0.0),
+            rec(PhysOp.gate1(3, 2), -0.0, 10e-6),
+            rec(PhysOp.gate1(4, 2), -10e-6, -0.0),
+            rec(PhysOp.gate1(4, 2), 0.0, 10e-6),
+        )
+    )
+    text = schedule_to_text(sched)
+    assert text == _reference_schedule_to_text(sched)
+    assert text.splitlines()[3] == "10.000,30.000,gate2,0:2,0"
