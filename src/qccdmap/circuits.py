@@ -9,7 +9,7 @@ operands. Three derived views are computed here:
   sliced), a plain tuple of slices, each a tuple of gates,
 * the weighted qubit interaction graph, a plain dict from pair (a, b) with
   a < b to its number of two-qubit gates,
-* the gate dependency DAG (gate -> next gate sharing a qubit).
+* the dependency order, each qubit's gates in program order.
 """
 from __future__ import annotations
 
@@ -239,38 +239,17 @@ def interaction_graph(circ: Circuit) -> dict[tuple[int, int], int]:
     return weights
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Immediate-successor DAG over all gates, indexed by gate seq.
+def dependency_graph(circ: Circuit) -> tuple[tuple[int, ...], ...]:
+    """Each qubit's gate seqs in program order, indexed by qubit.
 
-    There is an edge g -> h when h is the next gate after g that touches a
-    qubit g touches; a pair sharing both qubits still contributes one edge.
+    This is the whole dependency structure: a gate depends only on the
+    previous gate on each of its operands.
     """
-
-    successors: tuple[tuple[int, ...], ...]
-    predecessors: tuple[tuple[int, ...], ...]
-
-    @property
-    def indegree(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.predecessors)
-
-
-def dependency_graph(circ: Circuit) -> DependencyGraph:
-    n = len(circ.gates)
-    succ: list[set[int]] = [set() for _ in range(n)]
-    pred: list[set[int]] = [set() for _ in range(n)]
-    last_on: dict[int, int] = {}
+    order: list[list[int]] = [[] for _ in range(circ.n_qubits)]
     for g in circ.gates:
         for q in g.qubits:
-            if q in last_on:
-                p = last_on[q]
-                succ[p].add(g.seq)
-                pred[g.seq].add(p)
-            last_on[q] = g.seq
-    return DependencyGraph(
-        successors=tuple(tuple(sorted(s)) for s in succ),
-        predecessors=tuple(tuple(sorted(p)) for p in pred),
-    )
+            order[q].append(g.seq)
+    return tuple(map(tuple, order))
 
 
 def circuit_to_text(circ: Circuit, header: str | None = None) -> str:

@@ -164,28 +164,6 @@ class PhysOp(NamedTuple):
     seq: int | None = None
     label: str | None = None
 
-    @staticmethod
-    def gate1(qubit: int, trap: int, seq: int | None = None, label: str | None = None) -> "PhysOp":
-        return PhysOp(OpKind.GATE1, (qubit,), trap, None, None, seq, label)
-
-    @staticmethod
-    def gate2(a: int, b: int, trap: int, seq: int | None = None, label: str | None = None) -> "PhysOp":
-        return PhysOp(OpKind.GATE2, (a, b), trap, None, None, seq, label)
-
-    @staticmethod
-    def swap(trap: int, qubits: tuple[int, int]) -> "PhysOp":
-        return PhysOp(OpKind.SWAP, tuple(qubits), trap)
-
-    @staticmethod
-    def shuttle(qubit: int, src: int, dst: int) -> "PhysOp":
-        return PhysOp(OpKind.SHUTTLE, (qubit,), None, src, dst)
-
-    def traps_held(self) -> tuple[int, ...]:
-        """Traps this operation occupies for its full duration."""
-        if self.kind is OpKind.SHUTTLE:
-            return (self.src, self.dst)
-        return (self.trap,)
-
 
 # Builds a named tuple from the tuple of all its fields, skipping the class's
 # Python-level __new__: new_record(PhysOp, (kind, qubits, trap, src, dst, seq,
@@ -285,20 +263,6 @@ class DeviceState:
         except KeyError as exc:
             # Only trap_of lookups raise KeyError here: a qubit no trap holds.
             raise DeviceOpError(f"qubit {exc.args[0]} is not on the device") from None
-
-
-def op_duration(timing: TimingModel, op: PhysOp, occupancy) -> float:
-    """Duration in seconds of ``op`` given per-trap occupancy at its start."""
-    kind = op.kind
-    if kind is OpKind.GATE1:
-        return timing.one_qubit
-    if kind is OpKind.GATE2:
-        return timing.two_qubit(occupancy[op.trap])
-    if kind is OpKind.SWAP:
-        return timing.swap(occupancy[op.trap])
-    if kind is OpKind.SHUTTLE:
-        return timing.shuttle
-    raise InputError(f"unknown op kind {kind}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

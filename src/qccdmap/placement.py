@@ -34,7 +34,7 @@ class Placement:
     """Initial trap chains: chains[t] lists qubits left to right."""
 
     chains: tuple[tuple[int, ...], ...]
-    trap_of: dict[int, int] = field(compare=False, default=None)
+    trap_of: dict[int, int] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         mapping: dict[int, int] = {}

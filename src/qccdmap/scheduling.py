@@ -2,11 +2,11 @@
 
 Each trap executes one operation at a time; independent traps run in
 parallel. The event loop is one wake heap of (time, seq): a gate enters it
-when its last predecessor in the dependency DAG commits, at that
-predecessor's end, and is taken when popped if its operands' traps are free,
-or pushed back to when they free up. Ties in time go to the lowest sequence
-index. A split two-qubit gate first commits its movement ops (SWAP walks
-plus shuttles from the router), chained serially, then the gate itself.
+once the previous gate on each of its operands has committed, at the latest
+of those gates' ends, and is taken when popped if its operands' traps are
+free, or pushed back to when they free up. Ties in time go to the lowest
+sequence index. A split two-qubit gate first commits its movement ops (SWAP
+walks plus shuttles from the router), chained serially, then the gate itself.
 
 Ops and their timed records (``PhysOp``, ``ScheduledOp``) are immutable named
 tuples, built once per op and never copied.
@@ -44,10 +44,6 @@ class ScheduledOp(NamedTuple):
     op: PhysOp
     start: float
     end: float
-
-    @property
-    def traps(self) -> tuple[int, ...]:
-        return self.op.traps_held()
 
 
 @dataclass(frozen=True)
@@ -133,17 +129,23 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     placement.validate(spec, circ.n_qubits)
     state = DeviceState(spec, [list(c) for c in placement.chains])
     _reject_infeasible(circ, state, spec)
-    deps = dependency_graph(circ)
-    remaining = list(deps.indegree)
-    successors, predecessors = deps.successors, deps.predecessors
     gates = circ.gates
-    end_of = [0.0] * len(gates)
+    # Readiness: heads[q] walks qubit q's gates in program order, waiting[seq]
+    # counts the operands whose previous gate has not committed, and
+    # qubit_end[q] is when q's last committed gate ended.
+    heads = [iter(seqs) for seqs in dependency_graph(circ)]
+    waiting = [len(g.qubits) for g in gates]
+    for head in heads:
+        first = next(head, None)
+        if first is not None:
+            waiting[first] -= 1
+    qubit_end = [0.0] * circ.n_qubits
     tracker = PendingTracker(circ, lookahead)
     mark_done = tracker.mark_done
     trap_free = [0.0] * spec.n_traps
     out: list[ScheduledOp] = []
     # Durations by kind and chain length, from the timing model's own
-    # formulas so every float matches op_duration's bit for bit.
+    # formulas, so every float equals the model's bit for bit.
     timing = spec.timing
     gate2_time = [timing.two_qubit(n) for n in range(spec.capacity + 1)]
     swap_time = [timing.swap(n) for n in range(spec.capacity + 1)]
@@ -188,14 +190,14 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
         apply(op)
         record(new_record(ScheduledOp, (op, start, cursor)))
 
-    # Wake heap of (time, seq): a gate enters once, when its last predecessor
-    # commits, and returns at the later of its traps' trap_free while one is
-    # busy. This equals rescanning every waiting gate at each clock tick:
+    # Wake heap of (time, seq): a gate enters once, when the previous gate on
+    # its last waiting operand commits, and returns at the later of its traps'
+    # trap_free while one is busy. This equals rescanning every waiting gate at each clock tick:
     # - every push lies strictly after the popped time, so pops come in
     #   (time, seq) order, which is the lowest-seq-first scan of each tick;
     # - trap_free only grows and a shuttle holds both its traps, so moving a
     #   waiting gate's operand never lets that gate start earlier.
-    wake = [(0.0, g.seq) for g in gates if remaining[g.seq] == 0]
+    wake = [(0.0, seq) for seq, n in enumerate(waiting) if n == 0]
     while wake:
         clock, seq = heappop(wake)
         cursor = clock
@@ -220,13 +222,15 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
             commit(new_record(PhysOp, (GATE2, (a, b), trap_of[a], None, None, seq, g.label)))
         else:
             commit(new_record(PhysOp, (GATE1, (q,), ta, None, None, seq, g.label)))
-        end_of[seq] = cursor
         mark_done(seq)
-        for s in successors[seq]:
-            remaining[s] -= 1
-            if remaining[s] == 0:
-                heappush(wake, (max(end_of[p] for p in predecessors[s]), s))
-    if any(remaining):
+        for q in qubits:
+            qubit_end[q] = cursor
+            nxt = next(heads[q], None)
+            if nxt is not None:
+                waiting[nxt] -= 1
+                if waiting[nxt] == 0:
+                    heappush(wake, (max([qubit_end[p] for p in gates[nxt].qubits]), nxt))
+    if any(waiting):
         raise QccdError("scheduler stalled: gates remain but none can become ready")
     return Schedule(ops=tuple(out))
 

@@ -11,11 +11,12 @@ import statistics
 import time
 
 from conftest import ACCEPTANCE_LINES
+from reference import held, op_duration
 
 from qccdmap import cli
 from qccdmap.benchmarks import generate
 from qccdmap.circuits import circuit, compute_slices, interaction_graph
-from qccdmap.devices import DeviceSpec, OpKind, PhysOp, Topology, facing_end, op_duration
+from qccdmap.devices import DeviceSpec, OpKind, PhysOp, Topology, facing_end
 from qccdmap.placement import (
     Placement,
     compute_ratios,
@@ -214,7 +215,7 @@ def test_07_schedule_verifier():
     by_start = sorted(range(len(sched.ops)), key=lambda i: sched.ops[i].start)
     for prev, cur in zip(by_start, by_start[1:]):
         a, b = sched.ops[prev], sched.ops[cur]
-        if set(a.traps) & set(b.traps) and b.start >= a.end and b.start - 1e-5 > a.start:
+        if set(held(a.op)) & set(held(b.op)) and b.start >= a.end and b.start - 1e-5 > a.start:
             moved = ScheduledOp(b.op, b.start - 1e-5, b.end - 1e-5)
             shifted = Schedule(ops=sched.ops[:cur] + (moved,) + sched.ops[cur + 1 :])
             ok &= not verify_schedule(shifted, circ, pl, spec).ok
@@ -226,7 +227,7 @@ def test_07_schedule_verifier():
     c2 = circuit(4, [("cx", 0, 1)])
     pl2 = Placement(chains=((0, 1, 2), (3,)))
     base = schedule(c2, pl2, small)
-    push = PhysOp.shuttle(3, 1, 0)
+    push = PhysOp(OpKind.SHUTTLE, (3,), src=1, dst=0)
     t1 = base.makespan
     overflow = Schedule(
         ops=base.ops + (ScheduledOp(push, t1, t1 + op_duration(small.timing, push, [3, 1])),)

@@ -174,7 +174,7 @@ def test_interaction_graph_symmetric_on_operand_order():
 
 
 # ---------------------------------------------------------------------------
-# dependency graph
+# dependency order
 # ---------------------------------------------------------------------------
 
 def _brute_deps(circ):
@@ -194,19 +194,13 @@ def _brute_deps(circ):
 def test_dependency_graph_matches_brute_force(seed):
     rng = random.Random(seed)
     circ = _random_circuit(rng, rng.randint(2, 10), rng.randint(0, 30))
-    deps = dependency_graph(circ)
-    brute = _brute_deps(circ)
-    assert [set(p) for p in deps.predecessors] == brute
-    for i, succs in enumerate(deps.successors):
-        for j in succs:
-            assert i in deps.predecessors[j]
-
-
-def test_dependency_graph_double_edge_counted_once():
-    circ = circuit(2, [("cx", 0, 1), ("cx", 1, 0)])
-    deps = dependency_graph(circ)
-    assert deps.predecessors[1] == (0,)
-    assert deps.indegree == (0, 1)
+    order = dependency_graph(circ)
+    assert order == tuple(
+        tuple(g.seq for g in circ.gates if q in g.qubits) for q in range(circ.n_qubits)
+    )
+    edges = {(p, s) for seqs in order for p, s in zip(seqs, seqs[1:])}
+    brute = {(p, s) for s, pred in enumerate(_brute_deps(circ)) for p in pred}
+    assert edges == brute
 
 
 # ---------------------------------------------------------------------------

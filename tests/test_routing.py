@@ -238,9 +238,9 @@ def test_eviction_tie_on_attachment_evicts_latest_needed():
     state = _state(spec, [[1, 0], [2, 3, 4, 5], [6]])
     ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
     assert ops == [
-        PhysOp.swap(1, (4, 5)),
-        PhysOp.shuttle(4, 1, 2),
-        PhysOp.shuttle(0, 0, 1),
+        PhysOp(OpKind.SWAP, (4, 5), 1),
+        PhysOp(OpKind.SHUTTLE, (4,), src=1, dst=2),
+        PhysOp(OpKind.SHUTTLE, (0,), src=0, dst=1),
     ]
 
 
@@ -252,7 +252,7 @@ def test_eviction_tie_on_attachment_and_next_gate_evicts_exit_resident():
     c = circuit(7, [("cx", 0, 2), ("cx", 3, 5), ("cx", 2, 4), ("cx", 4, 2)])
     state = _state(spec, [[1, 0], [2, 3, 4, 5], [6]])
     ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
-    assert ops == [PhysOp.shuttle(5, 1, 2), PhysOp.shuttle(0, 0, 1)]
+    assert ops == [PhysOp(OpKind.SHUTTLE, (5,), src=1, dst=2), PhysOp(OpKind.SHUTTLE, (0,), src=0, dst=1)]
 
 
 def _reference_victim(chain, avoid, exit_ion, windows):
@@ -326,7 +326,7 @@ def test_eviction_victim_matches_full_key(case):
         committed.append(op)
 
     _evict_one(state, spec, src, case["avoid"], tracker, commit)
-    assert committed[-1] == PhysOp.shuttle(expected, src, 1 - src)
+    assert committed[-1] == PhysOp(OpKind.SHUTTLE, (expected,), src=src, dst=1 - src)
 
 
 # The recursive eviction this module replaced with a relief-route walk: a
@@ -388,7 +388,7 @@ def _reference_evict_one(state, spec, trap, avoid, tracker, commit, visited, blo
                 key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
             )
     _walk_to_boundary(state, victim, trap, dest, commit)
-    commit(PhysOp.shuttle(victim, trap, dest))
+    commit(PhysOp(OpKind.SHUTTLE, (victim,), src=trap, dst=dest))
 
 
 @st.composite
@@ -512,5 +512,5 @@ def test_routing_keeps_capacity_invariant_under_replay():
         if state.trap_of(a) != state.trap_of(b):
             resolve_gate(gate, state, tracker, spec, commit)
         assert state.trap_of(a) == state.trap_of(b)
-        state.apply(PhysOp.gate2(a, b, state.trap_of(a), seq=gate.seq))
+        state.apply(PhysOp(OpKind.GATE2, (a, b), state.trap_of(a), seq=gate.seq))
         tracker.mark_done(gate.seq)

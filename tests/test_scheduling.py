@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qccdmap.benchmarks import generate
-from qccdmap.circuits import circuit, dependency_graph
+from qccdmap.circuits import circuit
 from qccdmap.devices import (
     DeviceSpec,
     DeviceState,
@@ -17,7 +17,6 @@ from qccdmap.devices import (
     PhysOp,
     TimingModel,
     Topology,
-    op_duration,
 )
 from qccdmap.errors import DeadlockError, InputError
 from qccdmap.placement import Placement, place, sta_place
@@ -31,6 +30,7 @@ from qccdmap.scheduling import (
     schedule_to_text,
     verify_schedule,
 )
+from reference import held, op_duration
 
 
 def _spec(n_traps, capacity, excess, topology=Topology.LINEAR) -> DeviceSpec:
@@ -40,7 +40,7 @@ def _spec(n_traps, capacity, excess, topology=Topology.LINEAR) -> DeviceSpec:
 def _assert_serialized(sched):
     busy: dict[int, list[tuple[float, float]]] = {}
     for s in sched.ops:
-        for t in s.traps:
+        for t in held(s.op):
             for a, b in busy.get(t, []):
                 assert s.end <= a or s.start >= b, f"trap {t} double-booked"
             busy.setdefault(t, []).append((s.start, s.end))
@@ -87,7 +87,7 @@ def test_shuttle_blocks_both_traps():
     sched = schedule(c, Placement(chains=((0, 1), (2, 3))), spec)
     _assert_serialized(sched)
     shuttle = next(s for s in sched.ops if s.op.kind == OpKind.SHUTTLE)
-    assert set(shuttle.traps) == {0, 1}
+    assert set(held(shuttle.op)) == {0, 1}
 
 
 def test_durations_match_occupancy_at_start(movement_circuit, movement_spec, movement_placement):
@@ -157,23 +157,23 @@ def test_schedule_to_text_is_deterministic(movement_circuit, movement_spec, move
 
 
 def test_op_records_are_immutable_hashable_values():
-    op = PhysOp.shuttle(3, 0, 1)
+    op = PhysOp(OpKind.SHUTTLE, (3,), src=0, dst=1)
     rec = ScheduledOp(op, 0.0, 165e-6)
     for obj, field in ((op, "kind"), (op, "src"), (rec, "op"), (rec, "end")):
         with pytest.raises(AttributeError):
             setattr(obj, field, None)
     assert PhysOp(kind=OpKind.SHUTTLE, qubits=(3,), src=0, dst=1) == op
-    assert PhysOp(kind=OpKind.SWAP, qubits=(4, 5), trap=2) == PhysOp.swap(2, [4, 5])
-    assert PhysOp(kind=OpKind.GATE1, qubits=(1,), trap=0, seq=7, label="h") == PhysOp.gate1(
-        1, 0, seq=7, label="h"
+    assert PhysOp(kind=OpKind.SWAP, qubits=(4, 5), trap=2) == PhysOp(OpKind.SWAP, (4, 5), 2)
+    assert PhysOp(kind=OpKind.GATE1, qubits=(1,), trap=0, seq=7, label="h") == PhysOp(
+        OpKind.GATE1, (1,), 0, seq=7, label="h"
     )
-    assert PhysOp(kind=OpKind.GATE2, qubits=(0, 1), trap=2, seq=5, label="cx") == PhysOp.gate2(
-        0, 1, 2, seq=5, label="cx"
+    assert PhysOp(kind=OpKind.GATE2, qubits=(0, 1), trap=2, seq=5, label="cx") == PhysOp(
+        OpKind.GATE2, (0, 1), 2, seq=5, label="cx"
     )
     assert ScheduledOp(op=op, start=0.0, end=165e-6) == rec
-    assert rec.traps == op.traps_held() == (0, 1)
-    assert len({op, PhysOp.shuttle(3, 0, 1), PhysOp.shuttle(3, 1, 0)}) == 2
-    assert len({rec, ScheduledOp(PhysOp.shuttle(3, 0, 1), 0.0, 165e-6)}) == 1
+    back = PhysOp(OpKind.SHUTTLE, (3,), src=1, dst=0)
+    assert len({op, PhysOp(OpKind.SHUTTLE, (3,), src=0, dst=1), back}) == 2
+    assert len({rec, ScheduledOp(PhysOp(OpKind.SHUTTLE, (3,), src=0, dst=1), 0.0, 165e-6)}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +301,26 @@ def _rescan_schedule(circ, placement, spec, lookahead):
     between the two can only come from the event loop.
     """
     state = DeviceState(spec, [list(c) for c in placement.chains])
-    deps = dependency_graph(circ)
-    remaining = list(deps.indegree)
+    # A gate's predecessors are the previous gates on each of its operands.
+    predecessors, successors = [], [[] for _ in circ.gates]
+    last_on: dict[int, int] = {}
+    for g in circ.gates:
+        pred = {last_on[q] for q in g.qubits if q in last_on}
+        predecessors.append(pred)
+        for p in pred:
+            successors[p].append(g.seq)
+        last_on.update((q, g.seq) for q in g.qubits)
+    remaining = [len(p) for p in predecessors]
     end_of = [0.0] * len(circ.gates)
     tracker = PendingTracker(circ, lookahead)
     trap_free = [0.0] * spec.n_traps
     out = []
 
     def commit_op(op, earliest):
-        start = max([earliest] + [trap_free[t] for t in op.traps_held()])
+        start = max([earliest] + [trap_free[t] for t in held(op)])
         end = start + op_duration(spec.timing, op, state.occupancies())
         state.apply(op)
-        for t in op.traps_held():
+        for t in held(op):
             trap_free[t] = end
         out.append(ScheduledOp(op=op, start=start, end=end))
         return end
@@ -339,17 +347,19 @@ def _rescan_schedule(circ, placement, spec, lookahead):
                 cursor = clock
                 if len(traps) == 2:
                     resolve_gate(g, state, tracker, spec, commit_move)
-                end = commit_op(PhysOp.gate2(a, b, state.trap_of(a), seq=seq, label=g.label), cursor)
+                gate = PhysOp(OpKind.GATE2, (a, b), state.trap_of(a), seq=seq, label=g.label)
+                end = commit_op(gate, cursor)
             else:
                 q = g.qubits[0]
-                end = commit_op(PhysOp.gate1(q, state.trap_of(q), seq=seq, label=g.label), clock)
+                gate = PhysOp(OpKind.GATE1, (q,), state.trap_of(q), seq=seq, label=g.label)
+                end = commit_op(gate, clock)
             end_of[seq] = end
             tracker.mark_done(seq)
             available.remove(seq)
-            for s in deps.successors[seq]:
+            for s in successors[seq]:
                 remaining[s] -= 1
                 if remaining[s] == 0:
-                    ready_at[s] = max(end_of[p] for p in deps.predecessors[s])
+                    ready_at[s] = max(end_of[p] for p in predecessors[s])
                     available.append(s)
         available.sort()
         later = [v for v in trap_free + [ready_at[s] for s in available] if v > clock]
@@ -366,6 +376,31 @@ def test_wake_heap_matches_rescanning_loop(case):
     assert schedule_to_text(schedule(circ, pl, spec, lookahead=lookahead)) == schedule_to_text(
         _rescan_schedule(circ, pl, spec, lookahead)
     )
+
+
+def test_gate_waits_only_for_the_previous_gate_on_each_operand():
+    spec = _spec(2, 4, 1)
+    # (gates, chains, {seq: the gate at whose end it starts, None for 0})
+    cases = [
+        # cx 1 0 follows cx 0 1 on both qubits: it is released once, not twice
+        ([("cx", 0, 1), ("cx", 1, 0)], ((0, 1), ()), {0: None, 1: 0}),
+        # qubit 1 has no earlier gate and trap 0 is free from the start, yet
+        # cx 0 1 waits for cx 2 0, which waits for h 2 in trap 1
+        ([("h", 2), ("cx", 2, 0), ("cx", 0, 1)], ((0, 1), (2,)), {0: None, 2: 1}),
+        # one-qubit gates only: h 1 runs beside the first h 0
+        ([("h", 0), ("h", 1), ("h", 0)], ((0,), (1,)), {0: None, 1: None, 2: 0}),
+        ([], ((0,), ()), {}),
+    ]
+    for gates, chains, after in cases:
+        c = circuit(sum(map(len, chains)), gates)
+        pl = Placement(chains=chains)
+        sched = schedule(c, pl, spec)
+        runs = [s for s in sched.ops if s.op.seq is not None]
+        assert [s.op.seq for s in runs] == list(range(len(gates)))
+        for seq, prev in after.items():
+            assert runs[seq].start == (0.0 if prev is None else runs[prev].end)
+        assert schedule_to_text(sched) == schedule_to_text(_rescan_schedule(c, pl, spec, DEFAULT_LOOKAHEAD))
+        assert verify_schedule(sched, c, pl, spec).ok
 
 
 def test_gate_waits_for_operand_moved_by_lower_seq_eviction():
@@ -527,17 +562,17 @@ def test_schedule_to_text_reuses_only_the_previous_rows_end():
 
     sched = Schedule(
         ops=(
-            rec(PhysOp.gate1(0, 0), 0.0, 10e-6),
-            rec(PhysOp.gate1(1, 1), 0.0, 20e-6),
+            rec(PhysOp(OpKind.GATE1, (0,), 0), 0.0, 10e-6),
+            rec(PhysOp(OpKind.GATE1, (1,), 1), 0.0, 20e-6),
             # starts at the first row's end, not at the second's
-            rec(PhysOp.gate2(0, 2, 0), 10e-6, 30e-6),
-            rec(PhysOp.swap(0, (0, 2)), 30e-6, 60e-6),
-            rec(PhysOp.shuttle(2, 0, 1), 60e-6, 225e-6),
+            rec(PhysOp(OpKind.GATE2, (0, 2), 0), 10e-6, 30e-6),
+            rec(PhysOp(OpKind.SWAP, (0, 2), 0), 30e-6, 60e-6),
+            rec(PhysOp(OpKind.SHUTTLE, (2,), src=0, dst=1), 60e-6, 225e-6),
             # zeros of opposite sign compare equal but print differently
-            rec(PhysOp.gate1(3, 2), -5e-6, 0.0),
-            rec(PhysOp.gate1(3, 2), -0.0, 10e-6),
-            rec(PhysOp.gate1(4, 2), -10e-6, -0.0),
-            rec(PhysOp.gate1(4, 2), 0.0, 10e-6),
+            rec(PhysOp(OpKind.GATE1, (3,), 2), -5e-6, 0.0),
+            rec(PhysOp(OpKind.GATE1, (3,), 2), -0.0, 10e-6),
+            rec(PhysOp(OpKind.GATE1, (4,), 2), -10e-6, -0.0),
+            rec(PhysOp(OpKind.GATE1, (4,), 2), 0.0, 10e-6),
         )
     )
     text = schedule_to_text(sched)

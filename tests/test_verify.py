@@ -6,9 +6,10 @@ import time
 
 from qccdmap.circuits import circuit
 from qccdmap.cli import run_compile
-from qccdmap.devices import DeviceSpec, OpKind, PhysOp, TimingModel, Topology, op_duration
+from qccdmap.devices import DeviceSpec, OpKind, PhysOp, TimingModel, Topology
 from qccdmap.placement import Placement, place
 from qccdmap.scheduling import Schedule, ScheduledOp, schedule, verify_schedule
+from reference import held, op_duration
 
 
 def _random_tuple(rng: random.Random):
@@ -66,7 +67,7 @@ def test_mutation_time_shift_is_caught(movement_circuit, movement_spec, movement
     target = None
     for prev, cur in zip(by_start, by_start[1:]):
         a, b = sched.ops[prev], sched.ops[cur]
-        if set(a.traps) & set(b.traps) and b.start >= a.end and b.start - 1e-5 > a.start:
+        if set(held(a.op)) & set(held(b.op)) and b.start >= a.end and b.start - 1e-5 > a.start:
             target = (a, cur)
             break
     assert target is not None
@@ -85,7 +86,7 @@ def test_mutation_trap_overflow_is_caught():
     sched = schedule(circ, pl, spec)
     assert verify_schedule(sched, circ, pl, spec).ok
     t0 = sched.makespan
-    pushed = PhysOp.shuttle(3, 1, 0)
+    pushed = PhysOp(OpKind.SHUTTLE, (3,), src=1, dst=0)
     dur = op_duration(spec.timing, pushed, [3, 1])
     mutated = Schedule(ops=sched.ops + (ScheduledOp(pushed, t0, t0 + dur),))
     v = verify_schedule(mutated, circ, pl, spec)
@@ -161,7 +162,7 @@ def test_duration_is_checked_at_occupancy_where_op_starts():
     assert verify_schedule(sched, circ, pl, spec).ok
     idx = next(i for i, s in enumerate(sched.ops) if s.op.kind is OpKind.SWAP)
     swap = sched.ops[idx]
-    assert not any(set(s.traps) & set(swap.traps) for s in sched.ops[:idx])
+    assert not any(set(held(s.op)) & set(held(swap.op)) for s in sched.ops[:idx])
     n = len(pl.chains[swap.op.trap])
     assert swap.end - swap.start == timing.swap(n)
     short = ScheduledOp(swap.op, swap.start, swap.start + timing.swap(n - 1))
