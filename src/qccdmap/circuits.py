@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 
@@ -52,6 +53,29 @@ class Circuit:
                     )
             if len(g.qubits) == 2 and g.qubits[0] == g.qubits[1]:
                 raise InputError(f"gate {i} ({g.label}) repeats operand {g.qubits[0]}")
+
+    @cached_property
+    def slices(self) -> tuple[tuple[Gate, ...], ...]:
+        """Greedy earliest-slice layering of the two-qubit gates.
+
+        Returns the slices in order, each a tuple of its gates in program
+        order. Each gate lands in the earliest slice strictly after the last
+        slice that contains either of its operands. Single-qubit gates are
+        excluded. Built once per circuit: placement and the run report both
+        read it.
+        """
+        last = [-1] * self.n_qubits
+        buckets: list[list[Gate]] = []
+        for g in self.gates:
+            if not g.is_two_qubit:
+                continue
+            a, b = g.qubits
+            s = max(last[a], last[b]) + 1
+            if s == len(buckets):
+                buckets.append([])
+            buckets[s].append(g)
+            last[a] = last[b] = s
+        return tuple(tuple(b) for b in buckets)
 
 
 def circuit(n_qubits: int, gate_list) -> Circuit:
@@ -206,24 +230,9 @@ def _parse_qasm(text: str) -> Circuit:
 # ---------------------------------------------------------------------------
 
 def compute_slices(circ: Circuit) -> tuple[tuple[Gate, ...], ...]:
-    """Greedy earliest-slice layering of the two-qubit gates.
-
-    Returns the slices in order, each a tuple of its gates in program order.
-    Each gate lands in the earliest slice strictly after the last slice that
-    contains either of its operands. Single-qubit gates are excluded.
-    """
-    last = [-1] * circ.n_qubits
-    buckets: list[list[Gate]] = []
-    for g in circ.gates:
-        if not g.is_two_qubit:
-            continue
-        a, b = g.qubits
-        s = max(last[a], last[b]) + 1
-        if s == len(buckets):
-            buckets.append([])
-        buckets[s].append(g)
-        last[a] = last[b] = s
-    return tuple(tuple(b) for b in buckets)
+    """The circuit's ASAP slices, built on first use and kept on the circuit
+    (see ``Circuit.slices``); later calls return the same tuple."""
+    return circ.slices
 
 
 def interaction_graph(circ: Circuit) -> dict[tuple[int, int], int]:

@@ -177,7 +177,7 @@ def _infeasible_record(args, traps, capacity, excess, n) -> RunRecord:
         placement=args.placement,
         seed=args.seed,
         lookahead=args.lookahead,
-        topology=Topology.LINEAR.value,
+        topology=args.topology,
         traps=traps,
         capacity=capacity,
         excess=excess,
@@ -188,7 +188,7 @@ def _infeasible_record(args, traps, capacity, excess, n) -> RunRecord:
 
 def _sweep_run(args, traps, capacity, excess, n) -> list[RunRecord]:
     spec = DeviceSpec(
-        topology=Topology.LINEAR, n_traps=traps, capacity=capacity, excess_capacity=excess
+        topology=Topology(args.topology), n_traps=traps, capacity=capacity, excess_capacity=excess
     )
     circ = generate(args.family, n, rounds=args.rounds, gates=args.gates, seed=args.seed)
     label = f"{args.family}{n}"
@@ -285,6 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("mode", choices=("strong", "weak", "excess"))
     s.add_argument("--family", choices=FAMILIES, required=True)
     s.add_argument("--placement", choices=PLACEMENTS, default="sta")
+    s.add_argument(
+        "--topology", choices=[t.value for t in Topology], default=Topology.LINEAR.value,
+        help="topology of every device in the sweep",
+    )
     s.add_argument("--seed", type=int, help="generation seed (qv/rnd) and base placement seed")
     s.add_argument("--seeds", type=int, default=1, help="random placement seeds per point")
     s.add_argument("--lookahead", type=int, default=DEFAULT_LOOKAHEAD)

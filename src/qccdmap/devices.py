@@ -1,9 +1,12 @@
 """Trap-array device model: geometry, ion chain state, physical operations.
 
 Traps hold ordered linear ion chains. Chains are oriented left-to-right along
-increasing trap index; on a ring the wrap edge treats trap T-1's right end as
-facing trap 0. A shuttle always leaves from the source end facing the
-destination and arrives at the destination end facing the source.
+increasing trap index, and trap t's right end faces trap t+1's left end. A
+ring of three or more traps adds the wrap edge: trap T-1's right end faces
+trap 0's left end. A two-trap ring has only the edge 0-1 and faces like a
+linear pair, and a single trap has no neighbours. A shuttle always leaves
+from the source end facing the destination and arrives at the destination
+end facing the source.
 """
 from __future__ import annotations
 

@@ -19,8 +19,12 @@ would: the records form no cycles, and they all live until ``schedule``
 returns. The collector's state is process-wide, so another thread compiling
 at the same time sees it paused too.
 
-``verify_schedule`` replays a schedule against a fresh device state and
-checks it independently of how it was produced; it times each op from its own
+``verify_schedule`` checks a schedule independently of how it was produced.
+It replays the ops in start order on a chain model of its own, written from
+the facing rule in ``devices.py`` and sharing no code with ``DeviceState``,
+which only the scheduler mutates: per-trap chain lists copied from the
+placement, a qubit-to-trap dict, and a table of shuttle exit and landing ends
+built from the trap count and topology. It times each op from its own
 duration tables, built from the ``TimingModel``.
 """
 from __future__ import annotations
@@ -29,10 +33,11 @@ import gc
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import NamedTuple
 
 from .circuits import Circuit, dependency_graph
-from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, new_record
+from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology, new_record
 from .errors import DeadlockError, DeviceOpError, InputError, QccdError
 from .placement import Placement
 from .routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
@@ -252,89 +257,153 @@ def verify_schedule(
     circuit gate runs exactly once with two-qubit operands co-trapped, each
     qubit sees its gates in program order, and recorded durations match the
     timing model at the occupancy each op started with.
+
+    The replay runs on the verifier's own chain model, written from the
+    device rules in ``devices.py`` rather than shared with the scheduler:
+    per-trap chain lists, a qubit-to-trap dict and a table of shuttle ends.
+    An illegal op is reported in the device model's wording.
     """
     try:
         placement.validate(spec, circ.n_qubits)
-        state = DeviceState(spec, [list(c) for c in placement.chains])
-    except (InputError, DeviceOpError) as exc:
+    except InputError as exc:
         return Verdict(False, f"invalid initial placement: {exc}")
 
+    chains = [list(c) for c in placement.chains]
+    trap_of = {q: t for t, chain in enumerate(chains) for q in chain}
+    n_traps, capacity = spec.n_traps, spec.capacity
+    # Shuttle ends. Chains run left to right by trap index, and a ring of
+    # three or more traps also joins trap T-1's right end to trap 0's left
+    # end; a two-trap ring has the single edge 0-1. An ion leaves by the end
+    # facing its destination and lands at the end facing its source, so
+    # rightward[src, dst] is True when it leaves src's right end for dst's
+    # left end, False for the mirror case; other pairs are not adjacent.
+    rightward: dict[tuple[int, int], bool] = {}
+    for t in range(n_traps - 1):
+        rightward[t, t + 1] = True
+        rightward[t + 1, t] = False
+    if spec.topology is Topology.RING and n_traps > 2:
+        rightward[n_traps - 1, 0] = True
+        rightward[0, n_traps - 1] = False
+
     ops = sched.ops
-    starts = [s.start for s in ops]
+    starts = list(map(itemgetter(1), ops))
     # A stable sort on start alone keeps equal starts in index order.
     order = sorted(range(len(ops)), key=starts.__getitem__)
-    n_traps, capacity = spec.n_traps, spec.capacity
     busy_until = [0.0] * n_traps
-    seen_gate: dict[int, int] = {}
-    per_qubit_runs: dict[int, list[int]] = {q: [] for q in range(circ.n_qubits)}
+    gate_qubits = [g.qubits for g in circ.gates]
+    n_gates = len(gate_qubits)
+    seen = bytearray(n_gates)
+    per_qubit_runs: list[list[int]] = [[] for _ in range(circ.n_qubits)]
     # Durations by kind and chain length, from the timing model. A chain
-    # never outgrows capacity, since apply refuses to overfill a trap.
+    # never outgrows capacity, since a shuttle into a full trap is illegal.
     timing = spec.timing
     gate2_time = [timing.two_qubit(n) for n in range(capacity + 1)]
     swap_time = [timing.swap(n) for n in range(capacity + 1)]
     gate1_time, shuttle_time = timing.one_qubit, timing.shuttle
-    chains = state.chains
-    apply = state.apply
+    isclose, ulp = math.isclose, math.ulp
     GATE1, GATE2, SWAP, SHUTTLE = OpKind.GATE1, OpKind.GATE2, OpKind.SWAP, OpKind.SHUTTLE
 
+    # Each kind's branch runs that kind's checks in one fixed order: held
+    # traps valid and free, duration, circuit gate (gate kinds), legality on
+    # the chain model, capacity. _trap_fault reruns the held-trap checks only
+    # to name the fault the inline test found.
     for i in order:
         op, start, end = ops[i]
-        kind = op.kind
-        held = (op.src, op.dst) if kind is SHUTTLE else (op.trap,)
+        kind, qubits, trap, src, dst, seq, _ = op
         if not end > start:
             return Verdict(False, f"op has non-positive duration {end - start}", i)
-        for t in held:
-            if t is None or not 0 <= t < n_traps:
-                return Verdict(False, f"op references invalid trap {t}", i)
-            if start < busy_until[t] - 1e-12:
-                return Verdict(
-                    False, f"trap {t} is busy until {busy_until[t]:.9f} at start {start:.9f}", i
-                )
+        duration = end - start
         if kind is SHUTTLE:
+            if (
+                src is None or dst is None or not (0 <= src < n_traps and 0 <= dst < n_traps)
+                or start < busy_until[src] - 1e-12 or start < busy_until[dst] - 1e-12
+            ):
+                return _trap_fault((src, dst), start, busy_until, n_traps, i)
             expected = shuttle_time
-        elif kind is SWAP:
-            expected = swap_time[len(chains[op.trap])]
-        elif kind is GATE2:
-            expected = gate2_time[len(chains[op.trap])]
-        elif kind is GATE1:
-            expected = gate1_time
+            # end was rounded once when start + duration was stored, so allow
+            # the float spacing at end as well as the fixed floor.
+            if not isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end))):
+                return _timing_fault(duration, expected, i)
+            q = qubits[0]
+            right = rightward.get((src, dst))
+            if right is None:
+                return _illegal(f"shuttle between non-adjacent traps {src} and {dst}", i)
+            at = trap_of.get(q)
+            if at != src:
+                if at is None:
+                    return _illegal(f"qubit {q} is not on the device", i)
+                return _illegal(f"shuttle qubit {q} is not in source trap {src}", i)
+            chain, landing = chains[src], chains[dst]
+            if chain[-1 if right else 0] != q:
+                return _illegal(f"shuttle qubit {q} is not at the boundary of trap {src} facing trap {dst}", i)
+            if len(landing) >= capacity:
+                return _illegal(f"shuttle destination trap {dst} is full", i)
+            if right:
+                chain.pop()
+                landing.insert(0, q)
+            else:
+                del chain[0]
+                landing.append(q)
+            trap_of[q] = dst
+            if len(landing) > capacity:
+                return Verdict(False, f"trap {dst} exceeds capacity {capacity}", i)
+            busy_until[src] = busy_until[dst] = end
+            continue
+        if trap is None or not 0 <= trap < n_traps or start < busy_until[trap] - 1e-12:
+            return _trap_fault((trap,), start, busy_until, n_traps, i)
+        if kind is SWAP:
+            expected = swap_time[len(chains[trap])]
+            if not isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end))):
+                return _timing_fault(duration, expected, i)
+            # All-to-all connectivity inside a trap: a SWAP gate exchanges the
+            # chain positions of any two resident ions.
+            if len(qubits) != 2 or qubits[0] == qubits[1]:
+                return _illegal(f"swap needs two distinct ions, got {qubits}", i)
+            a, b = qubits
+            ta, tb = trap_of.get(a), trap_of.get(b)
+            if ta is None or tb is None:
+                return _illegal(f"qubit {b if ta is not None else a} is not on the device", i)
+            if ta != tb:
+                return _illegal(f"swap ions {a},{b} not co-trapped (traps {ta},{tb})", i)
+            if trap != ta:
+                return _illegal(f"swap trap {trap} does not hold ions {a},{b}", i)
+            chain = chains[ta]
+            pa, pb = chain.index(a), chain.index(b)
+            chain[pa], chain[pb] = b, a
+        elif kind is GATE2 or kind is GATE1:
+            expected = gate2_time[len(chains[trap])] if kind is GATE2 else gate1_time
+            if not isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end))):
+                return _timing_fault(duration, expected, i)
+            if seq is None or not 0 <= seq < n_gates:
+                return Verdict(False, f"gate op carries unknown circuit index {seq}", i)
+            operands = gate_qubits[seq]
+            if qubits != operands and tuple(qubits) not in (operands, operands[::-1]):
+                return Verdict(False, f"gate {seq} operands {qubits} differ from circuit {operands}", i)
+            if (kind is GATE2) != (len(operands) == 2):
+                return Verdict(False, f"gate {seq} arity mismatch", i)
+            if seen[seq]:
+                return Verdict(False, f"gate {seq} scheduled more than once", i)
+            seen[seq] = 1
+            for q in operands:
+                per_qubit_runs[q].append(seq)
+            # Every circuit qubit is placed and only moves between traps, so
+            # an operand is always on the device.
+            if kind is GATE2:
+                a, b = qubits
+                ta, tb = trap_of[a], trap_of[b]
+                if ta != tb:
+                    return _illegal(f"gate2 operands {a},{b} not co-trapped (traps {ta},{tb})", i)
+                if trap != ta:
+                    return _illegal(f"gate2 trap {trap} does not hold operands {a},{b}", i)
+            elif trap != trap_of[qubits[0]]:
+                return _illegal(f"gate1 trap {trap} does not hold qubit {qubits[0]}", i)
         else:
             raise InputError(f"unknown op kind {kind}")
-        # end was rounded once when start + duration was stored, so allow
-        # the float spacing at end as well as the fixed floor.
-        if not math.isclose(end - start, expected, rel_tol=1e-9, abs_tol=max(1e-15, math.ulp(end))):
-            return Verdict(
-                False,
-                f"duration {end - start:.12f} does not match timing model {expected:.12f}",
-                i,
-            )
-        if kind is GATE1 or kind is GATE2:
-            if op.seq is None or not 0 <= op.seq < len(circ.gates):
-                return Verdict(False, f"gate op carries unknown circuit index {op.seq}", i)
-            g = circ.gates[op.seq]
-            if tuple(op.qubits) not in (g.qubits, g.qubits[::-1]):
-                return Verdict(
-                    False, f"gate {op.seq} operands {op.qubits} differ from circuit {g.qubits}", i
-                )
-            if (kind is GATE2) != g.is_two_qubit:
-                return Verdict(False, f"gate {op.seq} arity mismatch", i)
-            if op.seq in seen_gate:
-                return Verdict(False, f"gate {op.seq} scheduled more than once", i)
-            seen_gate[op.seq] = i
-            for q in g.qubits:
-                per_qubit_runs[q].append(op.seq)
-        try:
-            apply(op)
-        except (DeviceOpError, InputError) as exc:
-            return Verdict(False, f"illegal op: {exc}", i)
-        for t in held:
-            if len(chains[t]) > capacity:
-                return Verdict(False, f"trap {t} exceeds capacity {capacity}", i)
-            busy_until[t] = end
-    missing = [g.seq for g in circ.gates if g.seq not in seen_gate]
+        busy_until[trap] = end
+    missing = [seq for seq in range(n_gates) if not seen[seq]]
     if missing:
         return Verdict(False, f"gates never scheduled: {missing[:8]}{'...' if len(missing) > 8 else ''}")
-    program: dict[int, list[int]] = {q: [] for q in range(circ.n_qubits)}
+    program: list[list[int]] = [[] for _ in range(circ.n_qubits)]
     for g in circ.gates:
         for q in g.qubits:
             program[q].append(g.seq)
@@ -342,6 +411,25 @@ def verify_schedule(
         if per_qubit_runs[q] != program[q]:
             return Verdict(False, f"qubit {q} saw gates out of program order")
     return Verdict(True)
+
+
+def _trap_fault(held: tuple, start: float, busy_until: list[float], n_traps: int, i: int) -> Verdict:
+    """The verdict on op i for the first of its held traps that is invalid or
+    still busy at start; the caller found one that is."""
+    for t in held:
+        if t is None or not 0 <= t < n_traps:
+            return Verdict(False, f"op references invalid trap {t}", i)
+        if start < busy_until[t] - 1e-12:
+            return Verdict(False, f"trap {t} is busy until {busy_until[t]:.9f} at start {start:.9f}", i)
+    raise AssertionError(f"op {i} holds no faulty trap")
+
+
+def _timing_fault(duration: float, expected: float, i: int) -> Verdict:
+    return Verdict(False, f"duration {duration:.12f} does not match timing model {expected:.12f}", i)
+
+
+def _illegal(reason: str, i: int) -> Verdict:
+    return Verdict(False, f"illegal op: {reason}", i)
 
 
 def schedule_to_text(sched: Schedule) -> str:

@@ -1,11 +1,22 @@
-"""Reference op timing and trap holding, written from the device rules.
+"""Reference op timing, trap holding and schedule verification.
 
 The scheduler and the verifier each time ops from their own tables; tests
-check both against these plain definitions.
+check both against the plain definitions of ``op_duration`` and ``held``.
+
+``verify_schedule`` is the verifier as it stood when it replayed every op
+through ``DeviceState.apply``, the device model the scheduler mutates. The
+library's verifier keeps its own chain model; tests require both to reach
+the same verdict on every schedule.
 """
 from __future__ import annotations
 
-from qccdmap.devices import OpKind, PhysOp, TimingModel
+import math
+
+from qccdmap.circuits import Circuit
+from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, TimingModel
+from qccdmap.errors import DeviceOpError, InputError
+from qccdmap.placement import Placement
+from qccdmap.scheduling import Schedule, Verdict
 
 
 def op_duration(timing: TimingModel, op: PhysOp, occupancy) -> float:
@@ -27,3 +38,105 @@ def held(op: PhysOp) -> tuple[int, ...]:
     if op.kind is OpKind.SHUTTLE:
         return (op.src, op.dst)
     return (op.trap,)
+
+
+def verify_schedule(
+    sched: Schedule, circ: Circuit, placement: Placement, spec: DeviceSpec
+) -> Verdict:
+    """Independently replay and check a schedule.
+
+    Checks, in replay (time) order: every op's physical preconditions hold,
+    trap capacity is respected, per-trap busy intervals never overlap, every
+    circuit gate runs exactly once with two-qubit operands co-trapped, each
+    qubit sees its gates in program order, and recorded durations match the
+    timing model at the occupancy each op started with.
+    """
+    try:
+        placement.validate(spec, circ.n_qubits)
+        state = DeviceState(spec, [list(c) for c in placement.chains])
+    except (InputError, DeviceOpError) as exc:
+        return Verdict(False, f"invalid initial placement: {exc}")
+
+    ops = sched.ops
+    starts = [s.start for s in ops]
+    # A stable sort on start alone keeps equal starts in index order.
+    order = sorted(range(len(ops)), key=starts.__getitem__)
+    n_traps, capacity = spec.n_traps, spec.capacity
+    busy_until = [0.0] * n_traps
+    seen_gate: dict[int, int] = {}
+    per_qubit_runs: dict[int, list[int]] = {q: [] for q in range(circ.n_qubits)}
+    # Durations by kind and chain length, from the timing model. A chain
+    # never outgrows capacity, since apply refuses to overfill a trap.
+    timing = spec.timing
+    gate2_time = [timing.two_qubit(n) for n in range(capacity + 1)]
+    swap_time = [timing.swap(n) for n in range(capacity + 1)]
+    gate1_time, shuttle_time = timing.one_qubit, timing.shuttle
+    chains = state.chains
+    apply = state.apply
+    GATE1, GATE2, SWAP, SHUTTLE = OpKind.GATE1, OpKind.GATE2, OpKind.SWAP, OpKind.SHUTTLE
+
+    for i in order:
+        op, start, end = ops[i]
+        kind = op.kind
+        held = (op.src, op.dst) if kind is SHUTTLE else (op.trap,)
+        if not end > start:
+            return Verdict(False, f"op has non-positive duration {end - start}", i)
+        for t in held:
+            if t is None or not 0 <= t < n_traps:
+                return Verdict(False, f"op references invalid trap {t}", i)
+            if start < busy_until[t] - 1e-12:
+                return Verdict(
+                    False, f"trap {t} is busy until {busy_until[t]:.9f} at start {start:.9f}", i
+                )
+        if kind is SHUTTLE:
+            expected = shuttle_time
+        elif kind is SWAP:
+            expected = swap_time[len(chains[op.trap])]
+        elif kind is GATE2:
+            expected = gate2_time[len(chains[op.trap])]
+        elif kind is GATE1:
+            expected = gate1_time
+        else:
+            raise InputError(f"unknown op kind {kind}")
+        # end was rounded once when start + duration was stored, so allow
+        # the float spacing at end as well as the fixed floor.
+        if not math.isclose(end - start, expected, rel_tol=1e-9, abs_tol=max(1e-15, math.ulp(end))):
+            return Verdict(
+                False,
+                f"duration {end - start:.12f} does not match timing model {expected:.12f}",
+                i,
+            )
+        if kind is GATE1 or kind is GATE2:
+            if op.seq is None or not 0 <= op.seq < len(circ.gates):
+                return Verdict(False, f"gate op carries unknown circuit index {op.seq}", i)
+            g = circ.gates[op.seq]
+            if tuple(op.qubits) not in (g.qubits, g.qubits[::-1]):
+                return Verdict(
+                    False, f"gate {op.seq} operands {op.qubits} differ from circuit {g.qubits}", i
+                )
+            if (kind is GATE2) != g.is_two_qubit:
+                return Verdict(False, f"gate {op.seq} arity mismatch", i)
+            if op.seq in seen_gate:
+                return Verdict(False, f"gate {op.seq} scheduled more than once", i)
+            seen_gate[op.seq] = i
+            for q in g.qubits:
+                per_qubit_runs[q].append(op.seq)
+        try:
+            apply(op)
+        except (DeviceOpError, InputError) as exc:
+            return Verdict(False, f"illegal op: {exc}", i)
+        for t in held:
+            if len(chains[t]) > capacity:
+                return Verdict(False, f"trap {t} exceeds capacity {capacity}", i)
+            busy_until[t] = end
+    missing = [g.seq for g in circ.gates if g.seq not in seen_gate]
+    if missing:
+        return Verdict(False, f"gates never scheduled: {missing[:8]}{'...' if len(missing) > 8 else ''}")
+    program: dict[int, list[int]] = {q: [] for q in range(circ.n_qubits)}
+    for g in circ.gates:
+        for q in g.qubits:
+            program[q].append(g.seq)
+    for q in range(circ.n_qubits):
+        if per_qubit_runs[q] != program[q]:
+            return Verdict(False, f"qubit {q} saw gates out of program order")
+    return Verdict(True)

@@ -151,6 +151,17 @@ def test_slices_skip_single_qubit_gates():
     assert set(_slice_of(sl)) == {1, 3}
 
 
+def test_slices_are_built_once_per_circuit():
+    circ = circuit(3, [("cx", 0, 1), ("cx", 1, 2)])
+    first = compute_slices(circ)
+    assert compute_slices(circ) is first
+    assert circ.slices is first
+    # the kept slices are no field: equality, hashing and repr ignore them
+    twin = circuit(3, [("cx", 0, 1), ("cx", 1, 2)])
+    assert twin == circ and hash(twin) == hash(circ) and repr(twin) == repr(circ)
+    assert compute_slices(twin) == first and compute_slices(twin) is not first
+
+
 # ---------------------------------------------------------------------------
 # interaction graph
 # ---------------------------------------------------------------------------

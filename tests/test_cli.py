@@ -189,6 +189,29 @@ def test_sweep_random_seed_group(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_weak_on_a_ring(tmp_path, capsys):
+    rc = cli.main(
+        ["sweep", "weak", "--family", "rnd", "--gates", "40", "--seed", "1", "--topology", "ring",
+         "--traps-min", "5", "--traps-max", "5", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    rows = load_records((tmp_path / "sweep_weak_rnd_sta.csv").read_text())
+    assert [(r["topology"], int(r["traps"]), r["status"]) for r in rows] == [("ring", 5, "ok")]
+    capsys.readouterr()
+
+
+def test_sweep_infeasible_ring_point_keeps_its_topology(tmp_path, capsys):
+    # 180 ions over 61 traps leaves chains of 2, too short to route through
+    rc = cli.main(
+        ["sweep", "weak", "--family", "qft", "--topology", "ring",
+         "--traps-min", "61", "--traps-max", "61", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    rows = load_records((tmp_path / "sweep_weak_qft_sta.csv").read_text())
+    assert [(r["topology"], int(r["traps"]), r["status"]) for r in rows] == [("ring", 61, "infeasible")]
+    assert "skipping traps=61" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "mode, lo, hi",
     [("weak", "0", "1"), ("weak", "-3", "-1"), ("weak", "5", "3"), ("strong", "5", "3")],

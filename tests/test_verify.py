@@ -1,15 +1,25 @@
-"""Independent schedule verification: random replay sweep plus mutation catches."""
+"""Independent schedule verification: random replay sweep, mutation catches,
+agreement with the reference verifier, and device-model bugs it must catch."""
 from __future__ import annotations
 
+import ast
+import dataclasses
 import random
 import time
+from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from qccdmap import scheduling
 from qccdmap.circuits import circuit
 from qccdmap.cli import run_compile
-from qccdmap.devices import DeviceSpec, OpKind, PhysOp, TimingModel, Topology
+from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, TimingModel, Topology
 from qccdmap.placement import Placement, place
 from qccdmap.scheduling import Schedule, ScheduledOp, schedule, verify_schedule
 from reference import held, op_duration
+from test_scheduling import _compile_case
 
 
 def _random_tuple(rng: random.Random):
@@ -207,3 +217,207 @@ def test_long_schedule_verifies_despite_rounding_at_large_start():
     assert not v.ok
     assert "does not match timing model" in v.reason
     assert v.op_index == len(sched.ops) - 1
+
+
+# ---------------------------------------------------------------------------
+# the verifier's own chain model against the reference replay
+# ---------------------------------------------------------------------------
+
+MUTATIONS = (
+    "shift", "stretch", "retrap", "reverse", "drop", "duplicate", "swap_seqs", "swap_qubits",
+    "rekind",
+)
+
+
+def _mutate(sched: Schedule, circ, spec, rng: random.Random, how: str) -> Schedule:
+    """One seeded single-op mutation of a schedule."""
+    ops = list(sched.ops)
+    i = rng.randrange(len(ops))
+    op, start, end = ops[i]
+    if how == "shift":
+        # a small step either way, or to where another op starts
+        delta = rng.choice((-1, 1)) * rng.choice((1e-6, 1e-5, 1e-4, end - start))
+        if rng.random() < 0.3:
+            delta = rng.choice(ops).start - start
+        ops[i] = ScheduledOp(op, start + delta, end + delta)
+    elif how == "stretch":
+        ops[i] = ScheduledOp(op, start, end + rng.choice((1e-9, 5e-5, (start - end) / 2, start - end)))
+    elif how == "retrap":
+        name = rng.choice(("src", "dst")) if op.kind is OpKind.SHUTTLE else "trap"
+        value = rng.choice((None, -1, spec.n_traps, *range(spec.n_traps)))
+        ops[i] = ScheduledOp(op._replace(**{name: value}), start, end)
+    elif how == "reverse":
+        shuttles = [j for j, s in enumerate(ops) if s.op.kind is OpKind.SHUTTLE]
+        if shuttles:
+            j = rng.choice(shuttles)
+            s = ops[j]
+            ops[j] = ScheduledOp(s.op._replace(src=s.op.dst, dst=s.op.src), s.start, s.end)
+    elif how == "drop":
+        del ops[i]
+    elif how == "duplicate":
+        # at the same time, or once the schedule is over
+        late = sched.makespan - start
+        copy = ScheduledOp(op, start + late, end + late) if rng.random() < 0.5 else ops[i]
+        ops.insert(rng.randrange(len(ops) + 1), copy)
+    elif how == "swap_seqs":
+        gates = [j for j, s in enumerate(ops) if s.op.seq is not None]
+        if len(gates) >= 2:
+            j, k = rng.sample(gates, 2)
+            a, b = ops[j], ops[k]
+            ops[j] = ScheduledOp(a.op._replace(seq=b.op.seq), a.start, a.end)
+            ops[k] = ScheduledOp(b.op._replace(seq=a.op.seq), b.start, b.end)
+    elif how == "swap_qubits":
+        qubits = list(op.qubits)
+        if len(qubits) == 2 and rng.random() < 0.5:
+            qubits.reverse()
+        else:
+            # another ion, or one that no trap holds
+            qubits[rng.randrange(len(qubits))] = rng.randrange(circ.n_qubits + 1)
+        ops[i] = ScheduledOp(op._replace(qubits=tuple(qubits)), start, end)
+    elif how == "rekind":
+        # another kind, or a value that is no kind; a one-qubit gate is
+        # retimed so that the checks after the duration check see it
+        kind = rng.choice((*OpKind, "gate1"))
+        if kind is OpKind.GATE1:
+            end = start + spec.timing.one_qubit
+        ops[i] = ScheduledOp(op._replace(kind=kind), start, end)
+    else:
+        raise ValueError(how)
+    return Schedule(ops=tuple(ops))
+
+
+def _outcome(verify, sched, circ, pl, spec):
+    try:
+        return verify(sched, circ, pl, spec)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_compile_case(), st.integers(0, 2**32 - 1))
+def test_verifier_agrees_with_reference_replay_on_mutated_schedules(case, mutation_seed):
+    circ, spec, strategy, lookahead = case
+    pl = place(circ, spec, strategy, seed=0)
+    sched = schedule(circ, pl, spec, lookahead=lookahead)
+    assert verify_schedule(sched, circ, pl, spec) == reference.verify_schedule(sched, circ, pl, spec)
+    if not sched.ops:
+        return
+    rng = random.Random(mutation_seed)
+    for how in MUTATIONS:
+        for _ in range(2):
+            mutated = _mutate(sched, circ, spec, rng, how)
+            mine = _outcome(verify_schedule, mutated, circ, pl, spec)
+            theirs = _outcome(reference.verify_schedule, mutated, circ, pl, spec)
+            assert mine == theirs, how
+
+
+def test_verifier_shares_no_code_with_the_device_model():
+    # verify_schedule and the module helpers it calls must not replay through
+    # DeviceState or read the device's facing table
+    tree = ast.parse(Path(scheduling.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    forbidden = {"DeviceState", "apply", "_facing", "facing_end", "new_record"}
+    todo, checked = ["verify_schedule"], set()
+    while todo:
+        name = todo.pop()
+        checked.add(name)
+        used = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        assert not used & forbidden, (name, sorted(used & forbidden))
+        todo.extend(n for n in used if n in functions and n not in checked)
+    assert {"verify_schedule", "_illegal"} <= checked
+
+
+# ---------------------------------------------------------------------------
+# device-model bugs: a wrong DeviceState.apply misleads the scheduler, and
+# the verifier, which keeps its own chain model, still rejects the result
+# ---------------------------------------------------------------------------
+
+def test_wrong_landing_end_across_a_ring_wrap_is_caught(monkeypatch):
+    apply = DeviceState.apply
+
+    def lands_on_the_far_end(self, op):
+        apply(self, op)
+        last = self.spec.n_traps - 1
+        if op.kind is OpKind.SHUTTLE and {op.src, op.dst} == {0, last}:
+            chain = self.chains[op.dst]
+            q = op.qubits[0]
+            chain.remove(q)
+            if op.dst == 0:
+                chain.append(q)
+            else:
+                chain.insert(0, q)
+
+    # for cx 3 0, qubit 0 crosses the wrap edge 0 -> 2 and lands at trap 2's
+    # right end, but the buggy model puts it at the left end; cx 0 2 then
+    # shuttles it on to trap 1 with no SWAP to the end facing trap 1
+    spec = DeviceSpec(topology=Topology.RING, n_traps=3, capacity=4, excess_capacity=1)
+    circ = circuit(5, [("cx", 3, 0), ("cx", 0, 2)])
+    pl = Placement(chains=((0, 1), (2,), (4, 3)))
+    monkeypatch.setattr(DeviceState, "apply", lands_on_the_far_end)
+    sched = schedule(circ, pl, spec)
+    assert [s.op for s in sched.ops if s.op.kind is OpKind.SHUTTLE] == [
+        PhysOp(OpKind.SHUTTLE, (0,), src=0, dst=2),
+        PhysOp(OpKind.SHUTTLE, (0,), src=2, dst=1),
+    ]
+    v = verify_schedule(sched, circ, pl, spec)
+    assert (v.ok, v.reason, v.op_index) == (
+        False, "illegal op: shuttle qubit 0 is not at the boundary of trap 2 facing trap 1", 2
+    )
+
+
+def test_shuttle_into_a_full_trap_is_caught(monkeypatch):
+    apply = DeviceState.apply
+
+    def one_ion_too_many(self, op):
+        spec = self.spec
+        if op.kind is OpKind.SHUTTLE:
+            self.spec = dataclasses.replace(spec, capacity=spec.capacity + 1)
+        try:
+            apply(self, op)
+        finally:
+            self.spec = spec
+
+    monkeypatch.setattr(DeviceState, "apply", one_ion_too_many)
+    spec = DeviceSpec(topology=Topology.LINEAR, n_traps=2, capacity=3, excess_capacity=1)
+    circ = circuit(4, [("h", 3)])
+    pl = Placement(chains=((0, 1, 2), (3,)))
+    pushed = PhysOp(OpKind.SHUTTLE, (3,), src=1, dst=0)
+    state = DeviceState(spec, [list(c) for c in pl.chains])
+    state.apply(pushed)  # the buggy model lets the ion in
+    assert state.chains[0] == [0, 1, 2, 3]
+    shuttle = spec.timing.shuttle
+    gate = PhysOp(OpKind.GATE1, (3,), trap=0, seq=0, label="h")
+    sched = Schedule(ops=(
+        ScheduledOp(pushed, 0.0, shuttle),
+        ScheduledOp(gate, shuttle, shuttle + spec.timing.one_qubit),
+    ))
+    v = verify_schedule(sched, circ, pl, spec)
+    assert (v.ok, v.reason, v.op_index) == (False, "illegal op: shuttle destination trap 0 is full", 0)
+
+
+def test_swap_in_a_trap_that_does_not_hold_its_ions_is_caught(monkeypatch):
+    apply = DeviceState.apply
+
+    def no_swap_trap_check(self, op):
+        apply(self, op._replace(trap=None) if op.kind is OpKind.SWAP else op)
+
+    monkeypatch.setattr(DeviceState, "apply", no_swap_trap_check)
+    spec = DeviceSpec(topology=Topology.LINEAR, n_traps=2, capacity=3, excess_capacity=1)
+    circ = circuit(4, [("cx", 0, 1)])
+    pl = Placement(chains=((0, 1), (2, 3)))
+    # the SWAP names trap 1 but exchanges ions 0 and 1 of trap 0; it is timed
+    # at trap 1's chain length, so only the trap check can catch it
+    swap = PhysOp(OpKind.SWAP, (0, 1), trap=1)
+    t = spec.timing.swap(2)
+    gate = PhysOp(OpKind.GATE2, (0, 1), trap=0, seq=0, label="cx")
+    sched = Schedule(ops=(
+        ScheduledOp(swap, 0.0, t),
+        ScheduledOp(gate, t, t + spec.timing.two_qubit(2)),
+    ))
+    v = verify_schedule(sched, circ, pl, spec)
+    assert (v.ok, v.reason, v.op_index) == (False, "illegal op: swap trap 1 does not hold ions 0,1", 0)
