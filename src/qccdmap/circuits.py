@@ -3,25 +3,34 @@
 A circuit is an ordered list of opaque one- and two-qubit gates over densely
 numbered logical qubits. Gate labels are carried through but never
 interpreted: placement, routing and scheduling only care about arity and
-operands. Three derived views are computed here:
+operands. A ``Gate`` is an immutable named tuple ``(label, qubits, seq)``,
+built once per gate by the parsers and never copied; per-gate loops test
+``len(g.qubits) == 2`` rather than the ``is_two_qubit`` property. Three
+derived views are computed here:
 
 * ASAP time slices over the two-qubit gates (single-qubit gates are not
   sliced), a plain tuple of slices, each a tuple of gates,
-* the weighted qubit interaction graph, a plain dict from pair (a, b) with
-  a < b to its number of two-qubit gates,
+* the weighted qubit interaction graph, a read-only mapping from pair (a, b)
+  with a < b to its number of two-qubit gates,
 * the dependency order, each qubit's gates in program order.
+
+The slices and the interaction graph are built on first use and kept on the
+circuit, so every stage and every compile of one circuit shares them.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
+from .devices import new_record
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One gate application. ``seq`` is the position in the circuit's gate list."""
 
     label: str
@@ -41,18 +50,17 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise InputError("circuit must declare at least one qubit")
-        for i, g in enumerate(self.gates):
-            if g.seq != i:
-                raise InputError(f"gate {i} has sequence index {g.seq}")
-            if len(g.qubits) not in (1, 2):
-                raise InputError(f"gate {i} ({g.label}) has arity {len(g.qubits)}")
-            for q in g.qubits:
-                if not 0 <= q < self.n_qubits:
-                    raise InputError(
-                        f"gate {i} ({g.label}) operand {q} outside 0..{self.n_qubits - 1}"
-                    )
-            if len(g.qubits) == 2 and g.qubits[0] == g.qubits[1]:
-                raise InputError(f"gate {i} ({g.label}) repeats operand {g.qubits[0]}")
+        n = self.n_qubits
+        for i, (label, qubits, seq) in enumerate(self.gates):
+            if seq != i:
+                raise InputError(f"gate {i} has sequence index {seq}")
+            if len(qubits) not in (1, 2):
+                raise InputError(f"gate {i} ({label}) has arity {len(qubits)}")
+            for q in qubits:
+                if not 0 <= q < n:
+                    raise InputError(f"gate {i} ({label}) operand {q} outside 0..{n - 1}")
+            if len(qubits) == 2 and qubits[0] == qubits[1]:
+                raise InputError(f"gate {i} ({label}) repeats operand {qubits[0]}")
 
     @cached_property
     def slices(self) -> tuple[tuple[Gate, ...], ...]:
@@ -67,9 +75,10 @@ class Circuit:
         last = [-1] * self.n_qubits
         buckets: list[list[Gate]] = []
         for g in self.gates:
-            if not g.is_two_qubit:
+            qubits = g.qubits
+            if len(qubits) != 2:
                 continue
-            a, b = g.qubits
+            a, b = qubits
             s = max(last[a], last[b]) + 1
             if s == len(buckets):
                 buckets.append([])
@@ -77,13 +86,26 @@ class Circuit:
             last[a] = last[b] = s
         return tuple(tuple(b) for b in buckets)
 
+    @cached_property
+    def interaction_graph(self) -> Mapping[tuple[int, int], int]:
+        """Interaction weights: (a, b) with a < b -> number of two-qubit gates
+        on that pair, in order of each pair's first gate. Built once per
+        circuit and read-only, since every caller shares it."""
+        weights: dict[tuple[int, int], int] = {}
+        for _, qubits, _ in self.gates:
+            if len(qubits) != 2:
+                continue
+            a, b = qubits
+            key = (a, b) if a < b else (b, a)
+            weights[key] = weights.get(key, 0) + 1
+        return MappingProxyType(weights)
+
 
 def circuit(n_qubits: int, gate_list) -> Circuit:
     """Build a Circuit from (label, q) / (label, q1, q2) tuples."""
     gates = []
-    for i, entry in enumerate(gate_list):
-        label, *qs = entry
-        gates.append(Gate(label=str(label), qubits=tuple(int(q) for q in qs), seq=i))
+    for i, (label, *qs) in enumerate(gate_list):
+        gates.append(new_record(Gate, (str(label), tuple(map(int, qs)), i)))
     return Circuit(n_qubits=n_qubits, gates=tuple(gates))
 
 
@@ -113,16 +135,20 @@ def parse_circuit_file(path) -> Circuit:
 
 
 def _parse_native(text: str) -> Circuit:
+    # One pass: each line becomes a Gate as it is read. The stripped line is
+    # rebuilt only for the error messages that quote it.
     n_qubits = None
-    entries = []
+    gates: list[Gate] = []
+    append = gates.append
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         if n_qubits is None:
             if tokens[0] != "qubits" or len(tokens) != 2:
-                raise InputError(f"line {lineno}: expected 'qubits <N>', got {line!r}")
+                raise InputError(f"line {lineno}: expected 'qubits <N>', got {raw.strip()!r}")
             try:
                 n_qubits = int(tokens[1])
             except ValueError:
@@ -130,26 +156,27 @@ def _parse_native(text: str) -> Circuit:
             if n_qubits < 1:
                 raise InputError(f"line {lineno}: qubit count must be positive")
             continue
-        if len(tokens) not in (2, 3):
+        n_tokens = len(tokens)
+        if n_tokens != 2 and n_tokens != 3:
             raise InputError(f"line {lineno}: expected '<label> <q>' or '<label> <q1> <q2>'")
-        label = tokens[0]
         try:
-            operands = tuple(int(t) for t in tokens[1:])
+            if n_tokens == 3:
+                label, a, b = tokens
+                qubits = (int(a), int(b))
+            else:
+                label, a = tokens
+                qubits = (int(a),)
         except ValueError:
-            raise InputError(f"line {lineno}: operands must be integers, got {line!r}")
-        for q in operands:
+            raise InputError(f"line {lineno}: operands must be integers, got {raw.strip()!r}")
+        for q in qubits:
             if not 0 <= q < n_qubits:
                 raise InputError(f"line {lineno}: operand {q} outside 0..{n_qubits - 1}")
-        if len(operands) == 2 and operands[0] == operands[1]:
-            raise InputError(f"line {lineno}: two-qubit gate repeats operand {operands[0]}")
-        entries.append((label, operands, lineno))
+        if len(qubits) == 2 and qubits[0] == qubits[1]:
+            raise InputError(f"line {lineno}: two-qubit gate repeats operand {qubits[0]}")
+        append(new_record(Gate, (label, qubits, len(gates))))
     if n_qubits is None:
         raise InputError("circuit text contains no 'qubits <N>' declaration")
-    gates = tuple(
-        Gate(label=label, qubits=operands, seq=i)
-        for i, (label, operands, _) in enumerate(entries)
-    )
-    return Circuit(n_qubits=n_qubits, gates=gates)
+    return Circuit(n_qubits=n_qubits, gates=tuple(gates))
 
 
 _QASM_OPERAND = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
@@ -235,17 +262,10 @@ def compute_slices(circ: Circuit) -> tuple[tuple[Gate, ...], ...]:
     return circ.slices
 
 
-def interaction_graph(circ: Circuit) -> dict[tuple[int, int], int]:
-    """Interaction weights: (a, b) with a < b -> number of two-qubit gates on
-    that pair, in order of each pair's first gate."""
-    weights: dict[tuple[int, int], int] = {}
-    for g in circ.gates:
-        if not g.is_two_qubit:
-            continue
-        a, b = g.qubits
-        key = (a, b) if a < b else (b, a)
-        weights[key] = weights.get(key, 0) + 1
-    return weights
+def interaction_graph(circ: Circuit) -> Mapping[tuple[int, int], int]:
+    """The circuit's interaction weights, built on first use and kept on the
+    circuit (see ``Circuit.interaction_graph``)."""
+    return circ.interaction_graph
 
 
 def dependency_graph(circ: Circuit) -> tuple[tuple[int, ...], ...]:

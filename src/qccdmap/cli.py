@@ -27,7 +27,7 @@ from .errors import InputError, QccdError, VerificationError
 from .placement import place
 from .reporting import RunRecord, compare, emit, emit_compare, load_records
 from .routing import DEFAULT_LOOKAHEAD
-from .scheduling import compute_metrics, schedule, schedule_to_text, verify_schedule
+from .scheduling import schedule, schedule_to_text, verify_schedule
 
 PLACEMENTS = ("sta", "greedy", "random")
 
@@ -59,7 +59,7 @@ def run_compile(
     if not verdict.ok:
         where = "" if verdict.op_index is None else f" at op {verdict.op_index}"
         raise VerificationError(f"schedule failed verification{where}: {verdict.reason}")
-    m = compute_metrics(sched)
+    m = sched.metrics
     record = RunRecord(
         label=label,
         family=family,
@@ -186,12 +186,11 @@ def _infeasible_record(args, traps, capacity, excess, n) -> RunRecord:
     )
 
 
-def _sweep_run(args, traps, capacity, excess, n) -> list[RunRecord]:
+def _sweep_run(args, circ, traps, capacity, excess) -> list[RunRecord]:
     spec = DeviceSpec(
         topology=Topology(args.topology), n_traps=traps, capacity=capacity, excess_capacity=excess
     )
-    circ = generate(args.family, n, rounds=args.rounds, gates=args.gates, seed=args.seed)
-    label = f"{args.family}{n}"
+    label = f"{args.family}{circ.n_qubits}"
     seeds = [args.seed]
     if args.placement == "random":
         if args.seed is None:
@@ -218,6 +217,9 @@ def _cmd_sweep(args) -> int:
         regimes = [("excess_fixed_ions", _excess_fixed_points), ("excess_var_ions", _excess_var_points)]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    # Qubit count -> circuit. Points of equal size share one circuit, and with
+    # it the slices and interaction graph it keeps.
+    circuits: dict[int, Circuit] = {}
     for name, points in regimes:
         records: list[RunRecord] = []
         for traps, capacity, excess, n, feasible in points(args):
@@ -229,7 +231,12 @@ def _cmd_sweep(args) -> int:
                 )
                 records.append(_infeasible_record(args, traps, capacity, excess, n))
                 continue
-            records.extend(_sweep_run(args, traps, capacity, excess, n))
+            circ = circuits.get(n)
+            if circ is None:
+                circ = circuits[n] = generate(
+                    args.family, n, rounds=args.rounds, gates=args.gates, seed=args.seed
+                )
+            records.extend(_sweep_run(args, circ, traps, capacity, excess))
         path = outdir / f"sweep_{name}_{args.family}_{args.placement}.{args.format}"
         path.write_text(emit(records, args.format, args.with_wall_clock))
         print(f"wrote {path} ({len(records)} records)")

@@ -170,7 +170,8 @@ class PhysOp(NamedTuple):
 
 # Builds a named tuple from the tuple of all its fields, skipping the class's
 # Python-level __new__: new_record(PhysOp, (kind, qubits, trap, src, dst, seq,
-# label)). The router and scheduler build one record per op this way.
+# label)). The router and scheduler build one record per op this way, and the
+# circuit builders one Gate per gate.
 new_record = tuple.__new__
 
 

@@ -45,11 +45,11 @@ class PendingTracker:
         self.lookahead = lookahead
         self._per_qubit: list[list[tuple[int, int]]] = [[] for _ in range(circ.n_qubits)]
         for g in circ.gates:
-            if g.is_two_qubit:
+            if len(g.qubits) == 2:
                 a, b = g.qubits
                 self._per_qubit[a].append((g.seq, b))
                 self._per_qubit[b].append((g.seq, a))
-        self._operands = [g.qubits if g.is_two_qubit else () for g in circ.gates]
+        self._operands = [g.qubits if len(g.qubits) == 2 else () for g in circ.gates]
         self._heads: list[int] = [0] * circ.n_qubits
 
     def mark_done(self, seq: int) -> None:

@@ -4,9 +4,15 @@ Each trap executes one operation at a time; independent traps run in
 parallel. The event loop is one wake heap of (time, seq): a gate enters it
 once the previous gate on each of its operands has committed, at the latest
 of those gates' ends, and is taken when popped if its operands' traps are
-free, or pushed back to when they free up. Ties in time go to the lowest
+free, or re-queued to when they free up. Ties in time go to the lowest
 sequence index. A split two-qubit gate first commits its movement ops (SWAP
 walks plus shuttles from the router), chained serially, then the gate itself.
+
+Only SWAPs and shuttles change the device state, and only through
+``DeviceState.apply``, which checks each one's preconditions. A gate op
+changes no state, so the loop times and records it without ``apply``; before
+a two-qubit gate it re-reads both operands' traps and raises the device
+model's ``DeviceOpError`` if routing left them apart.
 
 Ops and their timed records (``PhysOp``, ``ScheduledOp``) are immutable named
 tuples, built once per op and never copied.
@@ -32,7 +38,8 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from functools import cached_property
+from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -59,6 +66,20 @@ class Schedule:
     def makespan(self) -> float:
         return max((s.end for s in self.ops), default=0.0)
 
+    @cached_property
+    def metrics(self) -> Metrics:
+        """Op counts by kind and the makespan, counted on first use and kept,
+        so the run report and the schedule writer share one pass."""
+        # list.count compares by identity first, so no Enum is hashed per op.
+        kinds = [s.op.kind for s in self.ops]
+        return Metrics(
+            total_time=self.makespan,
+            shuttles=kinds.count(OpKind.SHUTTLE),
+            swaps=kinds.count(OpKind.SWAP),
+            one_qubit_gates=kinds.count(OpKind.GATE1),
+            two_qubit_gates=kinds.count(OpKind.GATE2),
+        )
+
 
 @dataclass(frozen=True)
 class Metrics:
@@ -74,15 +95,7 @@ class Metrics:
 
 
 def compute_metrics(schedule: Schedule) -> Metrics:
-    # list.count compares by identity first, so no Enum is hashed per op.
-    kinds = [s.op.kind for s in schedule.ops]
-    return Metrics(
-        total_time=schedule.makespan,
-        shuttles=kinds.count(OpKind.SHUTTLE),
-        swaps=kinds.count(OpKind.SWAP),
-        one_qubit_gates=kinds.count(OpKind.GATE1),
-        two_qubit_gates=kinds.count(OpKind.GATE2),
-    )
+    return schedule.metrics
 
 
 def _reject_infeasible(circ: Circuit, state: DeviceState, spec: DeviceSpec) -> None:
@@ -98,7 +111,7 @@ def _reject_infeasible(circ: Circuit, state: DeviceState, spec: DeviceSpec) -> N
     else:
         return
     for g in circ.gates:
-        if g.is_two_qubit:
+        if len(g.qubits) == 2:
             a, b = g.qubits
             ta, tb = state.trap_of(a), state.trap_of(b)
             if ta != tb:
@@ -159,39 +172,29 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     trap_of = state._trap_of
     apply = state.apply
     record = out.append
-    SHUTTLE, SWAP, GATE1, GATE2 = OpKind.SHUTTLE, OpKind.SWAP, OpKind.GATE1, OpKind.GATE2
-    # Where the next op may start. A gate sets it to the clock tick it was
-    # taken at; its movement ops, then the gate itself, each start no earlier
-    # than the op before.
+    SHUTTLE, GATE1, GATE2 = OpKind.SHUTTLE, OpKind.GATE1, OpKind.GATE2
+    # Where the next movement op may start. A split gate sets it to the clock
+    # tick it was taken at; its movement ops, then the gate itself, each start
+    # no earlier than the op before.
     cursor = 0.0
 
     def commit(op: PhysOp) -> None:
-        """Apply op at the first time from cursor on that its traps are free,
-        and advance cursor to its end."""
+        """Time a SWAP or shuttle at the first moment from cursor on that its
+        traps are free, apply it, and advance cursor to its end."""
         nonlocal cursor
-        kind = op.kind
+        kind, _, t, src, dst, _, _ = op
         if kind is SHUTTLE:
-            src, dst = op.src, op.dst
             start = max(cursor, trap_free[src], trap_free[dst])
             dur = shuttle_time
             cursor = trap_free[src] = trap_free[dst] = start + dur
         else:
-            t = op.trap
             start = max(cursor, trap_free[t])
-            if kind is SWAP:
-                dur = swap_time[len(chains[t])]
-            elif kind is GATE2:
-                dur = gate2_time[len(chains[t])]
-            else:
-                dur = gate1_time
+            dur = swap_time[len(chains[t])]
             cursor = trap_free[t] = start + dur
         # A duration far below the float spacing at start is lost in the sum,
         # and a huge one overflows it; either would record a wrong duration.
         if not start < cursor < math.inf:
-            raise InputError(
-                f"op {len(out)} starting at {start!r} s with duration {dur!r} s has no"
-                " representable end; the timing parameters are too large"
-            )
+            raise _no_end(len(out), start, dur)
         apply(op)
         record(new_record(ScheduledOp, (op, start, cursor)))
 
@@ -202,12 +205,13 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     #   (time, seq) order, which is the lowest-seq-first scan of each tick;
     # - trap_free only grows and a shuttle holds both its traps, so moving a
     #   waiting gate's operand never lets that gate start earlier.
+    # A blocked gate is re-queued in place by heapreplace. Each seq is in the
+    # heap at most once, so the minimum is unique and pop order is the same
+    # as popping and pushing it back.
     wake = [(0.0, seq) for seq, n in enumerate(waiting) if n == 0]
     while wake:
-        clock, seq = heappop(wake)
-        cursor = clock
-        g = gates[seq]
-        qubits = g.qubits
+        clock, seq = wake[0]
+        label, qubits, _ = gates[seq]
         try:
             if len(qubits) == 2:
                 a, b = qubits
@@ -219,17 +223,34 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
             raise DeviceOpError(f"qubit {exc.args[0]} is not on the device") from None
         free = max(trap_free[ta], trap_free[tb])
         if free > clock:
-            heappush(wake, (free, seq))
+            heapreplace(wake, (free, seq))
             continue
+        heappop(wake)
+        # Gate ops change no device state, so they are timed here without
+        # DeviceState.apply. An unsplit gate's traps are free at clock.
         if len(qubits) == 2:
             if ta != tb:
-                resolve_gate(g, state, tracker, spec, commit)
-            commit(new_record(PhysOp, (GATE2, (a, b), trap_of[a], None, None, seq, g.label)))
+                cursor = clock
+                resolve_gate(gates[seq], state, tracker, spec, commit)
+                ta, tb = trap_of[a], trap_of[b]
+                if ta != tb:
+                    raise DeviceOpError(f"gate2 operands {a},{b} not co-trapped (traps {ta},{tb})")
+                start = max(cursor, trap_free[ta])
+            else:
+                start = clock
+            dur = gate2_time[len(chains[ta])]
+            op = new_record(PhysOp, (GATE2, qubits, ta, None, None, seq, label))
         else:
-            commit(new_record(PhysOp, (GATE1, (q,), ta, None, None, seq, g.label)))
+            start, dur = clock, gate1_time
+            op = new_record(PhysOp, (GATE1, qubits, ta, None, None, seq, label))
+        end = start + dur
+        if not start < end < math.inf:
+            raise _no_end(len(out), start, dur)
+        trap_free[ta] = end
+        record(new_record(ScheduledOp, (op, start, end)))
         mark_done(seq)
         for q in qubits:
-            qubit_end[q] = cursor
+            qubit_end[q] = end
             nxt = next(heads[q], None)
             if nxt is not None:
                 waiting[nxt] -= 1
@@ -238,6 +259,13 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     if any(waiting):
         raise QccdError("scheduler stalled: gates remain but none can become ready")
     return Schedule(ops=tuple(out))
+
+
+def _no_end(index: int, start: float, dur: float) -> InputError:
+    return InputError(
+        f"op {index} starting at {start!r} s with duration {dur!r} s has no"
+        " representable end; the timing parameters are too large"
+    )
 
 
 @dataclass(frozen=True)
@@ -444,16 +472,14 @@ def schedule_to_text(sched: Schedule) -> str:
     # Equal floats format alike unless they are 0.0 and -0.0, so a zero start
     # is always formatted.
     prev_end, end_us = None, ""
-    for op, start, end in sched.ops:
+    for (kind, qubits, trap, src, dst, _, _), start, end in sched.ops:
         start_us = end_us if start == prev_end and start else f"{start * 1e6:.3f}"
         prev_end, end_us = end, f"{end * 1e6:.3f}"
-        kind = op.kind
-        traps = f"{op.src}:{op.dst}" if kind is SHUTTLE else op.trap
-        qubits = op.qubits
+        traps = f"{src}:{dst}" if kind is SHUTTLE else trap
         qubits = f"{qubits[0]}:{qubits[1]}" if len(qubits) == 2 else ":".join(map(str, qubits))
         # _value_ is the plain attribute behind Enum.value's descriptor.
         row(f"{start_us},{end_us},{kind._value_},{qubits},{traps}")
-    m = compute_metrics(sched)
+    m = sched.metrics
     lines.append(f"# total_time_us={m.total_time * 1e6:.3f}")
     lines.append(f"# shuttles={m.shuttles}")
     lines.append(f"# swaps={m.swaps}")

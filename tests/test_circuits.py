@@ -103,6 +103,37 @@ def test_two_qubit_gate_repeating_operand_rejected_native():
         parse_circuit("qubits 3\ncx 2 2\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "circuit text contains no 'qubits <N>' declaration"),
+        ("# only a comment\n\n", "circuit text contains no 'qubits <N>' declaration"),
+        ("cx 0 1\n", "line 1: expected 'qubits <N>', got 'cx 0 1'"),
+        ("qubits\n", "line 1: expected 'qubits <N>', got 'qubits'"),
+        ("\n  qubits 2  3 # trailing\n", "line 2: expected 'qubits <N>', got 'qubits 2  3'"),
+        ("qubits two\n", "line 1: qubit count 'two' is not an integer"),
+        ("qubits 0\n", "line 1: qubit count must be positive"),
+        ("qubits -3\n", "line 1: qubit count must be positive"),
+        ("qubits 3\ncx 0 1 2\n", "line 2: expected '<label> <q>' or '<label> <q1> <q2>'"),
+        ("qubits 3\nh\n", "line 2: expected '<label> <q>' or '<label> <q1> <q2>'"),
+        ("qubits 3\ncx x y z\n", "line 2: expected '<label> <q>' or '<label> <q1> <q2>'"),
+        ("qubits 3\ncx 0  x # c\n", "line 2: operands must be integers, got 'cx 0  x'"),
+        ("qubits 3\nh 1.5\n", "line 2: operands must be integers, got 'h 1.5'"),
+        ("qubits 3\ncx 3 0\n", "line 2: operand 3 outside 0..2"),
+        ("qubits 3\ncx 0 5\n", "line 2: operand 5 outside 0..2"),
+        ("qubits 3\nh -1\n", "line 2: operand -1 outside 0..2"),
+        ("qubits 3\ncx 4 4\n", "line 2: operand 4 outside 0..2"),
+        ("qubits 3\ncx 2 2\n", "line 2: two-qubit gate repeats operand 2"),
+        ("# header\n\nqubits 3\n# note\n\nh 0  # ok\n\ncx 1 7\n", "line 8: operand 7 outside 0..2"),
+        ("qubits 3\r\nh 0\r\n\r\ncx 1 1\r\n", "line 4: two-qubit gate repeats operand 1"),
+    ],
+)
+def test_native_parser_errors(text, message):
+    with pytest.raises(InputError) as err:
+        parse_circuit(text)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # slices
 # ---------------------------------------------------------------------------

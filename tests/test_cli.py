@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from qccdmap import cli
+from qccdmap.benchmarks import generate
 from qccdmap.circuits import parse_circuit_file
 from qccdmap.reporting import load_records
 from qccdmap.scheduling import Verdict
@@ -197,6 +198,25 @@ def test_sweep_weak_on_a_ring(tmp_path, capsys):
     assert rc == 0
     rows = load_records((tmp_path / "sweep_weak_rnd_sta.csv").read_text())
     assert [(r["topology"], int(r["traps"]), r["status"]) for r in rows] == [("ring", 5, "ok")]
+    capsys.readouterr()
+
+
+def test_sweep_generates_each_circuit_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_generate(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate", counting_generate)
+    rc = cli.main(
+        ["sweep", "weak", "--family", "rnd", "--gates", "40", "--seed", "1",
+         "--traps-min", "2", "--traps-max", "6", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    rows = load_records((tmp_path / "sweep_weak_rnd_sta.csv").read_text())
+    assert [int(r["traps"]) for r in rows] == [2, 3, 4, 5, 6]
+    assert calls == [("rnd", 128)]
     capsys.readouterr()
 
 

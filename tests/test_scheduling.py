@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qccdmap.benchmarks import generate
-from qccdmap.circuits import circuit
+from qccdmap.circuits import Gate, circuit
 from qccdmap.devices import (
     DeviceSpec,
     DeviceState,
@@ -18,7 +18,7 @@ from qccdmap.devices import (
     TimingModel,
     Topology,
 )
-from qccdmap.errors import DeadlockError, InputError
+from qccdmap.errors import DeadlockError, DeviceOpError, InputError
 from qccdmap.placement import Placement, place, sta_place
 from qccdmap.routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
 from qccdmap import scheduling
@@ -174,6 +174,13 @@ def test_op_records_are_immutable_hashable_values():
     back = PhysOp(OpKind.SHUTTLE, (3,), src=1, dst=0)
     assert len({op, PhysOp(OpKind.SHUTTLE, (3,), src=0, dst=1), back}) == 2
     assert len({rec, ScheduledOp(PhysOp(OpKind.SHUTTLE, (3,), src=0, dst=1), 0.0, 165e-6)}) == 1
+    gate = Gate(label="cx", qubits=(0, 1), seq=4)
+    for field in ("label", "qubits", "seq"):
+        with pytest.raises(AttributeError):
+            setattr(gate, field, None)
+    assert gate == Gate("cx", (0, 1), 4)
+    assert len({gate, Gate("cx", (0, 1), 4), Gate("cx", (1, 0), 4)}) == 2
+    assert gate.is_two_qubit and not Gate("h", (2,), 5).is_two_qubit
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +238,29 @@ def test_schedule_passes_its_own_verifier(worked_circuit, worked_spec):
     pl = sta_place(worked_circuit, worked_spec)
     sched = schedule(worked_circuit, pl, worked_spec)
     assert verify_schedule(sched, worked_circuit, pl, worked_spec).ok
+
+
+def test_split_gate_left_split_by_the_router_raises_device_op_error(monkeypatch):
+    monkeypatch.setattr(scheduling, "resolve_gate", lambda *args: None)
+    c = circuit(2, [("cx", 0, 1)])
+    with pytest.raises(DeviceOpError) as err:
+        schedule(c, Placement(chains=((0,), (1,))), _spec(2, 2, 1))
+    assert str(err.value) == "gate2 operands 0,1 not co-trapped (traps 0,1)"
+
+
+def test_device_state_applies_only_movement_ops(monkeypatch, movement_circuit, movement_spec, movement_placement):
+    applied = []
+    original = DeviceState.apply
+
+    def spy(self, op):
+        applied.append(op)
+        return original(self, op)
+
+    monkeypatch.setattr(DeviceState, "apply", spy)
+    sched = schedule(movement_circuit, movement_placement, movement_spec)
+    moves = [s.op for s in sched.ops if s.op.kind in (OpKind.SWAP, OpKind.SHUTTLE)]
+    assert moves and applied == moves
+    assert len(sched.ops) == len(moves) + len(movement_circuit.gates)
 
 
 # ---------------------------------------------------------------------------
