@@ -1,4 +1,4 @@
-"""Trap-array device model: geometry, ion chain state, physical operations.
+"""Trap-array device model: geometry, ion chain state, timed physical operations.
 
 Traps hold ordered linear ion chains. Chains are oriented left-to-right along
 increasing trap index, and trap t's right end faces trap t+1's left end. A
@@ -153,10 +153,12 @@ class OpKind(Enum):
 
 
 class PhysOp(NamedTuple):
-    """One physical operation. Unused fields stay None for the other kinds.
+    """One physical operation, with its start and end in seconds. Unused
+    fields stay None for the other kinds; a gate's label is
+    ``circ.gates[seq].label``.
 
     A named tuple: immutable, hashable and equal by field, and cheap to build,
-    which matters because the router emits one per SWAP and shuttle.
+    which matters because a schedule holds one per op.
     """
 
     kind: OpKind
@@ -165,12 +167,13 @@ class PhysOp(NamedTuple):
     src: int | None = None
     dst: int | None = None
     seq: int | None = None
-    label: str | None = None
+    start: float = 0.0
+    end: float = 0.0
 
 
 # Builds a named tuple from the tuple of all its fields, skipping the class's
 # Python-level __new__: new_record(PhysOp, (kind, qubits, trap, src, dst, seq,
-# label)). The router and scheduler build one record per op this way, and the
+# start, end)). The scheduler builds one record per op this way, and the
 # circuit builders one Gate per gate.
 new_record = tuple.__new__
 

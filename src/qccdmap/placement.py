@@ -244,18 +244,19 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
 
     # Relocate split pairs to the trap ends facing their partners' first hop.
     # Pairs go in ascending weight, so heavier pairs relocate last and win
-    # the boundary slots.
-    n = spec.n_traps
-    ends = [[facing_end(spec, t, shortest_path(spec, t, u)[1]) if u != t else None for u in range(n)]
-            for t in range(n)]
+    # the boundary slots. Each (trap, partner trap) end is found on first use.
+    ends: dict[tuple[int, int], str] = {}
     for a, b in reversed(pairs):
         ta, tb = trap_of[a], trap_of[b]
         if ta == tb:
             continue
         for q, t, toward in ((a, ta, tb), (b, tb, ta)):
+            end = ends.get((t, toward))
+            if end is None:
+                end = ends[t, toward] = facing_end(spec, t, shortest_path(spec, t, toward)[1])
             chain = slots.chains[t]
             chain.remove(q)
-            if ends[t][toward] == "right":
+            if end == "right":
                 chain.append(q)
             else:
                 chain.insert(0, q)

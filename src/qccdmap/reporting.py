@@ -148,9 +148,12 @@ def load_records(text: str) -> list[dict]:
         if not all(isinstance(row, dict) for row in rows):
             raise InputError("malformed report JSON: every row must be an object")
         return rows
-    rows = list(csv.DictReader(io.StringIO(text)))
-    if rows and None in rows[0]:
-        raise InputError("malformed report CSV: row wider than header")
+    reader = csv.DictReader(io.StringIO(text))
+    rows = []
+    for row in reader:
+        if None in row:
+            raise InputError(f"malformed report CSV: line {reader.line_num} is wider than the header")
+        rows.append(row)
     return rows
 
 

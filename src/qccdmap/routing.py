@@ -8,8 +8,9 @@ relief route, the trap line from it to the nearest trap with a free slot:
 each trap on the route, farthest first, evicts its least-attached resident
 into the slot the next one holds open.
 
-Each op is handed to the caller's ``commit`` as soon as it is chosen, so the
-next choice sees the state that op left behind.
+Each op goes to the caller's ``commit`` as its fields as soon as it is
+chosen; ``commit`` applies it and returns its record, so the next choice sees
+the state that op left behind.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
-from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, facing_end, new_record, shortest_path
+from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, facing_end, shortest_path
 from .errors import DeadlockError, InputError, QccdError
 
 # Default pending-gate window for movement scores. A short horizon keeps the
@@ -135,7 +136,7 @@ def _exit_ion(state: DeviceState, trap: int, neighbor: int) -> int:
 
 
 def _walk_to_boundary(
-    state: DeviceState, qubit: int, trap: int, neighbor: int, commit: Callable[[PhysOp], None]
+    state: DeviceState, qubit: int, trap: int, neighbor: int, commit: Callable[..., PhysOp]
 ) -> None:
     """Commit the SWAP that puts qubit, held by trap, at the end facing neighbor.
 
@@ -145,7 +146,7 @@ def _walk_to_boundary(
     """
     occupant = _exit_ion(state, trap, neighbor)
     if occupant != qubit:
-        commit(new_record(PhysOp, (OpKind.SWAP, (qubit, occupant), trap, None, None, None, None)))
+        commit(OpKind.SWAP, (qubit, occupant), trap, None, None)
 
 
 def _attachment(qubit: int, residents: set[int], tracker: PendingTracker) -> tuple[int, int]:
@@ -183,7 +184,7 @@ def _evict_one(
     trap: int,
     avoid: frozenset[int],
     tracker: PendingTracker,
-    commit: Callable[[PhysOp], None],
+    commit: Callable[..., PhysOp],
     blocked: frozenset[int] = frozenset(),
 ) -> None:
     """Free one slot in trap by shuttling out its least-attached resident.
@@ -238,7 +239,7 @@ def _evict_one(
                     key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
                 )
         _walk_to_boundary(state, victim, src, dest, commit)
-        commit(new_record(PhysOp, (OpKind.SHUTTLE, (victim,), None, src, dest, None, None)))
+        commit(OpKind.SHUTTLE, (victim,), None, src, dest)
 
 
 def resolve_gate(
@@ -246,26 +247,26 @@ def resolve_gate(
     state: DeviceState,
     tracker: PendingTracker,
     spec: DeviceSpec,
-    commit: Callable[[PhysOp], None],
+    commit: Callable[..., PhysOp],
 ) -> list[PhysOp]:
     """Co-trap a split gate's operands, committing each SWAP and shuttle in turn.
 
-    ``commit`` must apply the op to ``state`` before it returns. Returns the
-    committed ops in order; afterwards the operands share the destination trap.
+    ``commit(kind, qubits, trap, src, dst)`` must apply the op to ``state``
+    and return its record. Returns the committed records in order; afterwards
+    the operands share the destination trap.
     """
     decision = select_mover(gate, state, tracker, spec)
     mover = decision.mover
     avoid = frozenset(gate.qubits)
     ops: list[PhysOp] = []
 
-    def record(op: PhysOp) -> None:
-        commit(op)
-        ops.append(op)
+    def record(kind, qubits, trap, src, dst) -> None:
+        ops.append(commit(kind, qubits, trap, src, dst))
 
     path = decision.path
     for i, (cur, nxt) in enumerate(zip(path, path[1:])):
         if len(state.chains[nxt]) >= spec.capacity:
             _evict_one(state, spec, nxt, avoid, tracker, record, frozenset(path[i + 2 :]))
         _walk_to_boundary(state, mover, cur, nxt, record)
-        record(new_record(PhysOp, (OpKind.SHUTTLE, (mover,), None, cur, nxt, None, None)))
+        record(OpKind.SHUTTLE, (mover,), None, cur, nxt)
     return ops

@@ -14,8 +14,8 @@ changes no state, so the loop times and records it without ``apply``; before
 a two-qubit gate it re-reads both operands' traps and raises the device
 model's ``DeviceOpError`` if routing left them apart.
 
-Ops and their timed records (``PhysOp``, ``ScheduledOp``) are immutable named
-tuples, built once per op and never copied.
+The schedule is one immutable ``PhysOp`` per op, built once it is timed and
+never copied; the router hands ``commit`` a SWAP's or shuttle's fields.
 
 ``schedule`` pauses Python's cyclic garbage collector while it builds them.
 Each record holds an ``OpKind`` member, which the collector tracks, so every
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
-from typing import NamedTuple
 
 from .circuits import Circuit, dependency_graph
 from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology, new_record
@@ -50,17 +49,9 @@ from .placement import Placement
 from .routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
 
 
-class ScheduledOp(NamedTuple):
-    """A physical op with its committed start and end times in seconds."""
-
-    op: PhysOp
-    start: float
-    end: float
-
-
 @dataclass(frozen=True)
 class Schedule:
-    ops: tuple[ScheduledOp, ...]
+    ops: tuple[PhysOp, ...]
 
     @property
     def makespan(self) -> float:
@@ -71,7 +62,7 @@ class Schedule:
         """Op counts by kind and the makespan, counted on first use and kept,
         so the run report and the schedule writer share one pass."""
         # list.count compares by identity first, so no Enum is hashed per op.
-        kinds = [s.op.kind for s in self.ops]
+        kinds = [op.kind for op in self.ops]
         return Metrics(
             total_time=self.makespan,
             shuttles=kinds.count(OpKind.SHUTTLE),
@@ -161,12 +152,13 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     tracker = PendingTracker(circ, lookahead)
     mark_done = tracker.mark_done
     trap_free = [0.0] * spec.n_traps
-    out: list[ScheduledOp] = []
-    # Durations by kind and chain length, from the timing model's own
-    # formulas, so every float equals the model's bit for bit.
+    out: list[PhysOp] = []
+    # Durations by kind and chain length (at most the circuit's qubit count),
+    # from the timing model's own formulas, so each float is the model's.
     timing = spec.timing
-    gate2_time = [timing.two_qubit(n) for n in range(spec.capacity + 1)]
-    swap_time = [timing.swap(n) for n in range(spec.capacity + 1)]
+    longest = min(spec.capacity, circ.n_qubits) + 1
+    gate2_time = [timing.two_qubit(n) for n in range(longest)]
+    swap_time = [timing.swap(n) for n in range(longest)]
     gate1_time, shuttle_time = timing.one_qubit, timing.shuttle
     chains = state.chains
     trap_of = state._trap_of
@@ -178,11 +170,10 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     # no earlier than the op before.
     cursor = 0.0
 
-    def commit(op: PhysOp) -> None:
+    def commit(kind, qubits, t, src, dst) -> PhysOp:
         """Time a SWAP or shuttle at the first moment from cursor on that its
-        traps are free, apply it, and advance cursor to its end."""
+        traps are free, apply and return its record, and advance cursor."""
         nonlocal cursor
-        kind, _, t, src, dst, _, _ = op
         if kind is SHUTTLE:
             start = max(cursor, trap_free[src], trap_free[dst])
             dur = shuttle_time
@@ -195,8 +186,10 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
         # and a huge one overflows it; either would record a wrong duration.
         if not start < cursor < math.inf:
             raise _no_end(len(out), start, dur)
+        op = new_record(PhysOp, (kind, qubits, t, src, dst, None, start, cursor))
         apply(op)
-        record(new_record(ScheduledOp, (op, start, cursor)))
+        record(op)
+        return op
 
     # Wake heap of (time, seq): a gate enters once, when the previous gate on
     # its last waiting operand commits, and returns at the later of its traps'
@@ -211,7 +204,7 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     wake = [(0.0, seq) for seq, n in enumerate(waiting) if n == 0]
     while wake:
         clock, seq = wake[0]
-        label, qubits, _ = gates[seq]
+        qubits = gates[seq][1]
         try:
             if len(qubits) == 2:
                 a, b = qubits
@@ -238,16 +231,14 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
                 start = max(cursor, trap_free[ta])
             else:
                 start = clock
-            dur = gate2_time[len(chains[ta])]
-            op = new_record(PhysOp, (GATE2, qubits, ta, None, None, seq, label))
+            kind, dur = GATE2, gate2_time[len(chains[ta])]
         else:
-            start, dur = clock, gate1_time
-            op = new_record(PhysOp, (GATE1, qubits, ta, None, None, seq, label))
+            kind, start, dur = GATE1, clock, gate1_time
         end = start + dur
         if not start < end < math.inf:
             raise _no_end(len(out), start, dur)
         trap_free[ta] = end
-        record(new_record(ScheduledOp, (op, start, end)))
+        record(new_record(PhysOp, (kind, qubits, ta, None, None, seq, start, end)))
         mark_done(seq)
         for q in qubits:
             qubit_end[q] = end
@@ -314,7 +305,7 @@ def verify_schedule(
         rightward[0, n_traps - 1] = False
 
     ops = sched.ops
-    starts = list(map(itemgetter(1), ops))
+    starts = list(map(itemgetter(6), ops))
     # A stable sort on start alone keeps equal starts in index order.
     order = sorted(range(len(ops)), key=starts.__getitem__)
     busy_until = [0.0] * n_traps
@@ -322,11 +313,12 @@ def verify_schedule(
     n_gates = len(gate_qubits)
     seen = bytearray(n_gates)
     per_qubit_runs: list[list[int]] = [[] for _ in range(circ.n_qubits)]
-    # Durations by kind and chain length, from the timing model. A chain
-    # never outgrows capacity, since a shuttle into a full trap is illegal.
+    # Durations by kind and chain length, from the timing model. A chain never
+    # outgrows capacity (a shuttle into a full trap is illegal) or the circuit.
     timing = spec.timing
-    gate2_time = [timing.two_qubit(n) for n in range(capacity + 1)]
-    swap_time = [timing.swap(n) for n in range(capacity + 1)]
+    longest = min(capacity, circ.n_qubits) + 1
+    gate2_time = [timing.two_qubit(n) for n in range(longest)]
+    swap_time = [timing.swap(n) for n in range(longest)]
     gate1_time, shuttle_time = timing.one_qubit, timing.shuttle
     isclose, ulp = math.isclose, math.ulp
     GATE1, GATE2, SWAP, SHUTTLE = OpKind.GATE1, OpKind.GATE2, OpKind.SWAP, OpKind.SHUTTLE
@@ -336,8 +328,7 @@ def verify_schedule(
     # the chain model, capacity. _trap_fault reruns the held-trap checks only
     # to name the fault the inline test found.
     for i in order:
-        op, start, end = ops[i]
-        kind, qubits, trap, src, dst, seq, _ = op
+        kind, qubits, trap, src, dst, seq, start, end = ops[i]
         if not end > start:
             return Verdict(False, f"op has non-positive duration {end - start}", i)
         duration = end - start
@@ -472,7 +463,7 @@ def schedule_to_text(sched: Schedule) -> str:
     # Equal floats format alike unless they are 0.0 and -0.0, so a zero start
     # is always formatted.
     prev_end, end_us = None, ""
-    for (kind, qubits, trap, src, dst, _, _), start, end in sched.ops:
+    for kind, qubits, trap, src, dst, _, start, end in sched.ops:
         start_us = end_us if start == prev_end and start else f"{start * 1e6:.3f}"
         prev_end, end_us = end, f"{end * 1e6:.3f}"
         traps = f"{src}:{dst}" if kind is SHUTTLE else trap

@@ -76,8 +76,8 @@ def verify_schedule(
     GATE1, GATE2, SWAP, SHUTTLE = OpKind.GATE1, OpKind.GATE2, OpKind.SWAP, OpKind.SHUTTLE
 
     for i in order:
-        op, start, end = ops[i]
-        kind = op.kind
+        op = ops[i]
+        kind, start, end = op.kind, op.start, op.end
         held = (op.src, op.dst) if kind is SHUTTLE else (op.trap,)
         if not end > start:
             return Verdict(False, f"op has non-positive duration {end - start}", i)

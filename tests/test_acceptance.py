@@ -26,7 +26,6 @@ from qccdmap.placement import (
 )
 from qccdmap.scheduling import (
     Schedule,
-    ScheduledOp,
     compute_metrics,
     schedule,
     verify_schedule,
@@ -100,8 +99,8 @@ def test_04_movement_synthesis(movement_circuit, movement_spec, movement_placeme
     t0 = time.monotonic()
     sched = schedule(movement_circuit, movement_placement, movement_spec)
     m = compute_metrics(sched)
-    g01 = next(s for s in sched.ops if s.op.kind is OpKind.GATE2 and set(s.op.qubits) == {0, 1})
-    g45 = next(s for s in sched.ops if s.op.kind is OpKind.GATE2 and set(s.op.qubits) == {4, 5})
+    g01 = next(s for s in sched.ops if s.kind is OpKind.GATE2 and set(s.qubits) == {0, 1})
+    g45 = next(s for s in sched.ops if s.kind is OpKind.GATE2 and set(s.qubits) == {4, 5})
     overlap = g01.start < g45.end and g45.start < g01.end
     ok = (m.swaps, m.shuttles) == (1, 1) and overlap
     ok &= verify_schedule(sched, movement_circuit, movement_placement, movement_spec).ok
@@ -208,15 +207,15 @@ def test_07_schedule_verifier():
     sched = schedule(circ, pl, spec)
     ok &= verify_schedule(sched, circ, pl, spec).ok
 
-    drop = next(i for i, s in enumerate(sched.ops) if s.op.kind is OpKind.GATE2)
+    drop = next(i for i, s in enumerate(sched.ops) if s.kind is OpKind.GATE2)
     deletion = Schedule(ops=sched.ops[:drop] + sched.ops[drop + 1 :])
     ok &= not verify_schedule(deletion, circ, pl, spec).ok
 
     by_start = sorted(range(len(sched.ops)), key=lambda i: sched.ops[i].start)
     for prev, cur in zip(by_start, by_start[1:]):
         a, b = sched.ops[prev], sched.ops[cur]
-        if set(held(a.op)) & set(held(b.op)) and b.start >= a.end and b.start - 1e-5 > a.start:
-            moved = ScheduledOp(b.op, b.start - 1e-5, b.end - 1e-5)
+        if set(held(a)) & set(held(b)) and b.start >= a.end and b.start - 1e-5 > a.start:
+            moved = b._replace(start=b.start - 1e-5, end=b.end - 1e-5)
             shifted = Schedule(ops=sched.ops[:cur] + (moved,) + sched.ops[cur + 1 :])
             ok &= not verify_schedule(shifted, circ, pl, spec).ok
             break
@@ -230,7 +229,7 @@ def test_07_schedule_verifier():
     push = PhysOp(OpKind.SHUTTLE, (3,), src=1, dst=0)
     t1 = base.makespan
     overflow = Schedule(
-        ops=base.ops + (ScheduledOp(push, t1, t1 + op_duration(small.timing, push, [3, 1])),)
+        ops=base.ops + (push._replace(start=t1, end=t1 + op_duration(small.timing, push, [3, 1])),)
     )
     ok &= not verify_schedule(overflow, c2, pl2, small).ok
 

@@ -104,6 +104,25 @@ def test_sta_maps_a_long_partner_chain_without_recursion():
     assert sorted(pl.trap_of) == list(range(1200))
 
 
+def test_sta_finds_only_the_relocation_ends_it_uses(monkeypatch):
+    # Tabulating every trap pair's end took traps**2 paths of O(traps) each;
+    # only the trap pairs of split gate pairs need one, each once.
+    calls = []
+
+    def counting(spec, a, b):
+        calls.append((a, b))
+        return shortest_path(spec, a, b)
+
+    monkeypatch.setattr("qccdmap.placement.shortest_path", counting)
+    spec = DeviceSpec(topology=Topology.RING, n_traps=40, capacity=3, excess_capacity=1)
+    c = circuit(8, [("cx", a, b) for a in range(8) for b in range(a + 1, 8)])
+    pl = sta_place(c, spec)
+    traps = [pl.trap_of[q] for q in range(8)]
+    split = {(ta, tb) for ta in traps for tb in traps if ta != tb}
+    assert calls and len(calls) == len(set(calls))
+    assert set(calls) <= split
+
+
 # ---------------------------------------------------------------------------
 # greedy
 # ---------------------------------------------------------------------------

@@ -86,6 +86,14 @@ def test_single_runs_get_no_summary_rows():
     assert all(r["stat"] == "" for r in rows)
 
 
+@pytest.mark.parametrize("row", [0, 1])
+def test_csv_row_wider_than_header_rejected_with_its_line(row):
+    lines = emit([_record(), _record(label="qaoa-8", family="qaoa")]).splitlines()
+    lines[1 + row] += ",extra"
+    with pytest.raises(InputError, match=f"line {2 + row} is wider than the header"):
+        load_records("\n".join(lines) + "\n")
+
+
 def test_unknown_format_rejected():
     with pytest.raises(InputError):
         emit([_record()], fmt="yaml")

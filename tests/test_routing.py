@@ -39,9 +39,11 @@ def _resolve(gate, state, tracker, spec):
     """Route gate on state in place; the returned ops are exactly those committed."""
     committed = []
 
-    def commit(op):
+    def commit(*fields):
+        op = PhysOp(*fields)
         state.apply(op)
         committed.append(op)
+        return op
 
     ops = resolve_gate(gate, state, tracker, spec, commit)
     assert ops == committed
@@ -140,9 +142,11 @@ def test_resolve_commits_each_op_once_in_order():
     state = _state(spec, chains)
     log = []
 
-    def commit(op):
+    def commit(*fields):
+        op = PhysOp(*fields)
         log.append(op)
         state.apply(op)
+        return op
 
     ops = resolve_gate(c.gates[0], state, PendingTracker(c), spec, commit)
     assert _kinds(ops) == [OpKind.SWAP, OpKind.SHUTTLE, OpKind.SWAP, OpKind.SHUTTLE]
@@ -321,9 +325,11 @@ def test_eviction_victim_matches_full_key(case):
     expected = _reference_victim(state.chains[src], case["avoid"], case["exit_ion"], windows)
     committed = []
 
-    def commit(op):
+    def commit(*fields):
+        op = PhysOp(*fields)
         state.apply(op)
         committed.append(op)
+        return op
 
     _evict_one(state, spec, src, case["avoid"], tracker, commit)
     assert committed[-1] == PhysOp(OpKind.SHUTTLE, (expected,), src=src, dst=1 - src)
@@ -388,7 +394,7 @@ def _reference_evict_one(state, spec, trap, avoid, tracker, commit, visited, blo
                 key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
             )
     _walk_to_boundary(state, victim, trap, dest, commit)
-    commit(PhysOp(OpKind.SHUTTLE, (victim,), src=trap, dst=dest))
+    commit(OpKind.SHUTTLE, (victim,), None, trap, dest)
 
 
 @st.composite
@@ -444,9 +450,11 @@ def _run_eviction(case, evict):
         tracker.mark_done(seq)
     committed = []
 
-    def commit(op):
+    def commit(*fields):
+        op = PhysOp(*fields)
         state.apply(op)
         committed.append(op)
+        return op
 
     try:
         evict(state, spec, case["trap"], case["avoid"], tracker, commit, case["blocked"])
@@ -503,9 +511,11 @@ def test_routing_keeps_capacity_invariant_under_replay():
     state = _state(spec, [[0, 1, 2], [3, 4, 5], [6]])
     tracker = PendingTracker(c)
 
-    def commit(op):
+    def commit(*fields):
+        op = PhysOp(*fields)
         state.apply(op)
         assert all(len(state.chains[t]) <= spec.capacity for t in range(3))
+        return op
 
     for gate in c.gates:
         a, b = gate.qubits

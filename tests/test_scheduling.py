@@ -24,7 +24,6 @@ from qccdmap.routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
 from qccdmap import scheduling
 from qccdmap.scheduling import (
     Schedule,
-    ScheduledOp,
     compute_metrics,
     schedule,
     schedule_to_text,
@@ -40,7 +39,7 @@ def _spec(n_traps, capacity, excess, topology=Topology.LINEAR) -> DeviceSpec:
 def _assert_serialized(sched):
     busy: dict[int, list[tuple[float, float]]] = {}
     for s in sched.ops:
-        for t in held(s.op):
+        for t in held(s):
             for a, b in busy.get(t, []):
                 assert s.end <= a or s.start >= b, f"trap {t} double-booked"
             busy.setdefault(t, []).append((s.start, s.end))
@@ -56,8 +55,8 @@ def test_trap_serialization_and_durations(movement_circuit, movement_spec, movem
 
 def test_parallel_gates_in_distinct_traps(movement_circuit, movement_spec, movement_placement):
     sched = schedule(movement_circuit, movement_placement, movement_spec)
-    g01 = next(s for s in sched.ops if s.op.kind == OpKind.GATE2 and set(s.op.qubits) == {0, 1})
-    g45 = next(s for s in sched.ops if s.op.kind == OpKind.GATE2 and set(s.op.qubits) == {4, 5})
+    g01 = next(s for s in sched.ops if s.kind == OpKind.GATE2 and set(s.qubits) == {0, 1})
+    g45 = next(s for s in sched.ops if s.kind == OpKind.GATE2 and set(s.qubits) == {4, 5})
     assert g01.start < g45.end and g45.start < g01.end
 
 
@@ -66,10 +65,10 @@ def test_gates_respect_program_order_per_qubit(worked_circuit, worked_spec):
     _assert_serialized(sched)
     order: dict[int, list[int]] = {}
     for s in sched.ops:
-        if s.op.seq is None:
+        if s.seq is None:
             continue
-        for q in s.op.qubits:
-            order.setdefault(q, []).append(s.op.seq)
+        for q in s.qubits:
+            order.setdefault(q, []).append(s.seq)
     for q, seqs in order.items():
         gate_seqs = [g.seq for g in worked_circuit.gates if q in g.qubits]
         assert seqs == gate_seqs
@@ -77,7 +76,7 @@ def test_gates_respect_program_order_per_qubit(worked_circuit, worked_spec):
 
 def test_every_gate_scheduled_exactly_once(worked_circuit, worked_spec):
     sched = schedule(worked_circuit, sta_place(worked_circuit, worked_spec), worked_spec)
-    seqs = [s.op.seq for s in sched.ops if s.op.seq is not None]
+    seqs = [s.seq for s in sched.ops if s.seq is not None]
     assert sorted(seqs) == list(range(len(worked_circuit.gates)))
 
 
@@ -86,17 +85,17 @@ def test_shuttle_blocks_both_traps():
     c = circuit(4, [("cx", 1, 2), ("cx", 3, 0)])
     sched = schedule(c, Placement(chains=((0, 1), (2, 3))), spec)
     _assert_serialized(sched)
-    shuttle = next(s for s in sched.ops if s.op.kind == OpKind.SHUTTLE)
-    assert set(held(shuttle.op)) == {0, 1}
+    shuttle = next(s for s in sched.ops if s.kind == OpKind.SHUTTLE)
+    assert set(held(shuttle)) == {0, 1}
 
 
 def test_durations_match_occupancy_at_start(movement_circuit, movement_spec, movement_placement):
     sched = schedule(movement_circuit, movement_placement, movement_spec)
     # cx 0 1 runs in trap 0 while it still holds 4 ions
-    g01 = next(s for s in sched.ops if s.op.kind == OpKind.GATE2 and set(s.op.qubits) == {0, 1})
+    g01 = next(s for s in sched.ops if s.kind == OpKind.GATE2 and set(s.qubits) == {0, 1})
     assert g01.end - g01.start == pytest.approx(100e-6 * (1 + 0.05 * 3))
     # cx 2 4 runs in trap 1 after qubit 2 arrives (3 ions)
-    g24 = next(s for s in sched.ops if s.op.kind == OpKind.GATE2 and set(s.op.qubits) == {2, 4})
+    g24 = next(s for s in sched.ops if s.kind == OpKind.GATE2 and set(s.qubits) == {2, 4})
     assert g24.end - g24.start == pytest.approx(100e-6 * (1 + 0.05 * 2))
 
 
@@ -114,10 +113,10 @@ def test_scheduled_durations_equal_timing_model_exactly(topology, slope):
     lengths = set()
     for s in sched.ops:
         occupancy = state.occupancies()
-        assert s.start + op_duration(timing, s.op, occupancy) == s.end
-        if s.op.kind in (OpKind.GATE2, OpKind.SWAP):
-            lengths.add((s.op.kind, occupancy[s.op.trap]))
-        state.apply(s.op)
+        assert s.start + op_duration(timing, s, occupancy) == s.end
+        if s.kind in (OpKind.GATE2, OpKind.SWAP):
+            lengths.add((s.kind, occupancy[s.trap]))
+        state.apply(s)
     assert {kind for kind, _ in lengths} == {OpKind.GATE2, OpKind.SWAP}
     assert len(lengths) >= 6
     assert compute_metrics(sched).shuttles > 0
@@ -137,7 +136,7 @@ def test_single_qubit_gates_are_timed_and_serialized():
     c = circuit(2, [("h", 0), ("h", 0), ("cx", 0, 1)])
     sched = schedule(c, Placement(chains=((0, 1),)), spec)
     _assert_serialized(sched)
-    h0, h1 = (s for s in sched.ops if s.op.kind == OpKind.GATE1)
+    h0, h1 = (s for s in sched.ops if s.kind == OpKind.GATE1)
     assert h0.end - h0.start == pytest.approx(10e-6)
     assert h1.start >= h0.end
 
@@ -157,23 +156,24 @@ def test_schedule_to_text_is_deterministic(movement_circuit, movement_spec, move
 
 
 def test_op_records_are_immutable_hashable_values():
-    op = PhysOp(OpKind.SHUTTLE, (3,), src=0, dst=1)
-    rec = ScheduledOp(op, 0.0, 165e-6)
-    for obj, field in ((op, "kind"), (op, "src"), (rec, "op"), (rec, "end")):
+    assert PhysOp._fields == ("kind", "qubits", "trap", "src", "dst", "seq", "start", "end")
+    op = PhysOp(OpKind.SHUTTLE, (3,), src=0, dst=1, end=165e-6)
+    for field in ("kind", "src", "start", "end"):
         with pytest.raises(AttributeError):
-            setattr(obj, field, None)
-    assert PhysOp(kind=OpKind.SHUTTLE, qubits=(3,), src=0, dst=1) == op
-    assert PhysOp(kind=OpKind.SWAP, qubits=(4, 5), trap=2) == PhysOp(OpKind.SWAP, (4, 5), 2)
-    assert PhysOp(kind=OpKind.GATE1, qubits=(1,), trap=0, seq=7, label="h") == PhysOp(
-        OpKind.GATE1, (1,), 0, seq=7, label="h"
+            setattr(op, field, None)
+    assert PhysOp(kind=OpKind.SHUTTLE, qubits=(3,), src=0, dst=1, start=0.0, end=165e-6) == op
+    assert PhysOp(kind=OpKind.SWAP, qubits=(4, 5), trap=2) == PhysOp(
+        OpKind.SWAP, (4, 5), 2, None, None, None, 0.0, 0.0
     )
-    assert PhysOp(kind=OpKind.GATE2, qubits=(0, 1), trap=2, seq=5, label="cx") == PhysOp(
-        OpKind.GATE2, (0, 1), 2, seq=5, label="cx"
+    assert PhysOp(kind=OpKind.GATE1, qubits=(1,), trap=0, seq=7, start=1e-6, end=11e-6) == PhysOp(
+        OpKind.GATE1, (1,), 0, None, None, 7, 1e-6, 11e-6
     )
-    assert ScheduledOp(op=op, start=0.0, end=165e-6) == rec
-    back = PhysOp(OpKind.SHUTTLE, (3,), src=1, dst=0)
-    assert len({op, PhysOp(OpKind.SHUTTLE, (3,), src=0, dst=1), back}) == 2
-    assert len({rec, ScheduledOp(PhysOp(OpKind.SHUTTLE, (3,), src=0, dst=1), 0.0, 165e-6)}) == 1
+    assert PhysOp(kind=OpKind.GATE2, qubits=(0, 1), trap=2, seq=5, end=1e-4) == PhysOp(
+        OpKind.GATE2, (0, 1), 2, seq=5, end=1e-4
+    )
+    back = op._replace(src=1, dst=0)
+    later = op._replace(start=165e-6, end=330e-6)
+    assert len({op, PhysOp(OpKind.SHUTTLE, (3,), src=0, dst=1, end=165e-6), back, later}) == 3
     gate = Gate(label="cx", qubits=(0, 1), seq=4)
     for field in ("label", "qubits", "seq"):
         with pytest.raises(AttributeError):
@@ -258,9 +258,50 @@ def test_device_state_applies_only_movement_ops(monkeypatch, movement_circuit, m
 
     monkeypatch.setattr(DeviceState, "apply", spy)
     sched = schedule(movement_circuit, movement_placement, movement_spec)
-    moves = [s.op for s in sched.ops if s.op.kind in (OpKind.SWAP, OpKind.SHUTTLE)]
+    moves = [s for s in sched.ops if s.kind in (OpKind.SWAP, OpKind.SHUTTLE)]
     assert moves and applied == moves
     assert len(sched.ops) == len(moves) + len(movement_circuit.gates)
+
+
+def test_routed_records_are_the_schedules_own_records(monkeypatch):
+    # one record per op: what resolve_gate returns is what the schedule holds
+    returned = []
+    original = scheduling.resolve_gate
+
+    def spy(*args):
+        ops = original(*args)
+        returned.extend(ops)
+        return ops
+
+    monkeypatch.setattr(scheduling, "resolve_gate", spy)
+    spec = _spec(4, 5, 1)
+    circ = generate("rnd", 16, gates=200, seed=2)
+    sched = schedule(circ, place(circ, spec, "sta"), spec)
+    assert all(type(op) is PhysOp for op in sched.ops)
+    moves = [op for op in sched.ops if op.kind in (OpKind.SWAP, OpKind.SHUTTLE)]
+    assert len(returned) == len(moves) > 0
+    assert all(r is m for r, m in zip(returned, moves))
+
+
+def test_duration_tables_are_sized_by_the_circuit_not_the_capacity(monkeypatch):
+    # a chain never holds more ions than the circuit has qubits, so a huge
+    # trap capacity must not make the scheduler or verifier tabulate more
+    calls = []
+    original = TimingModel.two_qubit
+
+    def spy(self, chain_length):
+        calls.append(chain_length)
+        return original(self, chain_length)
+
+    monkeypatch.setattr(TimingModel, "two_qubit", spy)
+    spec = _spec(2, 100_000, 0)
+    circ = generate("qft", 8)
+    pl = Placement(chains=((0, 1, 2, 3), (4, 5, 6, 7)))
+    sched = schedule(circ, pl, spec)
+    assert compute_metrics(sched).shuttles > 0
+    assert verify_schedule(sched, circ, pl, spec).ok
+    assert max(calls) <= circ.n_qubits
+    assert len(calls) <= 4 * (circ.n_qubits + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +393,16 @@ def _rescan_schedule(circ, placement, spec, lookahead):
         state.apply(op)
         for t in held(op):
             trap_free[t] = end
-        out.append(ScheduledOp(op=op, start=start, end=end))
-        return end
+        out.append(op._replace(start=start, end=end))
+        return out[-1]
 
     cursor = 0.0
 
-    def commit_move(op):
+    def commit_move(*fields):
         nonlocal cursor
-        cursor = commit_op(op, cursor)
+        rec = commit_op(PhysOp(*fields), cursor)
+        cursor = rec.end
+        return rec
 
     available = [g.seq for g in circ.gates if remaining[g.seq] == 0]
     ready_at = {s: 0.0 for s in available}
@@ -377,12 +420,12 @@ def _rescan_schedule(circ, placement, spec, lookahead):
                 cursor = clock
                 if len(traps) == 2:
                     resolve_gate(g, state, tracker, spec, commit_move)
-                gate = PhysOp(OpKind.GATE2, (a, b), state.trap_of(a), seq=seq, label=g.label)
-                end = commit_op(gate, cursor)
+                gate = PhysOp(OpKind.GATE2, (a, b), state.trap_of(a), seq=seq)
+                end = commit_op(gate, cursor).end
             else:
                 q = g.qubits[0]
-                gate = PhysOp(OpKind.GATE1, (q,), state.trap_of(q), seq=seq, label=g.label)
-                end = commit_op(gate, clock)
+                gate = PhysOp(OpKind.GATE1, (q,), state.trap_of(q), seq=seq)
+                end = commit_op(gate, clock).end
             end_of[seq] = end
             tracker.mark_done(seq)
             available.remove(seq)
@@ -425,8 +468,8 @@ def test_gate_waits_only_for_the_previous_gate_on_each_operand():
         c = circuit(sum(map(len, chains)), gates)
         pl = Placement(chains=chains)
         sched = schedule(c, pl, spec)
-        runs = [s for s in sched.ops if s.op.seq is not None]
-        assert [s.op.seq for s in runs] == list(range(len(gates)))
+        runs = [s for s in sched.ops if s.seq is not None]
+        assert [s.seq for s in runs] == list(range(len(gates)))
         for seq, prev in after.items():
             assert runs[seq].start == (0.0 if prev is None else runs[prev].end)
         assert schedule_to_text(sched) == schedule_to_text(_rescan_schedule(c, pl, spec, DEFAULT_LOOKAHEAD))
@@ -442,10 +485,10 @@ def test_gate_waits_for_operand_moved_by_lower_seq_eviction():
     c = circuit(7, [("cx", 0, 1), ("cx", 3, 4), ("cx", 3, 0), ("h", 2)])
     pl = Placement(chains=((0, 1, 2), (3, 4), (5, 6)))
     sched = schedule(c, pl, spec)
-    h2 = next(s for s in sched.ops if s.op.seq == 3)
-    eviction = next(s for s in sched.ops if s.op.kind is OpKind.SHUTTLE and s.op.qubits == (2,))
-    assert (eviction.op.src, eviction.op.dst, eviction.start) == (0, 1, pytest.approx(110e-6))
-    assert h2.op.trap == 1
+    h2 = next(s for s in sched.ops if s.seq == 3)
+    eviction = next(s for s in sched.ops if s.kind is OpKind.SHUTTLE and s.qubits == (2,))
+    assert (eviction.src, eviction.dst, eviction.start) == (0, 1, pytest.approx(110e-6))
+    assert h2.trap == 1
     assert h2.start == pytest.approx(770e-6)
     assert schedule_to_text(sched) == schedule_to_text(_rescan_schedule(c, pl, spec, DEFAULT_LOOKAHEAD))
     assert verify_schedule(sched, c, pl, spec).ok
@@ -529,7 +572,7 @@ def _evictions(sched) -> int:
 
     The router commits a gate's movement ops just before the gate itself.
     """
-    ops = [s.op for s in sched.ops]
+    ops = sched.ops
     count = 0
     for i, op in enumerate(ops):
         if op.kind is OpKind.SHUTTLE:
@@ -564,11 +607,10 @@ def _reference_schedule_to_text(sched):
     """The writer that formats both times of every row afresh."""
     lines = ["start_us,end_us,kind,qubits,traps"]
     name = {kind: kind.value for kind in OpKind}
-    for s in sched.ops:
-        op = s.op
+    for op in sched.ops:
         traps = f"{op.src}:{op.dst}" if op.kind is OpKind.SHUTTLE else op.trap
         qubits = ":".join(map(str, op.qubits))
-        lines.append(f"{s.start * 1e6:.3f},{s.end * 1e6:.3f},{name[op.kind]},{qubits},{traps}")
+        lines.append(f"{op.start * 1e6:.3f},{op.end * 1e6:.3f},{name[op.kind]},{qubits},{traps}")
     m = compute_metrics(sched)
     lines.append(f"# total_time_us={m.total_time * 1e6:.3f}")
     lines.append(f"# shuttles={m.shuttles}")
@@ -588,7 +630,7 @@ def test_schedule_to_text_matches_reference_writer(case):
 
 def test_schedule_to_text_reuses_only_the_previous_rows_end():
     def rec(op, start, end):
-        return ScheduledOp(op, start, end)
+        return op._replace(start=start, end=end)
 
     sched = Schedule(
         ops=(

@@ -17,7 +17,7 @@ from qccdmap.circuits import circuit
 from qccdmap.cli import run_compile
 from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, TimingModel, Topology
 from qccdmap.placement import Placement, place
-from qccdmap.scheduling import Schedule, ScheduledOp, schedule, verify_schedule
+from qccdmap.scheduling import Schedule, schedule, verify_schedule
 from reference import held, op_duration
 from test_scheduling import _compile_case
 
@@ -64,7 +64,7 @@ def _valid(movement_circuit, movement_spec, movement_placement):
 
 def test_mutation_gate_deletion_is_caught(movement_circuit, movement_spec, movement_placement):
     sched = _valid(movement_circuit, movement_spec, movement_placement)
-    drop = next(i for i, s in enumerate(sched.ops) if s.op.kind is OpKind.GATE2)
+    drop = next(i for i, s in enumerate(sched.ops) if s.kind is OpKind.GATE2)
     mutated = Schedule(ops=sched.ops[:drop] + sched.ops[drop + 1 :])
     v = verify_schedule(mutated, movement_circuit, movement_placement, movement_spec)
     assert not v.ok
@@ -77,13 +77,13 @@ def test_mutation_time_shift_is_caught(movement_circuit, movement_spec, movement
     target = None
     for prev, cur in zip(by_start, by_start[1:]):
         a, b = sched.ops[prev], sched.ops[cur]
-        if set(held(a.op)) & set(held(b.op)) and b.start >= a.end and b.start - 1e-5 > a.start:
+        if set(held(a)) & set(held(b)) and b.start >= a.end and b.start - 1e-5 > a.start:
             target = (a, cur)
             break
     assert target is not None
     a, cur = target
     b = sched.ops[cur]
-    shifted = ScheduledOp(b.op, b.start - 1e-5, b.end - 1e-5)
+    shifted = b._replace(start=b.start - 1e-5, end=b.end - 1e-5)
     mutated = Schedule(ops=sched.ops[:cur] + (shifted,) + sched.ops[cur + 1 :])
     v = verify_schedule(mutated, movement_circuit, movement_placement, movement_spec)
     assert not v.ok
@@ -98,7 +98,7 @@ def test_mutation_trap_overflow_is_caught():
     t0 = sched.makespan
     pushed = PhysOp(OpKind.SHUTTLE, (3,), src=1, dst=0)
     dur = op_duration(spec.timing, pushed, [3, 1])
-    mutated = Schedule(ops=sched.ops + (ScheduledOp(pushed, t0, t0 + dur),))
+    mutated = Schedule(ops=sched.ops + (pushed._replace(start=t0, end=t0 + dur),))
     v = verify_schedule(mutated, circ, pl, spec)
     assert not v.ok
     assert "full" in v.reason or "capacity" in v.reason
@@ -112,11 +112,11 @@ def test_mutation_program_order_swap_is_caught():
     spec = DeviceSpec(topology=Topology.LINEAR, n_traps=1, capacity=2, excess_capacity=0)
     sched = schedule(circ, pl, spec)
     assert verify_schedule(sched, circ, pl, spec).ok
-    i, j = [k for k, s in enumerate(sched.ops) if s.op.kind is OpKind.GATE1]
+    i, j = [k for k, s in enumerate(sched.ops) if s.kind is OpKind.GATE1]
     ops = list(sched.ops)
     ops[i], ops[j] = (
-        ScheduledOp(ops[i].op._replace(seq=ops[j].op.seq), ops[i].start, ops[i].end),
-        ScheduledOp(ops[j].op._replace(seq=ops[i].op.seq), ops[j].start, ops[j].end),
+        ops[i]._replace(seq=ops[j].seq),
+        ops[j]._replace(seq=ops[i].seq),
     )
     v = verify_schedule(Schedule(ops=tuple(ops)), circ, pl, spec)
     assert not v.ok
@@ -125,9 +125,9 @@ def test_mutation_program_order_swap_is_caught():
 
 def test_verdict_reports_offending_op(movement_circuit, movement_spec, movement_placement):
     sched = _valid(movement_circuit, movement_spec, movement_placement)
-    idx = next(i for i, s in enumerate(sched.ops) if s.op.kind is OpKind.GATE2)
+    idx = next(i for i, s in enumerate(sched.ops) if s.kind is OpKind.GATE2)
     s = sched.ops[idx]
-    stretched = ScheduledOp(s.op, s.start, s.end + 5e-5)
+    stretched = s._replace(end=s.end + 5e-5)
     mutated = Schedule(ops=sched.ops[:idx] + (stretched,) + sched.ops[idx + 1 :])
     v = verify_schedule(mutated, movement_circuit, movement_placement, movement_spec)
     assert not v.ok
@@ -150,12 +150,12 @@ def test_duration_is_checked_at_occupancy_where_op_starts():
     pl = Placement(chains=((0, 1), (2,)))
     sched = schedule(circ, pl, spec)
     assert verify_schedule(sched, circ, pl, spec).ok
-    idx = next(i for i, s in enumerate(sched.ops) if s.op.kind is OpKind.GATE2)
+    idx = next(i for i, s in enumerate(sched.ops) if s.kind is OpKind.GATE2)
     gate, shuttle = sched.ops[idx], sched.ops[idx - 1]
-    assert shuttle.op.kind is OpKind.SHUTTLE and shuttle.op.dst == gate.op.trap
+    assert shuttle.kind is OpKind.SHUTTLE and shuttle.dst == gate.trap
     assert gate.start == shuttle.end
     before = [len(c) for c in pl.chains]
-    stale = ScheduledOp(gate.op, gate.start, gate.start + op_duration(spec.timing, gate.op, before))
+    stale = gate._replace(end=gate.start + op_duration(spec.timing, gate, before))
     assert stale.end != gate.end
     mutated = Schedule(ops=sched.ops[:idx] + (stale,) + sched.ops[idx + 1 :])
     v = verify_schedule(mutated, circ, pl, spec)
@@ -170,12 +170,12 @@ def test_duration_is_checked_at_occupancy_where_op_starts():
     pl = Placement(chains=((0, 1), (3, 2)))
     sched = schedule(circ, pl, spec)
     assert verify_schedule(sched, circ, pl, spec).ok
-    idx = next(i for i, s in enumerate(sched.ops) if s.op.kind is OpKind.SWAP)
+    idx = next(i for i, s in enumerate(sched.ops) if s.kind is OpKind.SWAP)
     swap = sched.ops[idx]
-    assert not any(set(held(s.op)) & set(held(swap.op)) for s in sched.ops[:idx])
-    n = len(pl.chains[swap.op.trap])
+    assert not any(set(held(s)) & set(held(swap)) for s in sched.ops[:idx])
+    n = len(pl.chains[swap.trap])
     assert swap.end - swap.start == timing.swap(n)
-    short = ScheduledOp(swap.op, swap.start, swap.start + timing.swap(n - 1))
+    short = swap._replace(end=swap.start + timing.swap(n - 1))
     mutated = Schedule(ops=sched.ops[:idx] + (short,) + sched.ops[idx + 1 :])
     v = verify_schedule(mutated, circ, pl, spec)
     assert not v.ok
@@ -193,7 +193,7 @@ def test_invalid_ops_with_equal_starts_report_the_lower_index():
     assert verify_schedule(sched, circ, pl, spec).ok
     assert [s.start for s in sched.ops] == [0.0, 0.0]
     for ops in (sched.ops, sched.ops[::-1]):
-        stretched = tuple(ScheduledOp(s.op, s.start, s.end + 5e-5) for s in ops)
+        stretched = tuple(s._replace(end=s.end + 5e-5) for s in ops)
         v = verify_schedule(Schedule(ops=stretched), circ, pl, spec)
         assert not v.ok
         assert "does not match timing model" in v.reason
@@ -212,7 +212,7 @@ def test_long_schedule_verifies_despite_rounding_at_large_start():
     # is still rejected
     last = sched.ops[-1]
     assert last.start > 300.0
-    stretched = ScheduledOp(last.op, last.start, last.end + 1e-9)
+    stretched = last._replace(end=last.end + 1e-9)
     v = verify_schedule(Schedule(ops=sched.ops[:-1] + (stretched,)), circ, pl, spec)
     assert not v.ok
     assert "does not match timing model" in v.reason
@@ -233,39 +233,40 @@ def _mutate(sched: Schedule, circ, spec, rng: random.Random, how: str) -> Schedu
     """One seeded single-op mutation of a schedule."""
     ops = list(sched.ops)
     i = rng.randrange(len(ops))
-    op, start, end = ops[i]
+    op = ops[i]
+    start, end = op.start, op.end
     if how == "shift":
         # a small step either way, or to where another op starts
         delta = rng.choice((-1, 1)) * rng.choice((1e-6, 1e-5, 1e-4, end - start))
         if rng.random() < 0.3:
             delta = rng.choice(ops).start - start
-        ops[i] = ScheduledOp(op, start + delta, end + delta)
+        ops[i] = op._replace(start=start + delta, end=end + delta)
     elif how == "stretch":
-        ops[i] = ScheduledOp(op, start, end + rng.choice((1e-9, 5e-5, (start - end) / 2, start - end)))
+        ops[i] = op._replace(end=end + rng.choice((1e-9, 5e-5, (start - end) / 2, start - end)))
     elif how == "retrap":
         name = rng.choice(("src", "dst")) if op.kind is OpKind.SHUTTLE else "trap"
         value = rng.choice((None, -1, spec.n_traps, *range(spec.n_traps)))
-        ops[i] = ScheduledOp(op._replace(**{name: value}), start, end)
+        ops[i] = op._replace(**{name: value})
     elif how == "reverse":
-        shuttles = [j for j, s in enumerate(ops) if s.op.kind is OpKind.SHUTTLE]
+        shuttles = [j for j, s in enumerate(ops) if s.kind is OpKind.SHUTTLE]
         if shuttles:
             j = rng.choice(shuttles)
             s = ops[j]
-            ops[j] = ScheduledOp(s.op._replace(src=s.op.dst, dst=s.op.src), s.start, s.end)
+            ops[j] = s._replace(src=s.dst, dst=s.src)
     elif how == "drop":
         del ops[i]
     elif how == "duplicate":
         # at the same time, or once the schedule is over
         late = sched.makespan - start
-        copy = ScheduledOp(op, start + late, end + late) if rng.random() < 0.5 else ops[i]
+        copy = op._replace(start=start + late, end=end + late) if rng.random() < 0.5 else ops[i]
         ops.insert(rng.randrange(len(ops) + 1), copy)
     elif how == "swap_seqs":
-        gates = [j for j, s in enumerate(ops) if s.op.seq is not None]
+        gates = [j for j, s in enumerate(ops) if s.seq is not None]
         if len(gates) >= 2:
             j, k = rng.sample(gates, 2)
             a, b = ops[j], ops[k]
-            ops[j] = ScheduledOp(a.op._replace(seq=b.op.seq), a.start, a.end)
-            ops[k] = ScheduledOp(b.op._replace(seq=a.op.seq), b.start, b.end)
+            ops[j] = a._replace(seq=b.seq)
+            ops[k] = b._replace(seq=a.seq)
     elif how == "swap_qubits":
         qubits = list(op.qubits)
         if len(qubits) == 2 and rng.random() < 0.5:
@@ -273,14 +274,14 @@ def _mutate(sched: Schedule, circ, spec, rng: random.Random, how: str) -> Schedu
         else:
             # another ion, or one that no trap holds
             qubits[rng.randrange(len(qubits))] = rng.randrange(circ.n_qubits + 1)
-        ops[i] = ScheduledOp(op._replace(qubits=tuple(qubits)), start, end)
+        ops[i] = op._replace(qubits=tuple(qubits))
     elif how == "rekind":
         # another kind, or a value that is no kind; a one-qubit gate is
         # retimed so that the checks after the duration check see it
         kind = rng.choice((*OpKind, "gate1"))
         if kind is OpKind.GATE1:
             end = start + spec.timing.one_qubit
-        ops[i] = ScheduledOp(op._replace(kind=kind), start, end)
+        ops[i] = op._replace(kind=kind, end=end)
     else:
         raise ValueError(how)
     return Schedule(ops=tuple(ops))
@@ -360,7 +361,7 @@ def test_wrong_landing_end_across_a_ring_wrap_is_caught(monkeypatch):
     pl = Placement(chains=((0, 1), (2,), (4, 3)))
     monkeypatch.setattr(DeviceState, "apply", lands_on_the_far_end)
     sched = schedule(circ, pl, spec)
-    assert [s.op for s in sched.ops if s.op.kind is OpKind.SHUTTLE] == [
+    assert [s._replace(start=0.0, end=0.0) for s in sched.ops if s.kind is OpKind.SHUTTLE] == [
         PhysOp(OpKind.SHUTTLE, (0,), src=0, dst=2),
         PhysOp(OpKind.SHUTTLE, (0,), src=2, dst=1),
     ]
@@ -391,11 +392,8 @@ def test_shuttle_into_a_full_trap_is_caught(monkeypatch):
     state.apply(pushed)  # the buggy model lets the ion in
     assert state.chains[0] == [0, 1, 2, 3]
     shuttle = spec.timing.shuttle
-    gate = PhysOp(OpKind.GATE1, (3,), trap=0, seq=0, label="h")
-    sched = Schedule(ops=(
-        ScheduledOp(pushed, 0.0, shuttle),
-        ScheduledOp(gate, shuttle, shuttle + spec.timing.one_qubit),
-    ))
+    gate = PhysOp(OpKind.GATE1, (3,), trap=0, seq=0, start=shuttle, end=shuttle + spec.timing.one_qubit)
+    sched = Schedule(ops=(pushed._replace(end=shuttle), gate))
     v = verify_schedule(sched, circ, pl, spec)
     assert (v.ok, v.reason, v.op_index) == (False, "illegal op: shuttle destination trap 0 is full", 0)
 
@@ -412,12 +410,9 @@ def test_swap_in_a_trap_that_does_not_hold_its_ions_is_caught(monkeypatch):
     pl = Placement(chains=((0, 1), (2, 3)))
     # the SWAP names trap 1 but exchanges ions 0 and 1 of trap 0; it is timed
     # at trap 1's chain length, so only the trap check can catch it
-    swap = PhysOp(OpKind.SWAP, (0, 1), trap=1)
     t = spec.timing.swap(2)
-    gate = PhysOp(OpKind.GATE2, (0, 1), trap=0, seq=0, label="cx")
-    sched = Schedule(ops=(
-        ScheduledOp(swap, 0.0, t),
-        ScheduledOp(gate, t, t + spec.timing.two_qubit(2)),
-    ))
+    swap = PhysOp(OpKind.SWAP, (0, 1), trap=1, end=t)
+    gate = PhysOp(OpKind.GATE2, (0, 1), trap=0, seq=0, start=t, end=t + spec.timing.two_qubit(2))
+    sched = Schedule(ops=(swap, gate))
     v = verify_schedule(sched, circ, pl, spec)
     assert (v.ok, v.reason, v.op_index) == (False, "illegal op: swap trap 1 does not hold ions 0,1", 0)
