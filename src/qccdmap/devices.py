@@ -131,9 +131,10 @@ def shortest_path(spec: DeviceSpec, a: int, b: int) -> tuple[int, ...]:
     t = spec.n_traps
     fwd = (b - a) % t
     bwd = (a - b) % t
+    # Each direction is at most two index runs, split where it wraps.
     if fwd <= bwd:
-        return tuple((a + i) % t for i in range(fwd + 1))
-    return tuple((a - i) % t for i in range(bwd + 1))
+        return (*range(a, min(a + fwd, t - 1) + 1), *range(a + fwd + 1 - t))
+    return (*range(a, max(a - bwd, 0) - 1, -1), *range(t - 1, a - bwd + t - 1, -1))
 
 
 def facing_end(spec: DeviceSpec, trap: int, neighbor: int) -> str:
@@ -150,6 +151,11 @@ class OpKind(Enum):
     GATE2 = "gate2"
     SWAP = "swap"
     SHUTTLE = "shuttle"
+
+
+# The kinds as plain module globals for the per-op paths: on CPython 3.11 an
+# Enum member read through its class costs several times a global read.
+_GATE1, _GATE2, _SWAP, _SHUTTLE = OpKind.GATE1, OpKind.GATE2, OpKind.SWAP, OpKind.SHUTTLE
 
 
 class PhysOp(NamedTuple):
@@ -212,59 +218,62 @@ class DeviceState:
             raise DeviceOpError(f"qubit {qubit} is not on the device")
 
     def apply(self, op: PhysOp) -> None:
-        kind = op.kind
+        # One unpack, not an attribute lookup per field: this runs once per
+        # SWAP and shuttle.
+        kind, qubits, trap, src, dst, _, _, _ = op
         trap_of = self._trap_of
+        chains = self.chains
         try:
-            if kind is OpKind.SHUTTLE:
-                q = op.qubits[0]
-                src, dst = op.src, op.dst
+            if kind is _SHUTTLE:
+                q = qubits[0]
                 # One facing lookup both tests adjacency and gives the exit end.
-                facing = self.spec._facing
+                spec = self.spec
+                facing = spec._facing
                 exit_end = facing.get((src, dst))
                 if exit_end is None:
-                    self.spec._check_trap(src)
+                    spec._check_trap(src)
                     raise DeviceOpError(f"shuttle between non-adjacent traps {src} and {dst}")
                 if trap_of[q] != src:
                     raise DeviceOpError(f"shuttle qubit {q} is not in source trap {src}")
-                chain = self.chains[src]
+                chain, landing = chains[src], chains[dst]
                 bpos = len(chain) - 1 if exit_end == "right" else 0
                 if chain[bpos] != q:
                     raise DeviceOpError(
                         f"shuttle qubit {q} is not at the boundary of trap {src} facing trap {dst}"
                     )
-                if len(self.chains[dst]) >= self.spec.capacity:
+                if len(landing) >= spec.capacity:
                     raise DeviceOpError(f"shuttle destination trap {dst} is full")
                 chain.pop(bpos)
                 if facing[dst, src] == "left":
-                    self.chains[dst].insert(0, q)
+                    landing.insert(0, q)
                 else:
-                    self.chains[dst].append(q)
+                    landing.append(q)
                 trap_of[q] = dst
-            elif kind is OpKind.SWAP:
+            elif kind is _SWAP:
                 # All-to-all connectivity inside a trap: a SWAP gate exchanges the
                 # chain positions of any two resident ions.
-                if len(op.qubits) != 2 or op.qubits[0] == op.qubits[1]:
-                    raise DeviceOpError(f"swap needs two distinct ions, got {op.qubits}")
-                a, b = op.qubits
+                if len(qubits) != 2 or qubits[0] == qubits[1]:
+                    raise DeviceOpError(f"swap needs two distinct ions, got {qubits}")
+                a, b = qubits
                 ta, tb = trap_of[a], trap_of[b]
                 if ta != tb:
                     raise DeviceOpError(f"swap ions {a},{b} not co-trapped (traps {ta},{tb})")
-                if op.trap is not None and op.trap != ta:
-                    raise DeviceOpError(f"swap trap {op.trap} does not hold ions {a},{b}")
-                chain = self.chains[ta]
+                if trap is not None and trap != ta:
+                    raise DeviceOpError(f"swap trap {trap} does not hold ions {a},{b}")
+                chain = chains[ta]
                 pa, pb = chain.index(a), chain.index(b)
                 chain[pa], chain[pb] = b, a
-            elif kind is OpKind.GATE2:
-                a, b = op.qubits
+            elif kind is _GATE2:
+                a, b = qubits
                 ta, tb = trap_of[a], trap_of[b]
                 if ta != tb:
                     raise DeviceOpError(f"gate2 operands {a},{b} not co-trapped (traps {ta},{tb})")
-                if op.trap is not None and op.trap != ta:
-                    raise DeviceOpError(f"gate2 trap {op.trap} does not hold operands {a},{b}")
-            elif kind is OpKind.GATE1:
-                t = trap_of[op.qubits[0]]
-                if op.trap is not None and op.trap != t:
-                    raise DeviceOpError(f"gate1 trap {op.trap} does not hold qubit {op.qubits[0]}")
+                if trap is not None and trap != ta:
+                    raise DeviceOpError(f"gate2 trap {trap} does not hold operands {a},{b}")
+            elif kind is _GATE1:
+                t = trap_of[qubits[0]]
+                if trap is not None and trap != t:
+                    raise DeviceOpError(f"gate1 trap {trap} does not hold qubit {qubits[0]}")
             else:  # pragma: no cover - enum is closed
                 raise DeviceOpError(f"unknown op kind {kind}")
         except KeyError as exc:

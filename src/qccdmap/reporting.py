@@ -119,10 +119,14 @@ def emit(records: list[RunRecord], fmt: str = "csv", include_wall_clock: bool = 
 def _write(rows: list[dict], columns: list[str], fmt: str) -> str:
     """Render rows as CSV or JSON text with the given column order."""
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-        return "\n".join(lines) + "\n"
+        # csv.writer quotes a field holding a comma, quote or newline (a
+        # label or a command-line token can), so every row keeps the
+        # header's width; other fields are written as they are.
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+        return out.getvalue()
     if fmt == "json":
         payload = []
         for row in rows:

@@ -27,6 +27,10 @@ from .errors import DeadlockError, InputError, QccdError
 # few gates actually happen.
 DEFAULT_LOOKAHEAD = 4
 
+# Module globals for the per-op paths: on CPython 3.11 an Enum member read
+# through its class costs several times a global read.
+_SWAP, _SHUTTLE = OpKind.SWAP, OpKind.SHUTTLE
+
 
 class PendingTracker:
     """Remaining two-qubit work per qubit, in program order.
@@ -45,11 +49,15 @@ class PendingTracker:
             raise InputError(f"lookahead must be positive, got {lookahead}")
         self.lookahead = lookahead
         self._per_qubit: list[list[tuple[int, int]]] = [[] for _ in range(circ.n_qubits)]
+        # The partner column of _per_qubit, for membership tests on a window.
+        self._partners: list[list[int]] = [[] for _ in range(circ.n_qubits)]
         for g in circ.gates:
             if len(g.qubits) == 2:
                 a, b = g.qubits
                 self._per_qubit[a].append((g.seq, b))
                 self._per_qubit[b].append((g.seq, a))
+                self._partners[a].append(b)
+                self._partners[b].append(a)
         self._operands = [g.qubits if len(g.qubits) == 2 else () for g in circ.gates]
         self._heads: list[int] = [0] * circ.n_qubits
 
@@ -76,6 +84,13 @@ class PendingTracker:
             return entries[head:]
         return entries[head : head + self.lookahead]
 
+    def pending_partners(self, qubit: int) -> list[int]:
+        """The partners of ``pending_gates(qubit)``, in the same order."""
+        head = self._heads[qubit]
+        if self.lookahead is None:
+            return self._partners[qubit][head:]
+        return self._partners[qubit][head : head + self.lookahead]
+
 
 @dataclass(frozen=True)
 class MoveDecision:
@@ -97,8 +112,11 @@ def _score(
     # +1 per pending partner already in the destination, -1 per partner this
     # move would leave behind in the current trap.
     s = 0
+    # Every partner is a circuit qubit, placed and only ever moved between
+    # traps, so the map is read directly.
+    trap_of = state._trap_of
     for _, partner in tracker.pending_gates(qubit, exclude_seq=exclude_seq):
-        t = state.trap_of(partner)
+        t = trap_of[partner]
         if t == dest_trap:
             s += 1
         elif t == own_trap:
@@ -144,9 +162,12 @@ def _walk_to_boundary(
     with whatever ion currently holds the boundary slot; no op is needed when
     the qubit is already there.
     """
-    occupant = _exit_ion(state, trap, neighbor)
+    # _exit_ion inlined: this runs before every shuttle.
+    chain = state.chains[trap]
+    end = state.spec._facing.get((trap, neighbor)) or facing_end(state.spec, trap, neighbor)
+    occupant = chain[-1] if end == "right" else chain[0]
     if occupant != qubit:
-        commit(OpKind.SWAP, (qubit, occupant), trap, None, None)
+        commit(_SWAP, (qubit, occupant), trap, None, None)
 
 
 def _attachment(qubit: int, residents: set[int], tracker: PendingTracker) -> tuple[int, int]:
@@ -167,10 +188,7 @@ def _attachment(qubit: int, residents: set[int], tracker: PendingTracker) -> tup
 
 def _unattached(qubit: int, residents: set[int], tracker: PendingTracker) -> bool:
     """No pending partner of qubit is among residents; _attachment's window."""
-    for _, p in tracker.pending_gates(qubit):
-        if p in residents:
-            return False
-    return True
+    return residents.isdisjoint(tracker.pending_partners(qubit))
 
 
 def _require_unpinned(state: DeviceState, trap: int, avoid: frozenset[int]) -> None:
@@ -239,7 +257,7 @@ def _evict_one(
                     key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
                 )
         _walk_to_boundary(state, victim, src, dest, commit)
-        commit(OpKind.SHUTTLE, (victim,), None, src, dest)
+        commit(_SHUTTLE, (victim,), None, src, dest)
 
 
 def resolve_gate(
@@ -268,5 +286,5 @@ def resolve_gate(
         if len(state.chains[nxt]) >= spec.capacity:
             _evict_one(state, spec, nxt, avoid, tracker, record, frozenset(path[i + 2 :]))
         _walk_to_boundary(state, mover, cur, nxt, record)
-        record(OpKind.SHUTTLE, (mover,), None, cur, nxt)
+        record(_SHUTTLE, (mover,), None, cur, nxt)
     return ops

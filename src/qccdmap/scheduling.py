@@ -29,9 +29,10 @@ at the same time sees it paused too.
 It replays the ops in start order on a chain model of its own, written from
 the facing rule in ``devices.py`` and sharing no code with ``DeviceState``,
 which only the scheduler mutates: per-trap chain lists copied from the
-placement, a qubit-to-trap dict, and a table of shuttle exit and landing ends
-built from the trap count and topology. It times each op from its own
-duration tables, built from the ``TimingModel``.
+placement, a qubit-to-trap dict, and per-trap right and left neighbour lists
+built from the trap count and topology, which give each shuttle's exit and
+landing ends. It times each op from its own duration tables, built from the
+``TimingModel``.
 """
 from __future__ import annotations
 
@@ -55,14 +56,14 @@ class Schedule:
 
     @property
     def makespan(self) -> float:
-        return max((s.end for s in self.ops), default=0.0)
+        return max(map(itemgetter(7), self.ops), default=0.0)
 
     @cached_property
     def metrics(self) -> Metrics:
         """Op counts by kind and the makespan, counted on first use and kept,
         so the run report and the schedule writer share one pass."""
         # list.count compares by identity first, so no Enum is hashed per op.
-        kinds = [op.kind for op in self.ops]
+        kinds = list(map(itemgetter(0), self.ops))
         return Metrics(
             total_time=self.makespan,
             shuttles=kinds.count(OpKind.SHUTTLE),
@@ -165,6 +166,7 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     apply = state.apply
     record = out.append
     SHUTTLE, GATE1, GATE2 = OpKind.SHUTTLE, OpKind.GATE1, OpKind.GATE2
+    inf = math.inf
     # Where the next movement op may start. A split gate sets it to the clock
     # tick it was taken at; its movement ops, then the gate itself, each start
     # no earlier than the op before.
@@ -174,17 +176,26 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
         """Time a SWAP or shuttle at the first moment from cursor on that its
         traps are free, apply and return its record, and advance cursor."""
         nonlocal cursor
+        # Plain comparisons, not max(): this runs once per SWAP and shuttle.
+        start = cursor
         if kind is SHUTTLE:
-            start = max(cursor, trap_free[src], trap_free[dst])
+            free = trap_free[src]
+            if free > start:
+                start = free
+            free = trap_free[dst]
+            if free > start:
+                start = free
             dur = shuttle_time
             cursor = trap_free[src] = trap_free[dst] = start + dur
         else:
-            start = max(cursor, trap_free[t])
+            free = trap_free[t]
+            if free > start:
+                start = free
             dur = swap_time[len(chains[t])]
             cursor = trap_free[t] = start + dur
         # A duration far below the float spacing at start is lost in the sum,
         # and a huge one overflows it; either would record a wrong duration.
-        if not start < cursor < math.inf:
+        if not start < cursor < inf:
             raise _no_end(len(out), start, dur)
         op = new_record(PhysOp, (kind, qubits, t, src, dst, None, start, cursor))
         apply(op)
@@ -214,7 +225,9 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
                 ta = tb = trap_of[q]
         except KeyError as exc:
             raise DeviceOpError(f"qubit {exc.args[0]} is not on the device") from None
-        free = max(trap_free[ta], trap_free[tb])
+        free, free_b = trap_free[ta], trap_free[tb]
+        if free_b > free:
+            free = free_b
         if free > clock:
             heapreplace(wake, (free, seq))
             continue
@@ -228,14 +241,16 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
                 ta, tb = trap_of[a], trap_of[b]
                 if ta != tb:
                     raise DeviceOpError(f"gate2 operands {a},{b} not co-trapped (traps {ta},{tb})")
-                start = max(cursor, trap_free[ta])
+                start = trap_free[ta]
+                if cursor > start:
+                    start = cursor
             else:
                 start = clock
             kind, dur = GATE2, gate2_time[len(chains[ta])]
         else:
             kind, start, dur = GATE1, clock, gate1_time
         end = start + dur
-        if not start < end < math.inf:
+        if not start < end < inf:
             raise _no_end(len(out), start, dur)
         trap_free[ta] = end
         record(new_record(PhysOp, (kind, qubits, ta, None, None, seq, start, end)))
@@ -246,7 +261,12 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
             if nxt is not None:
                 waiting[nxt] -= 1
                 if waiting[nxt] == 0:
-                    heappush(wake, (max([qubit_end[p] for p in gates[nxt].qubits]), nxt))
+                    # The later of its operands' ends; q's is end itself.
+                    ready = end
+                    for p in gates[nxt][1]:
+                        if qubit_end[p] > ready:
+                            ready = qubit_end[p]
+                    heappush(wake, (ready, nxt))
     if any(waiting):
         raise QccdError("scheduler stalled: gates remain but none can become ready")
     return Schedule(ops=tuple(out))
@@ -279,7 +299,7 @@ def verify_schedule(
 
     The replay runs on the verifier's own chain model, written from the
     device rules in ``devices.py`` rather than shared with the scheduler:
-    per-trap chain lists, a qubit-to-trap dict and a table of shuttle ends.
+    per-trap chain lists, a qubit-to-trap dict and per-trap neighbour lists.
     An illegal op is reported in the device model's wording.
     """
     try:
@@ -292,17 +312,15 @@ def verify_schedule(
     n_traps, capacity = spec.n_traps, spec.capacity
     # Shuttle ends. Chains run left to right by trap index, and a ring of
     # three or more traps also joins trap T-1's right end to trap 0's left
-    # end; a two-trap ring has the single edge 0-1. An ion leaves by the end
-    # facing its destination and lands at the end facing its source, so
-    # rightward[src, dst] is True when it leaves src's right end for dst's
-    # left end, False for the mirror case; other pairs are not adjacent.
-    rightward: dict[tuple[int, int], bool] = {}
-    for t in range(n_traps - 1):
-        rightward[t, t + 1] = True
-        rightward[t + 1, t] = False
+    # end; a two-trap ring has the single edge 0-1. right_of[t] is the trap
+    # whose left end faces t's right end and left_of[t] the mirror, None at
+    # a line end. An ion leaves by the end facing its destination and lands
+    # at the end facing its source: rightward from src to right_of[src],
+    # leftward to left_of[src]; other pairs are not adjacent.
+    right_of: list[int | None] = [*range(1, n_traps), None]
+    left_of: list[int | None] = [None, *range(n_traps - 1)]
     if spec.topology is Topology.RING and n_traps > 2:
-        rightward[n_traps - 1, 0] = True
-        rightward[0, n_traps - 1] = False
+        right_of[-1], left_of[0] = 0, n_traps - 1
 
     ops = sched.ops
     starts = list(map(itemgetter(6), ops))
@@ -320,13 +338,19 @@ def verify_schedule(
     gate2_time = [timing.two_qubit(n) for n in range(longest)]
     swap_time = [timing.swap(n) for n in range(longest)]
     gate1_time, shuttle_time = timing.one_qubit, timing.shuttle
-    isclose, ulp = math.isclose, math.ulp
+    isclose, ulp, inf = math.isclose, math.ulp, math.inf
     GATE1, GATE2, SWAP, SHUTTLE = OpKind.GATE1, OpKind.GATE2, OpKind.SWAP, OpKind.SHUTTLE
 
     # Each kind's branch runs that kind's checks in one fixed order: held
     # traps valid and free, duration, circuit gate (gate kinds), legality on
     # the chain model, capacity. _trap_fault reruns the held-trap checks only
     # to name the fault the inline test found.
+    #
+    # The duration check first tries abs(d - e) <= 1e-9 * e, which implies
+    # isclose(d, e, rel_tol=1e-9) for a finite e (the same two floats are
+    # compared), and calls isclose only when it fails. An infinite e would
+    # pass it with any d, so "< inf" sends that case to isclose, which
+    # rejects every finite duration against it.
     for i in order:
         kind, qubits, trap, src, dst, seq, start, end = ops[i]
         if not end > start:
@@ -341,11 +365,17 @@ def verify_schedule(
             expected = shuttle_time
             # end was rounded once when start + duration was stored, so allow
             # the float spacing at end as well as the fixed floor.
-            if not isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end))):
+            if not (
+                abs(duration - expected) <= 1e-9 * expected < inf
+                or isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end)))
+            ):
                 return _timing_fault(duration, expected, i)
             q = qubits[0]
-            right = rightward.get((src, dst))
-            if right is None:
+            if right_of[src] == dst:
+                right = True
+            elif left_of[src] == dst:
+                right = False
+            else:
                 return _illegal(f"shuttle between non-adjacent traps {src} and {dst}", i)
             at = trap_of.get(q)
             if at != src:
@@ -372,7 +402,10 @@ def verify_schedule(
             return _trap_fault((trap,), start, busy_until, n_traps, i)
         if kind is SWAP:
             expected = swap_time[len(chains[trap])]
-            if not isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end))):
+            if not (
+                abs(duration - expected) <= 1e-9 * expected < inf
+                or isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end)))
+            ):
                 return _timing_fault(duration, expected, i)
             # All-to-all connectivity inside a trap: a SWAP gate exchanges the
             # chain positions of any two resident ions.
@@ -391,7 +424,10 @@ def verify_schedule(
             chain[pa], chain[pb] = b, a
         elif kind is GATE2 or kind is GATE1:
             expected = gate2_time[len(chains[trap])] if kind is GATE2 else gate1_time
-            if not isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end))):
+            if not (
+                abs(duration - expected) <= 1e-9 * expected < inf
+                or isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end)))
+            ):
                 return _timing_fault(duration, expected, i)
             if seq is None or not 0 <= seq < n_gates:
                 return Verdict(False, f"gate op carries unknown circuit index {seq}", i)
@@ -467,9 +503,15 @@ def schedule_to_text(sched: Schedule) -> str:
         start_us = end_us if start == prev_end and start else f"{start * 1e6:.3f}"
         prev_end, end_us = end, f"{end * 1e6:.3f}"
         traps = f"{src}:{dst}" if kind is SHUTTLE else trap
-        qubits = f"{qubits[0]}:{qubits[1]}" if len(qubits) == 2 else ":".join(map(str, qubits))
-        # _value_ is the plain attribute behind Enum.value's descriptor.
-        row(f"{start_us},{end_us},{kind._value_},{qubits},{traps}")
+        # One f-string per qubit count: a join costs several times more than
+        # formatting one or two qubits in place. _value_ is the plain
+        # attribute behind Enum.value's descriptor.
+        if len(qubits) == 2:
+            row(f"{start_us},{end_us},{kind._value_},{qubits[0]}:{qubits[1]},{traps}")
+        elif len(qubits) == 1:
+            row(f"{start_us},{end_us},{kind._value_},{qubits[0]},{traps}")
+        else:
+            row(f"{start_us},{end_us},{kind._value_},{':'.join(map(str, qubits))},{traps}")
     m = sched.metrics
     lines.append(f"# total_time_us={m.total_time * 1e6:.3f}")
     lines.append(f"# shuttles={m.shuttles}")

@@ -291,6 +291,21 @@ def test_compare_mismatch_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_reads_reports_whose_fields_hold_commas(tmp_path, capsys):
+    # the label and the invocation column both carry a comma
+    circ = _write(tmp_path, "pair.circ", SIX_QUBIT_CIRC)
+    dev = _write(tmp_path, "dev.toml", DEVICE_2X4E2)
+    out = tmp_path / "o,3"
+    assert cli.main(["compile", circ, "--device", dev, "--label", "a,b", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = out / "a,b.report.csv"
+    (row,) = load_records(report.read_text())
+    assert row["label"] == "a,b"
+    assert row["invocation"].endswith(f"--label a,b --out {out}")
+    assert cli.main(["compare", str(report), str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith('"a,b",')
+
+
 REPORT_CSV = "label,status,total_time,shuttles,swaps\npair,ok,0.0015,2,3\n"
 
 

@@ -111,6 +111,20 @@ def test_ring_paths_take_short_way_and_break_ties_clockwise():
     assert trap_distance(spec, 0, 3) == 3
 
 
+@pytest.mark.parametrize("n_traps", range(1, 13))
+def test_ring_paths_match_the_modular_formula_on_every_pair(n_traps):
+    spec = _ring(n_traps=n_traps)
+    for a in range(n_traps):
+        for b in range(n_traps):
+            fwd, bwd = (b - a) % n_traps, (a - b) % n_traps
+            # the shorter way round; a tie at distance n/2 goes by increasing index
+            if fwd <= bwd:
+                expected = tuple((a + i) % n_traps for i in range(fwd + 1))
+            else:
+                expected = tuple((a - i) % n_traps for i in range(bwd + 1))
+            assert shortest_path(spec, a, b) == expected, (a, b)
+
+
 def test_facing_end_linear():
     spec = _linear(n_traps=3)
     assert facing_end(spec, 0, 1) == "right"

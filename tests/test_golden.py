@@ -3,8 +3,8 @@
 Each case compiles one circuit onto one device with one placement strategy
 and one lookahead window, and compares the sha256 of ``schedule_to_text``
 with the recorded value. The matrix reaches paths the benchmark does not:
-greedy and random placement, ring devices (a two-trap ring included), a
-near-full linear device, and ``lookahead`` 1 and ``None``. A digest changes
+greedy and random placement, ring devices (a two-trap ring and an even
+ring, whose antipodal paths tie, included), a near-full linear device, and ``lookahead`` 1 and ``None``. A digest changes
 only when a compile decision changes; a change that alters one must say why
 and re-record the table.
 
@@ -38,6 +38,8 @@ DEVICES = {
     "ring5": DeviceSpec(topology=Topology.RING, n_traps=5, capacity=8, excess_capacity=1),
     # two traps joined by one edge: the ring that faces like a linear device
     "ring2": DeviceSpec(topology=Topology.RING, n_traps=2, capacity=18, excess_capacity=2),
+    # an even ring: trap pairs at distance n/2 tie both ways round
+    "ring4": DeviceSpec(topology=Topology.RING, n_traps=4, capacity=10, excess_capacity=2),
 }
 
 # (circuit, device, placement, lookahead) -> sha256 of schedule_to_text.
@@ -124,6 +126,8 @@ GOLDEN = {
     ("rnd32", "ring2", "random", 4): "a6dbf889055cee348c640ccfbe4f28be19fd7427c12e906e0b2bef54a140458e",
     ("rnd32", "ring2", "random", None): "06675b9e1765bf26590c2b4f5754aca350181b6afbd9b21e90b8078b10c08a4e",
     ("rnd32", "ring2", "random", 1): "8949e8c19793eeb548b103ee29a02aa41bbd4f89e03e8019cf21c2d3d3534e89",
+    ("qft32", "ring4", "sta", 4): "625c9c5be9419f6f999fc3bae97f099a9c97e0238f217016ca40d01f5935ed86",
+    ("rnd32", "ring4", "sta", 4): "3c46936658923af4f4981daad04935c6bb3843423c77dd64498dc950beb98a18",
 }
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import math
 import random
 import time
 from pathlib import Path
@@ -181,6 +182,21 @@ def test_duration_is_checked_at_occupancy_where_op_starts():
     assert not v.ok
     assert "does not match timing model" in v.reason
     assert v.op_index == idx
+
+
+def test_duration_against_an_infinite_model_duration_is_rejected():
+    # swap(2) overflows to inf on this model; a finite SWAP is no match for it
+    timing = TimingModel(swap_factor=1e300, two_qubit_base=1e10)
+    assert timing.swap(2) == math.inf
+    spec = DeviceSpec(topology=Topology.LINEAR, n_traps=1, capacity=2, excess_capacity=0, timing=timing)
+    circ = circuit(2, [("h", 0)])
+    pl = Placement(chains=((0, 1),))
+    swap = PhysOp(OpKind.SWAP, (0, 1), trap=0, end=1.0)
+    gate = PhysOp(OpKind.GATE1, (0,), trap=0, seq=0, start=1.0, end=1.0 + timing.one_qubit)
+    v = verify_schedule(Schedule(ops=(swap, gate)), circ, pl, spec)
+    assert (v.ok, v.reason, v.op_index) == (
+        False, "duration 1.000000000000 does not match timing model inf", 0
+    )
 
 
 def test_invalid_ops_with_equal_starts_report_the_lower_index():
