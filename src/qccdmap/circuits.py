@@ -4,9 +4,8 @@ A circuit is an ordered list of opaque one- and two-qubit gates over densely
 numbered logical qubits. Gate labels are carried through but never
 interpreted: placement, routing and scheduling only care about arity and
 operands. A ``Gate`` is an immutable named tuple ``(label, qubits, seq)``,
-built once per gate by the parsers and never copied; per-gate loops test
-``len(g.qubits) == 2`` rather than the ``is_two_qubit`` property. Three
-derived views are computed here:
+built once per gate by the parsers and never copied. Three derived views
+are computed here:
 
 * ASAP time slices over the two-qubit gates (single-qubit gates are not
   sliced), a plain tuple of slices, each a tuple of gates,
@@ -36,10 +35,6 @@ class Gate(NamedTuple):
     label: str
     qubits: tuple[int, ...]
     seq: int
-
-    @property
-    def is_two_qubit(self) -> bool:
-        return len(self.qubits) == 2
 
 
 @dataclass(frozen=True)

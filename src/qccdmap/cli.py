@@ -98,12 +98,14 @@ def _cmd_compile(args) -> int:
         label=label,
         invocation=args.invocation,
     )
+    # The report is rendered first: a record it refuses leaves no files.
+    report = emit([record], args.format, args.with_wall_clock)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     sched_path = outdir / f"{label}.schedule.csv"
     sched_path.write_text(schedule_to_text(sched))
     report_path = outdir / f"{label}.report.{args.format}"
-    report_path.write_text(emit([record], args.format, args.with_wall_clock))
+    report_path.write_text(report)
     print(
         f"{label}: total_time_us={record.total_time * 1e6:.3f} "
         f"shuttles={record.shuttles} swaps={record.swaps} "

@@ -185,13 +185,18 @@ new_record = tuple.__new__
 
 
 class DeviceState:
-    """Mutable trap-chain state. One instance is owned by a compilation run."""
+    """Mutable trap-chain state. One instance is owned by a compilation run.
+
+    ``paths`` memoises the router's ``shortest_path`` calls for the run; a
+    spec outlives its compiles, so a memo there would grow to every pair.
+    """
 
     def __init__(self, spec: DeviceSpec, chains: list[list[int]]):
         if len(chains) != spec.n_traps:
             raise InputError(f"expected {spec.n_traps} chains, got {len(chains)}")
         self.spec = spec
         self.chains = [list(c) for c in chains]
+        self.paths: dict[tuple[int, int], tuple[int, ...]] = {}
         self._trap_of: dict[int, int] = {}
         for t, chain in enumerate(self.chains):
             if len(chain) > spec.capacity:
@@ -206,6 +211,7 @@ class DeviceState:
         dup.spec = self.spec
         dup.chains = [list(c) for c in self.chains]
         dup._trap_of = dict(self._trap_of)
+        dup.paths = self.paths
         return dup
 
     def occupancies(self) -> list[int]:

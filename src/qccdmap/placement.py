@@ -9,7 +9,8 @@ qubit near its partner and round-robins the qubits left over:
   interact (temporal weight, earlier slices weigh exponentially more). Pairs
   are co-trapped greedily in rank order, then a relocation pass moves split
   pairs to the trap ends nearest their partners, later (heavier) pairs
-  displacing earlier ones.
+  displacing earlier ones. It finds each qubit's last move and builds each
+  chain once in final order, as a move keeps the other qubits' order.
 * ``greedy_place``: heaviest interaction edges first, endpoints co-trapped
   while room allows.
 * ``random_place``: seeded uniform shuffle dealt into traps.
@@ -243,24 +244,46 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
     slots.place_rest([q for q in range(circ.n_qubits) if q not in trap_of])
 
     # Relocate split pairs to the trap ends facing their partners' first hop.
-    # Pairs go in ascending weight, so heavier pairs relocate last and win
-    # the boundary slots. Each (trap, partner trap) end is found on first use.
+    # Pairs move in ascending weight, so heavier pairs relocate last and win
+    # the boundary slots. A qubit's last move is its first in descending
+    # weight, so pairs are read heaviest first, each qubit is decided once,
+    # and reading stops once all are. Each (trap, partner trap) end is found
+    # on first use.
     ends: dict[tuple[int, int], str] = {}
-    for a, b in reversed(pairs):
+    last_move: dict[int, tuple[int, str]] = {}
+    last_turn = len(pairs) - 1
+    for j, (a, b) in enumerate(pairs):
         ta, tb = trap_of[a], trap_of[b]
         if ta == tb:
             continue
         for q, t, toward in ((a, ta, tb), (b, tb, ta)):
-            end = ends.get((t, toward))
-            if end is None:
-                end = ends[t, toward] = facing_end(spec, t, shortest_path(spec, t, toward)[1])
-            chain = slots.chains[t]
-            chain.remove(q)
-            if end == "right":
-                chain.append(q)
-            else:
-                chain.insert(0, q)
+            if q not in last_move:
+                end = ends.get((t, toward))
+                if end is None:
+                    end = ends[t, toward] = facing_end(spec, t, shortest_path(spec, t, toward)[1])
+                last_move[q] = (last_turn - j, end)
+        if len(last_move) == circ.n_qubits:
+            break
+    slots.chains = [_final_order(chain, last_move) for chain in slots.chains]
     return slots.to_placement(circ.n_qubits)
+
+
+def _final_order(chain: list[int], last_move: dict[int, tuple[int, str]]) -> list[int]:
+    """chain after its qubits' moves to an end, from each moved qubit's last
+    (turn, end): those last moved left, latest first, then the unmoved in
+    order, then those last moved right, latest last."""
+    left, stay, right = [], [], []
+    for q in chain:
+        move = last_move.get(q)
+        if move is None:
+            stay.append(q)
+        elif move[1] == "right":
+            right.append((move[0], q))
+        else:
+            left.append((move[0], q))
+    left.sort(reverse=True)
+    right.sort()
+    return [q for _, q in left] + stay + [q for _, q in right]
 
 
 def greedy_place(circ: Circuit, spec: DeviceSpec) -> Placement:

@@ -121,11 +121,17 @@ def _write(rows: list[dict], columns: list[str], fmt: str) -> str:
     if fmt == "csv":
         # csv.writer quotes a field holding a comma, quote or newline (a
         # label or a command-line token can), so every row keeps the
-        # header's width; other fields are written as they are.
+        # header's width; other fields are written as they are. No reader in
+        # text mode gets a carriage return back, so such a field is refused.
+        cells = [[_fmt(row[c]) for c in columns] for row in rows]
+        for line in cells:
+            for column, cell in zip(columns, line):
+                if "\r" in cell:
+                    raise InputError(f"report field {column} holds a carriage return: {cell!r}")
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+        writer.writerows(cells)
         return out.getvalue()
     if fmt == "json":
         payload = []
@@ -157,6 +163,8 @@ def load_records(text: str) -> list[dict]:
     for row in reader:
         if None in row:
             raise InputError(f"malformed report CSV: line {reader.line_num} is wider than the header")
+        if None in row.values():  # DictReader's filler for a short row
+            raise InputError(f"malformed report CSV: line {reader.line_num} is narrower than the header")
         rows.append(row)
     return rows
 

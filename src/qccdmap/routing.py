@@ -8,17 +8,22 @@ relief route, the trap line from it to the nearest trap with a free slot:
 each trap on the route, farthest first, evicts its least-attached resident
 into the slot the next one holds open.
 
+An eviction decides each hop in one scan: it reads each neighbour once for
+the destination, and tests each candidate victim's attachment as one slice
+of the tracker's partner lists.
+
 Each op goes to the caller's ``commit`` as its fields as soon as it is
 chosen; ``commit`` applies it and returns its record, so the next choice sees
 the state that op left behind.
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuits import Circuit, Gate
-from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, facing_end, shortest_path
+from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, facing_end, new_record, shortest_path
 from .errors import DeadlockError, InputError, QccdError
 
 # Default pending-gate window for movement scores. A short horizon keeps the
@@ -84,16 +89,8 @@ class PendingTracker:
             return entries[head:]
         return entries[head : head + self.lookahead]
 
-    def pending_partners(self, qubit: int) -> list[int]:
-        """The partners of ``pending_gates(qubit)``, in the same order."""
-        head = self._heads[qubit]
-        if self.lookahead is None:
-            return self._partners[qubit][head:]
-        return self._partners[qubit][head : head + self.lookahead]
 
-
-@dataclass(frozen=True)
-class MoveDecision:
+class MoveDecision(NamedTuple):
     """Which operand moves where: the full trap path, from the mover's trap to
     its partner's, is committed up front."""
 
@@ -135,14 +132,21 @@ def select_mover(
     ta, tb = state.trap_of(a), state.trap_of(b)
     if ta == tb:
         raise InputError(f"gate {gate.seq} operands already share trap {ta}")
-    path_a, path_b = shortest_path(spec, ta, tb), shortest_path(spec, tb, ta)
+    # Both directions are memoised: ring ties break toward increasing index.
+    paths = state.paths
+    path_a = paths.get((ta, tb))
+    if path_a is None:
+        path_a = paths[ta, tb] = shortest_path(spec, ta, tb)
+    path_b = paths.get((tb, ta))
+    if path_b is None:
+        path_b = paths[tb, ta] = shortest_path(spec, tb, ta)
     # All-to-all in-trap connectivity: one SWAP gate moves any ion straight to
     # the boundary slot, so an operand already there saves that SWAP.
     key_a = (-_score(a, ta, tb, state, tracker, gate.seq), a != _exit_ion(state, ta, path_a[1]), a)
     key_b = (-_score(b, tb, ta, state, tracker, gate.seq), b != _exit_ion(state, tb, path_b[1]), b)
     if key_a <= key_b:
-        return MoveDecision(mover=a, path=path_a)
-    return MoveDecision(mover=b, path=path_b)
+        return new_record(MoveDecision, (a, path_a))
+    return new_record(MoveDecision, (b, path_b))
 
 
 def _exit_ion(state: DeviceState, trap: int, neighbor: int) -> int:
@@ -151,44 +155,6 @@ def _exit_ion(state: DeviceState, trap: int, neighbor: int) -> int:
     # facing_end only runs to raise its error for a non-adjacent pair.
     end = state.spec._facing.get((trap, neighbor)) or facing_end(state.spec, trap, neighbor)
     return chain[-1] if end == "right" else chain[0]
-
-
-def _walk_to_boundary(
-    state: DeviceState, qubit: int, trap: int, neighbor: int, commit: Callable[..., PhysOp]
-) -> None:
-    """Commit the SWAP that puts qubit, held by trap, at the end facing neighbor.
-
-    In-trap connectivity is all-to-all, so one SWAP gate exchanges the qubit
-    with whatever ion currently holds the boundary slot; no op is needed when
-    the qubit is already there.
-    """
-    # _exit_ion inlined: this runs before every shuttle.
-    chain = state.chains[trap]
-    end = state.spec._facing.get((trap, neighbor)) or facing_end(state.spec, trap, neighbor)
-    occupant = chain[-1] if end == "right" else chain[0]
-    if occupant != qubit:
-        commit(_SWAP, (qubit, occupant), trap, None, None)
-
-
-def _attachment(qubit: int, residents: set[int], tracker: PendingTracker) -> tuple[int, int]:
-    """(pending partners among residents, minus the seq of the first), from one
-    window walk.
-
-    With no such partner the seq is a sentinel past the circuit's end.
-    """
-    count = 0
-    first = 1 << 60
-    for seq, p in tracker.pending_gates(qubit):
-        if p in residents:
-            if not count:
-                first = seq
-            count += 1
-    return count, -first
-
-
-def _unattached(qubit: int, residents: set[int], tracker: PendingTracker) -> bool:
-    """No pending partner of qubit is among residents; _attachment's window."""
-    return residents.isdisjoint(tracker.pending_partners(qubit))
 
 
 def _require_unpinned(state: DeviceState, trap: int, avoid: frozenset[int]) -> None:
@@ -204,8 +170,9 @@ def _evict_one(
     tracker: PendingTracker,
     commit: Callable[..., PhysOp],
     blocked: frozenset[int] = frozenset(),
-) -> None:
-    """Free one slot in trap by shuttling out its least-attached resident.
+) -> list[PhysOp]:
+    """Free one slot in trap by shuttling out its least-attached resident, and
+    return the records committed, in order.
 
     Destinations in ``blocked`` (traps the mover still has to pass through)
     are taken only as a last resort. When every neighbour is full, each one
@@ -217,9 +184,17 @@ def _evict_one(
     chains = state.chains
     capacity = spec.capacity
     _require_unpinned(state, trap, avoid)
-    open_neighbors = [t for t in spec.neighbors(trap) if len(chains[t]) < capacity]
-    if open_neighbors:
-        route = [trap, min(open_neighbors, key=lambda t: (t in blocked, len(chains[t]), t))]
+    # The open neighbour least by (t in blocked, len(chain), t); neighbours
+    # come in ascending index.
+    dest = -1
+    for t in spec.neighbors(trap):
+        n = len(chains[t])
+        if n < capacity:
+            in_blocked = t in blocked
+            if dest < 0 or in_blocked < dest_blocked or (in_blocked == dest_blocked and n < dest_len):
+                dest, dest_blocked, dest_len = t, in_blocked, n
+    if dest >= 0:
+        route = [trap, dest]
     else:
         walks = []
         for first in spec.neighbors(trap):
@@ -236,28 +211,46 @@ def _evict_one(
         route = min(walks, key=lambda w: (w[1] in blocked, len(w), w[1]))
         for t in route[1:-1]:
             _require_unpinned(state, t, avoid)
+    # A qubit's pending window is the slice [h : h + window] from its head h.
+    facing = spec._facing
+    per_qubit, partners, heads = tracker._per_qubit, tracker._partners, tracker._heads
+    window = tracker.lookahead or sys.maxsize
+    ops: list[PhysOp] = []
     # Deeper evictions leave the traps nearer trap untouched, so each victim
     # is chosen against its own trap as it stood when the route was found.
     for i in range(len(route) - 2, -1, -1):
         src, dest = route[i], route[i + 1]
+        chain = chains[src]
+        at_exit = chain[-1] if facing[src, dest] == "right" else chain[0]
+        residents = set(chain)
         # Least attached first, then the latest next co-trapped gate (evicting
         # a soon-needed ion just schedules a refetch), then the exit ion, then
         # the lowest qubit. An unattached candidate beats every attached one,
         # so the full key is needed only when every candidate is attached.
-        at_exit = _exit_ion(state, src, dest)
-        residents = set(chains[src])
-        if at_exit not in avoid and _unattached(at_exit, residents, tracker):
+        h = heads[at_exit]
+        if at_exit not in avoid and residents.isdisjoint(partners[at_exit][h : h + window]):
             victim = at_exit
         else:
-            candidates = [q for q in chains[src] if q not in avoid]
-            victim = next((q for q in sorted(candidates) if _unattached(q, residents, tracker)), None)
-            if victim is None:
-                victim = min(
-                    candidates,
-                    key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
-                )
-        _walk_to_boundary(state, victim, src, dest, commit)
-        commit(_SHUTTLE, (victim,), None, src, dest)
+            for q in sorted(chain):
+                if q not in avoid:
+                    h = heads[q]
+                    if residents.isdisjoint(partners[q][h : h + window]):
+                        victim = q
+                        break
+            else:  # every candidate is attached, so each has a first hit
+                best = None
+                for q in chain:
+                    if q not in avoid:
+                        h = heads[q]
+                        hits = [seq for seq, p in per_qubit[q][h : h + window] if p in residents]
+                        key = (len(hits), -hits[0], q != at_exit, q)
+                        if best is None or key < best:
+                            best = key
+                victim = best[3]
+        if victim != at_exit:
+            ops.append(commit(_SWAP, (victim, at_exit), src, None, None))
+        ops.append(commit(_SHUTTLE, (victim,), None, src, dest))
+    return ops
 
 
 def resolve_gate(
@@ -273,18 +266,20 @@ def resolve_gate(
     and return its record. Returns the committed records in order; afterwards
     the operands share the destination trap.
     """
-    decision = select_mover(gate, state, tracker, spec)
-    mover = decision.mover
+    mover, path = select_mover(gate, state, tracker, spec)
     avoid = frozenset(gate.qubits)
+    chains, capacity, facing = state.chains, spec.capacity, spec._facing
     ops: list[PhysOp] = []
-
-    def record(kind, qubits, trap, src, dst) -> None:
-        ops.append(commit(kind, qubits, trap, src, dst))
-
-    path = decision.path
-    for i, (cur, nxt) in enumerate(zip(path, path[1:])):
-        if len(state.chains[nxt]) >= spec.capacity:
-            _evict_one(state, spec, nxt, avoid, tracker, record, frozenset(path[i + 2 :]))
-        _walk_to_boundary(state, mover, cur, nxt, record)
-        record(_SHUTTLE, (mover,), None, cur, nxt)
+    record = ops.append
+    for i in range(1, len(path)):
+        cur, nxt = path[i - 1], path[i]
+        if len(chains[nxt]) >= capacity:
+            ops += _evict_one(state, spec, nxt, avoid, tracker, commit, frozenset(path[i + 1 :]))
+        # In-trap connectivity is all-to-all, so one SWAP gate exchanges the
+        # mover with whatever ion holds the end facing nxt.
+        chain = chains[cur]
+        occupant = chain[-1] if facing[cur, nxt] == "right" else chain[0]
+        if occupant != mover:
+            record(commit(_SWAP, (mover, occupant), cur, None, None))
+        record(commit(_SHUTTLE, (mover,), None, cur, nxt))
     return ops

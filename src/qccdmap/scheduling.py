@@ -25,6 +25,10 @@ would: the records form no cycles, and they all live until ``schedule``
 returns. The collector's state is process-wide, so another thread compiling
 at the same time sees it paused too.
 
+``schedule_to_text`` writes each row's qubits and traps from a table of
+integer texts built per call; a row the table cannot write, such as one with
+a None trap or an index outside the table, is formatted field by field.
+
 ``verify_schedule`` checks a schedule independently of how it was produced.
 It replays the ops in start order on a chain model of its own, written from
 the facing rule in ``devices.py`` and sharing no code with ``DeviceState``,
@@ -80,10 +84,6 @@ class Metrics:
     swaps: int
     one_qubit_gates: int
     two_qubit_gates: int
-
-    @property
-    def movement_ops(self) -> int:
-        return self.shuttles + self.swaps
 
 
 def compute_metrics(schedule: Schedule) -> Metrics:
@@ -495,6 +495,8 @@ def schedule_to_text(sched: Schedule) -> str:
     lines = ["start_us,end_us,kind,qubits,traps"]
     row = lines.append
     SHUTTLE = OpKind.SHUTTLE
+    text = [str(i) for i in range(4096)]
+    n = len(text)
     # Most ops start where the one before ended, so its end text is reused.
     # Equal floats format alike unless they are 0.0 and -0.0, so a zero start
     # is always formatted.
@@ -502,16 +504,30 @@ def schedule_to_text(sched: Schedule) -> str:
     for kind, qubits, trap, src, dst, _, start, end in sched.ops:
         start_us = end_us if start == prev_end and start else f"{start * 1e6:.3f}"
         prev_end, end_us = end, f"{end * 1e6:.3f}"
+        # A negative index would read the table from its end, so each one is
+        # range-checked; a None field fails its check by raising TypeError,
+        # and another qubit count its unpacking by raising ValueError.
+        # _value_ is the plain attribute behind Enum.value's descriptor.
+        try:
+            if kind is SHUTTLE:
+                (q,) = qubits
+                if -1 < q < n and -1 < src < n and -1 < dst < n:
+                    row(f"{start_us},{end_us},shuttle,{text[q]},{text[src]}:{text[dst]}")
+                    continue
+            elif len(qubits) == 2:
+                a, b = qubits
+                if -1 < a < n and -1 < b < n and -1 < trap < n:
+                    row(f"{start_us},{end_us},{kind._value_},{text[a]}:{text[b]},{text[trap]}")
+                    continue
+            else:
+                (q,) = qubits
+                if -1 < q < n and -1 < trap < n:
+                    row(f"{start_us},{end_us},{kind._value_},{text[q]},{text[trap]}")
+                    continue
+        except (TypeError, ValueError):
+            pass
         traps = f"{src}:{dst}" if kind is SHUTTLE else trap
-        # One f-string per qubit count: a join costs several times more than
-        # formatting one or two qubits in place. _value_ is the plain
-        # attribute behind Enum.value's descriptor.
-        if len(qubits) == 2:
-            row(f"{start_us},{end_us},{kind._value_},{qubits[0]}:{qubits[1]},{traps}")
-        elif len(qubits) == 1:
-            row(f"{start_us},{end_us},{kind._value_},{qubits[0]},{traps}")
-        else:
-            row(f"{start_us},{end_us},{kind._value_},{':'.join(map(str, qubits))},{traps}")
+        row(f"{start_us},{end_us},{kind._value_},{':'.join(map(str, qubits))},{traps}")
     m = sched.metrics
     lines.append(f"# total_time_us={m.total_time * 1e6:.3f}")
     lines.append(f"# shuttles={m.shuttles}")

@@ -7,6 +7,12 @@ check both against the plain definitions of ``op_duration`` and ``held``.
 through ``DeviceState.apply``, the device model the scheduler mutates. The
 library's verifier keeps its own chain model; tests require both to reach
 the same verdict on every schedule.
+
+``attachment``, ``unattached`` and ``walk_to_boundary`` are the eviction's
+victim tests and boundary SWAP as they stood as helpers of ``routing``, the
+victim tests read through ``PendingTracker.pending_gates`` rather than the
+tracker's lists; the reference eviction in the routing tests uses them
+against the router's one-scan eviction.
 """
 from __future__ import annotations
 
@@ -16,6 +22,7 @@ from qccdmap.circuits import Circuit
 from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, TimingModel
 from qccdmap.errors import DeviceOpError, InputError
 from qccdmap.placement import Placement
+from qccdmap.routing import PendingTracker, _exit_ion
 from qccdmap.scheduling import Schedule, Verdict
 
 
@@ -38,6 +45,35 @@ def held(op: PhysOp) -> tuple[int, ...]:
     if op.kind is OpKind.SHUTTLE:
         return (op.src, op.dst)
     return (op.trap,)
+
+
+def attachment(qubit: int, residents: set[int], tracker: PendingTracker) -> tuple[int, int]:
+    """(pending partners among residents, minus the seq of the first), from one
+    window walk.
+
+    With no such partner the seq is a sentinel past the circuit's end.
+    """
+    count = 0
+    first = 1 << 60
+    for seq, p in tracker.pending_gates(qubit):
+        if p in residents:
+            if not count:
+                first = seq
+            count += 1
+    return count, -first
+
+
+def unattached(qubit: int, residents: set[int], tracker: PendingTracker) -> bool:
+    """No pending partner of qubit is among residents; attachment's window."""
+    return not any(p in residents for _, p in tracker.pending_gates(qubit))
+
+
+def walk_to_boundary(state: DeviceState, qubit: int, trap: int, neighbor: int, commit) -> None:
+    """Commit the SWAP that puts qubit, held by trap, at the end facing
+    neighbor; no op when it is already there."""
+    occupant = _exit_ion(state, trap, neighbor)
+    if occupant != qubit:
+        commit(OpKind.SWAP, (qubit, occupant), trap, None, None)
 
 
 def verify_schedule(
@@ -114,7 +150,7 @@ def verify_schedule(
                 return Verdict(
                     False, f"gate {op.seq} operands {op.qubits} differ from circuit {g.qubits}", i
                 )
-            if (kind is GATE2) != g.is_two_qubit:
+            if (kind is GATE2) != (len(g.qubits) == 2):
                 return Verdict(False, f"gate {op.seq} arity mismatch", i)
             if op.seq in seen_gate:
                 return Verdict(False, f"gate {op.seq} scheduled more than once", i)

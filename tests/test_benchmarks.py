@@ -19,7 +19,7 @@ from qccdmap.errors import InputError
 
 
 def _two_qubit_count(circ) -> int:
-    return sum(g.is_two_qubit for g in circ.gates)
+    return sum(len(g.qubits) == 2 for g in circ.gates)
 
 
 def test_qft_counts():
@@ -30,7 +30,7 @@ def test_qft_counts():
 
 def test_qft_pair_structure():
     c = gen_qft(5)
-    pairs = {tuple(sorted(g.qubits)) for g in c.gates if g.is_two_qubit}
+    pairs = {tuple(sorted(g.qubits)) for g in c.gates if len(g.qubits) == 2}
     assert pairs == {(i, j) for i in range(5) for j in range(i + 1, 5)}
     assert _two_qubit_count(c) == 10
 
@@ -46,7 +46,7 @@ def test_qaoa_is_complete_graph_with_mixers():
     g = interaction_graph(c)
     assert set(g) == {(i, j) for i in range(6) for j in range(i + 1, 6)}
     assert all(w == 1 for w in g.values())
-    labels = {gate.label for gate in c.gates if not gate.is_two_qubit}
+    labels = {gate.label for gate in c.gates if len(gate.qubits) != 2}
     assert labels == {"h", "rx"}
 
 
@@ -86,7 +86,7 @@ def test_random_family_is_seeded():
     assert a == b
     assert a != gen_random(10, 40, seed=6)
     assert len(a.gates) == 40
-    assert all(g.is_two_qubit for g in a.gates)
+    assert all(len(g.qubits) == 2 for g in a.gates)
     assert all(g.qubits[0] != g.qubits[1] for g in a.gates)
 
 

@@ -143,7 +143,7 @@ def _brute_slices(circ):
     last = {}
     out = {}
     for g in circ.gates:
-        if not g.is_two_qubit:
+        if len(g.qubits) != 2:
             continue
         a, b = g.qubits
         s = max(last.get(a, -1), last.get(b, -1)) + 1

@@ -136,7 +136,7 @@ def test_bench_gen_to_file(tmp_path, capsys):
     assert rc == 0
     circ = parse_circuit_file(str(out))
     assert circ.n_qubits == 8
-    assert sum(g.is_two_qubit for g in circ.gates) == 28
+    assert sum(len(g.qubits) == 2 for g in circ.gates) == 28
     assert out.read_text().startswith("# family=qft qubits=8")
     capsys.readouterr()
 
@@ -306,7 +306,24 @@ def test_compare_reads_reports_whose_fields_hold_commas(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith('"a,b",')
 
 
+def test_compile_refuses_a_label_holding_a_carriage_return(tmp_path, capsys):
+    # read back in text mode, the report would name the workload "b"
+    circ = _write(tmp_path, "pair.circ", SIX_QUBIT_CIRC)
+    dev = _write(tmp_path, "dev.toml", DEVICE_2X4E2)
+    out = tmp_path / "o"
+    assert cli.main(["compile", circ, "--device", dev, "--label", "a\rb", "--out", str(out)]) == 1
+    assert "report field label holds a carriage return: 'a\\rb'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 REPORT_CSV = "label,status,total_time,shuttles,swaps\npair,ok,0.0015,2,3\n"
+
+
+def test_compare_names_a_row_narrower_than_the_header(tmp_path, capsys):
+    good = _write(tmp_path, "good.csv", REPORT_CSV)
+    short = _write(tmp_path, "short.csv", "label,status,total_time,shuttles,swaps\npair,ok,1.0\n")
+    assert cli.main(["compare", short, good]) == 1
+    assert "malformed report CSV: line 2 is narrower than the header" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

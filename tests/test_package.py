@@ -19,7 +19,7 @@ def test_readme_library_example_runs_from_top_level():
     pl = place(circ, spec, "sta")
     sched = schedule(circ, pl, spec)
     assert verify_schedule(sched, circ, pl, spec).ok
-    assert compute_metrics(sched).two_qubit_gates == sum(g.is_two_qubit for g in circ.gates)
+    assert compute_metrics(sched).two_qubit_gates == sum(len(g.qubits) == 2 for g in circ.gates)
 
 
 def test_top_level_exports_only_the_library_example_and_errors():

@@ -12,6 +12,7 @@ from qccdmap.devices import DeviceSpec, Topology, facing_end, shortest_path, tra
 from qccdmap.errors import InputError
 from qccdmap.placement import (
     Placement,
+    _final_order,
     compute_ratios,
     compute_temporal_weights,
     greedy_place,
@@ -121,6 +122,36 @@ def test_sta_finds_only_the_relocation_ends_it_uses(monkeypatch):
     split = {(ta, tb) for ta in traps for tb in traps if ta != tb}
     assert calls and len(calls) == len(set(calls))
     assert set(calls) <= split
+
+
+def _replay_moves(chain, moves):
+    """chain after each (qubit, end) move in turn, one list move at a time."""
+    chain = list(chain)
+    for q, end in moves:
+        chain.remove(q)
+        if end == "right":
+            chain.append(q)
+        else:
+            chain.insert(0, q)
+    return chain
+
+
+def test_final_order_places_a_qubit_by_its_last_move_only():
+    # 1 goes left, 3 and 4 go right, then 1 goes right: 1 ends at the right
+    # end, after 3 and 4, which last moved right before it
+    moves = [(1, "left"), (3, "right"), (4, "right"), (1, "right"), (0, "left")]
+    last_move = {q: (turn, end) for turn, (q, end) in enumerate(moves)}
+    assert _final_order([0, 1, 2, 3, 4, 5], last_move) == [0, 2, 5, 3, 4, 1]
+    assert _replay_moves([0, 1, 2, 3, 4, 5], moves) == [0, 2, 5, 3, 4, 1]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_final_order_matches_moving_one_qubit_at_a_time(seed):
+    rng = random.Random(seed)
+    chain = rng.sample(range(40), rng.randint(1, 12))
+    moves = [(rng.choice(chain), rng.choice(("left", "right"))) for _ in range(rng.randint(0, 20))]
+    last_move = {q: (turn, end) for turn, (q, end) in enumerate(moves)}
+    assert _final_order(chain, last_move) == _replay_moves(chain, moves)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,22 @@ def test_csv_row_wider_than_header_rejected_with_its_line(row):
         load_records("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("row", [0, 1])
+def test_csv_row_narrower_than_header_rejected_with_its_line(row):
+    lines = emit([_record(), _record(label="qaoa-8", family="qaoa")]).splitlines()
+    lines[1 + row] = lines[1 + row].rsplit(",", 2)[0]
+    with pytest.raises(InputError, match=f"line {2 + row} is narrower than the header"):
+        load_records("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("field", ["label", "invocation"])
+def test_csv_field_holding_a_carriage_return_is_refused(field):
+    with pytest.raises(InputError, match=f"report field {field} holds a carriage return"):
+        emit([_record(**{field: "a\rb"})])
+    # JSON escapes it, so it reads back as written
+    assert load_records(emit([_record(**{field: "a\rb"})], fmt="json"))[0][field] == "a\rb"
+
+
 def test_unknown_format_rejected():
     with pytest.raises(InputError):
         emit([_record()], fmt="yaml")

@@ -13,14 +13,12 @@ from qccdmap.errors import DeadlockError, InputError, QccdError
 from qccdmap.routing import (
     DEFAULT_LOOKAHEAD,
     PendingTracker,
-    _attachment,
     _evict_one,
     _exit_ion,
-    _unattached,
-    _walk_to_boundary,
     resolve_gate,
     select_mover,
 )
+from reference import attachment, unattached, walk_to_boundary
 
 
 def _spec(n_traps, capacity, excess, topology=Topology.LINEAR) -> DeviceSpec:
@@ -383,17 +381,17 @@ def _reference_evict_one(state, spec, trap, avoid, tracker, commit, visited, blo
         _reference_evict_one(state, spec, dest, avoid, tracker, commit, visited, blocked)
     at_exit = _exit_ion(state, trap, dest)
     residents = set(chains[trap])
-    if at_exit not in avoid and _unattached(at_exit, residents, tracker):
+    if at_exit not in avoid and unattached(at_exit, residents, tracker):
         victim = at_exit
     else:
-        loose = (q for q in sorted(candidates) if _unattached(q, residents, tracker))
+        loose = (q for q in sorted(candidates) if unattached(q, residents, tracker))
         victim = next(loose, None)
         if victim is None:
             victim = min(
                 candidates,
-                key=lambda q: (*_attachment(q, residents, tracker), q != at_exit, q),
+                key=lambda q: (*attachment(q, residents, tracker), q != at_exit, q),
             )
-    _walk_to_boundary(state, victim, trap, dest, commit)
+    walk_to_boundary(state, victim, trap, dest, commit)
     commit(OpKind.SHUTTLE, (victim,), None, trap, dest)
 
 

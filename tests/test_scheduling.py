@@ -17,6 +17,7 @@ from qccdmap.devices import (
     PhysOp,
     TimingModel,
     Topology,
+    shortest_path,
 )
 from qccdmap.errors import DeadlockError, DeviceOpError, InputError
 from qccdmap.placement import Placement, place, sta_place
@@ -127,7 +128,7 @@ def test_metrics_count_kinds(movement_circuit, movement_spec, movement_placement
     assert (m.shuttles, m.swaps) == (1, 1)
     assert m.two_qubit_gates == 4
     assert m.one_qubit_gates == 0
-    assert m.movement_ops == 2
+    assert m.shuttles + m.swaps == 2
     assert m.total_time > 0
 
 
@@ -180,7 +181,6 @@ def test_op_records_are_immutable_hashable_values():
             setattr(gate, field, None)
     assert gate == Gate("cx", (0, 1), 4)
     assert len({gate, Gate("cx", (0, 1), 4), Gate("cx", (1, 0), 4)}) == 2
-    assert gate.is_two_qubit and not Gate("h", (2,), 5).is_two_qubit
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,7 @@ def test_split_pairs_do_move():
     c = circuit(4, [("cx", 0, 2), ("cx", 1, 3)])
     spec = _spec(2, 4, 2)
     m = compute_metrics(schedule(c, Placement(chains=((0, 1), (2, 3))), spec))
-    assert m.movement_ops > 0
+    assert m.shuttles + m.swaps > 0
 
 
 def test_schedule_passes_its_own_verifier(worked_circuit, worked_spec):
@@ -415,7 +415,7 @@ def _rescan_schedule(circ, placement, spec, lookahead):
             traps = {state.trap_of(q) for q in g.qubits}
             if any(trap_free[t] > clock for t in traps):
                 continue
-            if g.is_two_qubit:
+            if len(g.qubits) == 2:
                 a, b = g.qubits
                 cursor = clock
                 if len(traps) == 2:
@@ -650,3 +650,70 @@ def test_schedule_to_text_reuses_only_the_previous_rows_end():
     text = schedule_to_text(sched)
     assert text == _reference_schedule_to_text(sched)
     assert text.splitlines()[3] == "10.000,30.000,gate2,0:2,0"
+
+
+def test_schedule_to_text_writes_rows_outside_its_integer_table_like_the_reference():
+    # hand-built rows the integer-text table cannot write, each beside one it can
+    big = 4096  # the writer's table size
+    ops = [
+        PhysOp(OpKind.GATE1, (0,), None),
+        PhysOp(OpKind.GATE1, (-1,), 0),
+        PhysOp(OpKind.GATE1, (big,), 0),
+        PhysOp(OpKind.GATE1, (big - 1,), big - 1),
+        PhysOp(OpKind.GATE2, (3, -2), 1),
+        PhysOp(OpKind.GATE2, (big + 7, 3), 1),
+        PhysOp(OpKind.GATE2, (3, 4), -1),
+        PhysOp(OpKind.GATE2, (3, 4), big),
+        PhysOp(OpKind.SWAP, (), 2),
+        PhysOp(OpKind.SWAP, (1, 2, 3), 2),
+        PhysOp(OpKind.SWAP, (1, 2), None),
+        PhysOp(OpKind.SHUTTLE, (-5,), src=0, dst=1),
+        PhysOp(OpKind.SHUTTLE, (5,), src=-1, dst=0),
+        PhysOp(OpKind.SHUTTLE, (5,), src=0, dst=big),
+        PhysOp(OpKind.SHUTTLE, (5,), src=None, dst=None),
+        PhysOp(OpKind.SHUTTLE, (), src=0, dst=1),
+        PhysOp(OpKind.SHUTTLE, (5, 6), src=0, dst=1),
+        PhysOp(OpKind.SHUTTLE, (big - 1,), src=big - 1, dst=0),
+    ]
+    sched = Schedule(ops=tuple(op._replace(start=k * 1e-6, end=(k + 1) * 1e-6) for k, op in enumerate(ops)))
+    text = schedule_to_text(sched)
+    assert text == _reference_schedule_to_text(sched)
+    assert text.splitlines()[1:3] == ["0.000,1.000,gate1,0,None", "1.000,2.000,gate1,-1,0"]
+
+
+# ---------------------------------------------------------------------------
+# the router's path memo lives for one compile
+# ---------------------------------------------------------------------------
+
+def _counting_paths(monkeypatch):
+    calls = []
+
+    def counting(spec, a, b):
+        calls.append((a, b))
+        return shortest_path(spec, a, b)
+
+    monkeypatch.setattr("qccdmap.routing.shortest_path", counting)
+    return calls
+
+
+def test_path_memo_does_not_outlive_a_compile(monkeypatch):
+    calls = _counting_paths(monkeypatch)
+    spec = DeviceSpec(Topology.RING, n_traps=6, capacity=8, excess_capacity=2)
+    circ = generate("qft", 32)
+    pl = place(circ, spec, "sta")
+    attrs = dict(vars(spec))
+    first = schedule(circ, pl, spec)
+    n_first = len(calls)
+    second = schedule(circ, pl, spec)
+    assert n_first > 0 and len(calls) == 2 * n_first
+    assert first == second
+    assert vars(spec) == attrs
+
+
+def test_path_memo_finds_each_path_once_per_compile(monkeypatch):
+    calls = _counting_paths(monkeypatch)
+    spec = DeviceSpec(Topology.RING, n_traps=6, capacity=8, excess_capacity=2)
+    circ = generate("rnd", 32, gates=300, seed=3)
+    schedule(circ, place(circ, spec, "sta"), spec)
+    # 30 trap pairs; the router asks for a path twice per split gate
+    assert calls and len(calls) == len(set(calls))
