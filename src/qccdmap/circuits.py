@@ -4,17 +4,21 @@ A circuit is an ordered list of opaque one- and two-qubit gates over densely
 numbered logical qubits. Gate labels are carried through but never
 interpreted: placement, routing and scheduling only care about arity and
 operands. A ``Gate`` is an immutable named tuple ``(label, qubits, seq)``,
-built once per gate by the parsers and never copied. Three derived views
+built once per gate by the parsers and never copied. Four derived views
 are computed here:
 
 * ASAP time slices over the two-qubit gates (single-qubit gates are not
   sliced), a plain tuple of slices, each a tuple of gates,
 * the weighted qubit interaction graph, a read-only mapping from pair (a, b)
   with a < b to its number of two-qubit gates,
-* the dependency order, each qubit's gates in program order.
+* the dependency order, each qubit's gates in program order,
+* the partner lists: per qubit, its two-qubit gates as (seq, partner) pairs
+  and the partner column alone, both in program order, which the router's
+  pending-work tracker reads.
 
-The slices and the interaction graph are built on first use and kept on the
-circuit, so every stage and every compile of one circuit shares them.
+The slices, the interaction graph and the partner lists are built on first
+use and kept on the circuit, so every stage and every compile of one circuit
+shares them.
 """
 from __future__ import annotations
 
@@ -94,6 +98,19 @@ class Circuit:
             key = (a, b) if a < b else (b, a)
             weights[key] = weights.get(key, 0) + 1
         return MappingProxyType(weights)
+
+    @cached_property
+    def partner_lists(self) -> tuple[tuple[list[tuple[int, int]], ...], tuple[list[int], ...]]:
+        """Per qubit, its two-qubit gates as (seq, partner) in program order,
+        and the partner column of those lists. Built once per circuit; every
+        reader shares the lists and none may change them."""
+        per_qubit: list[list[tuple[int, int]]] = [[] for _ in range(self.n_qubits)]
+        for _, qubits, seq in self.gates:
+            if len(qubits) == 2:
+                a, b = qubits
+                per_qubit[a].append((seq, b))
+                per_qubit[b].append((seq, a))
+        return tuple(per_qubit), tuple([p for _, p in pairs] for pairs in per_qubit)
 
 
 def circuit(n_qubits: int, gate_list) -> Circuit:

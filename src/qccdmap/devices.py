@@ -7,6 +7,9 @@ trap 0's left end. A two-trap ring has only the edge 0-1 and faces like a
 linear pair, and a single trap has no neighbours. A shuttle always leaves
 from the source end facing the destination and arrives at the destination
 end facing the source.
+
+A ``DeviceState`` is one compile's copy of a validated placement: its chains
+and the public qubit-to-trap dict ``trap_of``, changed only by ``apply``.
 """
 from __future__ import annotations
 
@@ -15,9 +18,12 @@ import io
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DeviceOpError, InputError
+
+if TYPE_CHECKING:
+    from .placement import Placement
 
 
 class Topology(Enum):
@@ -185,49 +191,35 @@ new_record = tuple.__new__
 
 
 class DeviceState:
-    """Mutable trap-chain state. One instance is owned by a compilation run.
+    """Mutable trap-chain state, owned by one compilation run. It copies the
+    ``chains`` and ``trap_of`` of a placement the caller has validated.
 
     ``paths`` memoises the router's ``shortest_path`` calls for the run; a
     spec outlives its compiles, so a memo there would grow to every pair.
     """
 
-    def __init__(self, spec: DeviceSpec, chains: list[list[int]]):
-        if len(chains) != spec.n_traps:
-            raise InputError(f"expected {spec.n_traps} chains, got {len(chains)}")
+    def __init__(self, spec: DeviceSpec, placement: Placement):
         self.spec = spec
-        self.chains = [list(c) for c in chains]
+        self.chains = [list(c) for c in placement.chains]
+        self.trap_of = dict(placement.trap_of)
         self.paths: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._trap_of: dict[int, int] = {}
-        for t, chain in enumerate(self.chains):
-            if len(chain) > spec.capacity:
-                raise InputError(f"trap {t} holds {len(chain)} ions, capacity is {spec.capacity}")
-            for q in chain:
-                if q in self._trap_of:
-                    raise InputError(f"qubit {q} appears in more than one trap")
-                self._trap_of[q] = t
 
     def copy(self) -> "DeviceState":
         dup = DeviceState.__new__(DeviceState)
         dup.spec = self.spec
         dup.chains = [list(c) for c in self.chains]
-        dup._trap_of = dict(self._trap_of)
+        dup.trap_of = dict(self.trap_of)
         dup.paths = self.paths
         return dup
 
     def occupancies(self) -> list[int]:
         return [len(c) for c in self.chains]
 
-    def trap_of(self, qubit: int) -> int:
-        try:
-            return self._trap_of[qubit]
-        except KeyError:
-            raise DeviceOpError(f"qubit {qubit} is not on the device")
-
     def apply(self, op: PhysOp) -> None:
         # One unpack, not an attribute lookup per field: this runs once per
         # SWAP and shuttle.
         kind, qubits, trap, src, dst, _, _, _ = op
-        trap_of = self._trap_of
+        trap_of = self.trap_of
         chains = self.chains
         try:
             if kind is _SHUTTLE:

@@ -8,6 +8,10 @@ relief route, the trap line from it to the nearest trap with a free slot:
 each trap on the route, farthest first, evicts its least-attached resident
 into the slot the next one holds open.
 
+Each routing input has one source: the device comes from ``state.spec``,
+each qubit's trap from ``state.trap_of``, and pending work from a
+``PendingTracker`` over the circuit's ``partner_lists``.
+
 An eviction decides each hop in one scan: it reads each neighbour once for
 the destination, and tests each candidate victim's attachment as one slice
 of the tracker's partner lists.
@@ -20,10 +24,9 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable
-from typing import NamedTuple
 
 from .circuits import Circuit, Gate
-from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, facing_end, new_record, shortest_path
+from .devices import DeviceState, OpKind, PhysOp, facing_end, shortest_path
 from .errors import DeadlockError, InputError, QccdError
 
 # Default pending-gate window for movement scores. A short horizon keeps the
@@ -42,33 +45,29 @@ class PendingTracker:
 
     The scheduler marks gates done as they commit; the router reads pending
     partners to score movement choices. ``lookahead`` bounds how many pending
-    gates per qubit are consulted (None = all of them).
+    gates per qubit are consulted (None = all of them); ``window`` holds that
+    bound, ``sys.maxsize`` for all.
 
-    Gates on one qubit commit in program order, so each qubit's done gates are
-    a prefix of its list and a head index per qubit marks where pending work
-    starts.
+    The per-qubit lists are the circuit's ``partner_lists``, shared by every
+    tracker on it. Gates on one qubit commit in program order, so each qubit's
+    done gates are a prefix of its list and a head index per qubit marks where
+    pending work starts.
     """
 
     def __init__(self, circ: Circuit, lookahead: int | None = None):
-        if lookahead is not None and lookahead < 1:
-            raise InputError(f"lookahead must be positive, got {lookahead}")
-        self.lookahead = lookahead
-        self._per_qubit: list[list[tuple[int, int]]] = [[] for _ in range(circ.n_qubits)]
-        # The partner column of _per_qubit, for membership tests on a window.
-        self._partners: list[list[int]] = [[] for _ in range(circ.n_qubits)]
-        for g in circ.gates:
-            if len(g.qubits) == 2:
-                a, b = g.qubits
-                self._per_qubit[a].append((g.seq, b))
-                self._per_qubit[b].append((g.seq, a))
-                self._partners[a].append(b)
-                self._partners[b].append(a)
-        self._operands = [g.qubits if len(g.qubits) == 2 else () for g in circ.gates]
+        if lookahead is not None and (type(lookahead) is not int or lookahead < 1):
+            raise InputError(f"lookahead must be a positive integer or None, got {lookahead!r}")
+        self.window = sys.maxsize if lookahead is None else lookahead
+        self._gates = circ.gates
+        self._per_qubit, self._partners = circ.partner_lists
         self._heads: list[int] = [0] * circ.n_qubits
 
     def mark_done(self, seq: int) -> None:
+        qubits = self._gates[seq][1]
+        if len(qubits) != 2:
+            return
         heads = self._heads
-        for q in self._operands[seq]:
+        for q in qubits:
             head = heads[q]
             entries = self._per_qubit[q]
             if head == len(entries) or entries[head][0] != seq:
@@ -85,17 +84,7 @@ class PendingTracker:
         head = self._heads[qubit]
         if head < len(entries) and entries[head][0] == exclude_seq:
             head += 1
-        if self.lookahead is None:
-            return entries[head:]
-        return entries[head : head + self.lookahead]
-
-
-class MoveDecision(NamedTuple):
-    """Which operand moves where: the full trap path, from the mover's trap to
-    its partner's, is committed up front."""
-
-    mover: int
-    path: tuple[int, ...]
+        return entries[head : head + self.window]
 
 
 def _score(
@@ -111,7 +100,7 @@ def _score(
     s = 0
     # Every partner is a circuit qubit, placed and only ever moved between
     # traps, so the map is read directly.
-    trap_of = state._trap_of
+    trap_of = state.trap_of
     for _, partner in tracker.pending_gates(qubit, exclude_seq=exclude_seq):
         t = trap_of[partner]
         if t == dest_trap:
@@ -121,32 +110,26 @@ def _score(
     return s
 
 
-def select_mover(
-    gate: Gate,
-    state: DeviceState,
-    tracker: PendingTracker,
-    spec: DeviceSpec,
-) -> MoveDecision:
-    """Pick which operand of a split gate relocates to the other's trap."""
+def select_mover(gate: Gate, state: DeviceState, tracker: PendingTracker) -> tuple[int, tuple[int, ...]]:
+    """Pick which operand of a split gate relocates to the other's trap, and
+    return it with the full trap path from its trap to its partner's."""
     a, b = gate.qubits
-    ta, tb = state.trap_of(a), state.trap_of(b)
+    ta, tb = state.trap_of[a], state.trap_of[b]
     if ta == tb:
         raise InputError(f"gate {gate.seq} operands already share trap {ta}")
     # Both directions are memoised: ring ties break toward increasing index.
     paths = state.paths
     path_a = paths.get((ta, tb))
     if path_a is None:
-        path_a = paths[ta, tb] = shortest_path(spec, ta, tb)
+        path_a = paths[ta, tb] = shortest_path(state.spec, ta, tb)
     path_b = paths.get((tb, ta))
     if path_b is None:
-        path_b = paths[tb, ta] = shortest_path(spec, tb, ta)
+        path_b = paths[tb, ta] = shortest_path(state.spec, tb, ta)
     # All-to-all in-trap connectivity: one SWAP gate moves any ion straight to
     # the boundary slot, so an operand already there saves that SWAP.
     key_a = (-_score(a, ta, tb, state, tracker, gate.seq), a != _exit_ion(state, ta, path_a[1]), a)
     key_b = (-_score(b, tb, ta, state, tracker, gate.seq), b != _exit_ion(state, tb, path_b[1]), b)
-    if key_a <= key_b:
-        return new_record(MoveDecision, (a, path_a))
-    return new_record(MoveDecision, (b, path_b))
+    return (a, path_a) if key_a <= key_b else (b, path_b)
 
 
 def _exit_ion(state: DeviceState, trap: int, neighbor: int) -> int:
@@ -164,7 +147,6 @@ def _require_unpinned(state: DeviceState, trap: int, avoid: frozenset[int]) -> N
 
 def _evict_one(
     state: DeviceState,
-    spec: DeviceSpec,
     trap: int,
     avoid: frozenset[int],
     tracker: PendingTracker,
@@ -181,7 +163,7 @@ def _evict_one(
     neighbours per trap, a walk is the shortest way to slack on its side.
     Relief cascades back along the chosen route, farthest trap first.
     """
-    chains = state.chains
+    chains, spec = state.chains, state.spec
     capacity = spec.capacity
     _require_unpinned(state, trap, avoid)
     # The open neighbour least by (t in blocked, len(chain), t); neighbours
@@ -214,7 +196,7 @@ def _evict_one(
     # A qubit's pending window is the slice [h : h + window] from its head h.
     facing = spec._facing
     per_qubit, partners, heads = tracker._per_qubit, tracker._partners, tracker._heads
-    window = tracker.lookahead or sys.maxsize
+    window = tracker.window
     ops: list[PhysOp] = []
     # Deeper evictions leave the traps nearer trap untouched, so each victim
     # is chosen against its own trap as it stood when the route was found.
@@ -257,7 +239,6 @@ def resolve_gate(
     gate: Gate,
     state: DeviceState,
     tracker: PendingTracker,
-    spec: DeviceSpec,
     commit: Callable[..., PhysOp],
 ) -> list[PhysOp]:
     """Co-trap a split gate's operands, committing each SWAP and shuttle in turn.
@@ -266,15 +247,15 @@ def resolve_gate(
     and return its record. Returns the committed records in order; afterwards
     the operands share the destination trap.
     """
-    mover, path = select_mover(gate, state, tracker, spec)
+    mover, path = select_mover(gate, state, tracker)
     avoid = frozenset(gate.qubits)
-    chains, capacity, facing = state.chains, spec.capacity, spec._facing
+    chains, capacity, facing = state.chains, state.spec.capacity, state.spec._facing
     ops: list[PhysOp] = []
     record = ops.append
     for i in range(1, len(path)):
         cur, nxt = path[i - 1], path[i]
         if len(chains[nxt]) >= capacity:
-            ops += _evict_one(state, spec, nxt, avoid, tracker, commit, frozenset(path[i + 1 :]))
+            ops += _evict_one(state, nxt, avoid, tracker, commit, frozenset(path[i + 1 :]))
         # In-trap connectivity is all-to-all, so one SWAP gate exchanges the
         # mover with whatever ion holds the end facing nxt.
         chain = chains[cur]

@@ -90,12 +90,13 @@ def compute_metrics(schedule: Schedule) -> Metrics:
     return schedule.metrics
 
 
-def _reject_infeasible(circ: Circuit, state: DeviceState, spec: DeviceSpec) -> None:
+def _reject_infeasible(circ: Circuit, state: DeviceState) -> None:
     """Raise DeadlockError for a split two-qubit gate that no routing can join.
 
     No trap of capacity 1 holds two ions, and on a device without a free slot
     no shuttle can run, so a gate the placement split stays split.
     """
+    spec = state.spec
     if spec.capacity == 1:
         reason = "trap capacity is 1"
     elif sum(map(len, state.chains)) == spec.n_traps * spec.capacity:
@@ -105,7 +106,7 @@ def _reject_infeasible(circ: Circuit, state: DeviceState, spec: DeviceSpec) -> N
     for g in circ.gates:
         if len(g.qubits) == 2:
             a, b = g.qubits
-            ta, tb = state.trap_of(a), state.trap_of(b)
+            ta, tb = state.trap_of[a], state.trap_of[b]
             if ta != tb:
                 raise DeadlockError(
                     f"gate {g.seq} on qubits {a},{b} (traps {ta},{tb}) can never be co-trapped: {reason}",
@@ -137,8 +138,8 @@ def schedule(
 
 def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: int | None) -> Schedule:
     placement.validate(spec, circ.n_qubits)
-    state = DeviceState(spec, [list(c) for c in placement.chains])
-    _reject_infeasible(circ, state, spec)
+    state = DeviceState(spec, placement)
+    _reject_infeasible(circ, state)
     gates = circ.gates
     # Readiness: heads[q] walks qubit q's gates in program order, waiting[seq]
     # counts the operands whose previous gate has not committed, and
@@ -162,7 +163,7 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     swap_time = [timing.swap(n) for n in range(longest)]
     gate1_time, shuttle_time = timing.one_qubit, timing.shuttle
     chains = state.chains
-    trap_of = state._trap_of
+    trap_of = state.trap_of
     apply = state.apply
     record = out.append
     SHUTTLE, GATE1, GATE2 = OpKind.SHUTTLE, OpKind.GATE1, OpKind.GATE2
@@ -237,7 +238,7 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
         if len(qubits) == 2:
             if ta != tb:
                 cursor = clock
-                resolve_gate(gates[seq], state, tracker, spec, commit)
+                resolve_gate(gates[seq], state, tracker, commit)
                 ta, tb = trap_of[a], trap_of[b]
                 if ta != tb:
                     raise DeviceOpError(f"gate2 operands {a},{b} not co-trapped (traps {ta},{tb})")
@@ -341,16 +342,18 @@ def verify_schedule(
     isclose, ulp, inf = math.isclose, math.ulp, math.inf
     GATE1, GATE2, SWAP, SHUTTLE = OpKind.GATE1, OpKind.GATE2, OpKind.SWAP, OpKind.SHUTTLE
 
-    # Each kind's branch runs that kind's checks in one fixed order: held
-    # traps valid and free, duration, circuit gate (gate kinds), legality on
-    # the chain model, capacity. _trap_fault reruns the held-trap checks only
-    # to name the fault the inline test found.
+    # Each op's checks run in one fixed order: held traps valid and free,
+    # duration, circuit gate (gate kinds), legality on the chain model,
+    # capacity. _trap_fault reruns the held-trap checks only to name the fault
+    # the inline test found.
     #
     # The duration check first tries abs(d - e) <= 1e-9 * e, which implies
     # isclose(d, e, rel_tol=1e-9) for a finite e (the same two floats are
     # compared), and calls isclose only when it fails. An infinite e would
     # pass it with any d, so "< inf" sends that case to isclose, which
-    # rejects every finite duration against it.
+    # rejects every finite duration against it. end was rounded once when
+    # start + duration was stored, so isclose also allows the float spacing
+    # at end as well as the fixed floor.
     for i in order:
         kind, qubits, trap, src, dst, seq, start, end = ops[i]
         if not end > start:
@@ -363,13 +366,22 @@ def verify_schedule(
             ):
                 return _trap_fault((src, dst), start, busy_until, n_traps, i)
             expected = shuttle_time
-            # end was rounded once when start + duration was stored, so allow
-            # the float spacing at end as well as the fixed floor.
-            if not (
-                abs(duration - expected) <= 1e-9 * expected < inf
-                or isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end)))
-            ):
-                return _timing_fault(duration, expected, i)
+        elif trap is None or not 0 <= trap < n_traps or start < busy_until[trap] - 1e-12:
+            return _trap_fault((trap,), start, busy_until, n_traps, i)
+        elif kind is SWAP:
+            expected = swap_time[len(chains[trap])]
+        elif kind is GATE2:
+            expected = gate2_time[len(chains[trap])]
+        elif kind is GATE1:
+            expected = gate1_time
+        else:
+            raise InputError(f"unknown op kind {kind}")
+        if not (
+            abs(duration - expected) <= 1e-9 * expected < inf
+            or isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end)))
+        ):
+            return _timing_fault(duration, expected, i)
+        if kind is SHUTTLE:
             q = qubits[0]
             if right_of[src] == dst:
                 right = True
@@ -398,15 +410,7 @@ def verify_schedule(
                 return Verdict(False, f"trap {dst} exceeds capacity {capacity}", i)
             busy_until[src] = busy_until[dst] = end
             continue
-        if trap is None or not 0 <= trap < n_traps or start < busy_until[trap] - 1e-12:
-            return _trap_fault((trap,), start, busy_until, n_traps, i)
         if kind is SWAP:
-            expected = swap_time[len(chains[trap])]
-            if not (
-                abs(duration - expected) <= 1e-9 * expected < inf
-                or isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end)))
-            ):
-                return _timing_fault(duration, expected, i)
             # All-to-all connectivity inside a trap: a SWAP gate exchanges the
             # chain positions of any two resident ions.
             if len(qubits) != 2 or qubits[0] == qubits[1]:
@@ -422,13 +426,7 @@ def verify_schedule(
             chain = chains[ta]
             pa, pb = chain.index(a), chain.index(b)
             chain[pa], chain[pb] = b, a
-        elif kind is GATE2 or kind is GATE1:
-            expected = gate2_time[len(chains[trap])] if kind is GATE2 else gate1_time
-            if not (
-                abs(duration - expected) <= 1e-9 * expected < inf
-                or isclose(duration, expected, rel_tol=1e-9, abs_tol=max(1e-15, ulp(end)))
-            ):
-                return _timing_fault(duration, expected, i)
+        else:
             if seq is None or not 0 <= seq < n_gates:
                 return Verdict(False, f"gate op carries unknown circuit index {seq}", i)
             operands = gate_qubits[seq]
@@ -452,8 +450,6 @@ def verify_schedule(
                     return _illegal(f"gate2 trap {trap} does not hold operands {a},{b}", i)
             elif trap != trap_of[qubits[0]]:
                 return _illegal(f"gate1 trap {trap} does not hold qubit {qubits[0]}", i)
-        else:
-            raise InputError(f"unknown op kind {kind}")
         busy_until[trap] = end
     missing = [seq for seq in range(n_gates) if not seen[seq]]
     if missing:

@@ -89,7 +89,7 @@ def verify_schedule(
     """
     try:
         placement.validate(spec, circ.n_qubits)
-        state = DeviceState(spec, [list(c) for c in placement.chains])
+        state = DeviceState(spec, placement)
     except (InputError, DeviceOpError) as exc:
         return Verdict(False, f"invalid initial placement: {exc}")
 

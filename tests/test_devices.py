@@ -18,6 +18,7 @@ from qccdmap.devices import (
     trap_distance,
 )
 from qccdmap.errors import DeviceOpError, InputError
+from qccdmap.placement import Placement
 from reference import held, op_duration
 
 
@@ -30,7 +31,7 @@ def _ring(n_traps=5, capacity=4, excess=2) -> DeviceSpec:
 
 
 def _state(spec: DeviceSpec, chains) -> DeviceState:
-    return DeviceState(spec, [list(c) for c in chains])
+    return DeviceState(spec, Placement(tuple(map(tuple, chains))))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,7 @@ def test_shuttle_rejections_leave_state_unchanged(qubit, src, dst, error, messag
     assert type(err.value) is error
     assert str(err.value) == message
     assert st.chains == [[0, 1], [2, 3], [4]]
-    assert {q: st.trap_of(q) for q in range(5)} == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2}
+    assert {q: st.trap_of[q] for q in range(5)} == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2}
 
 
 def test_gate2_requires_co_trapped_operands():
@@ -266,14 +267,14 @@ def test_copy_is_independent_of_original():
     out = st.copy()
     out.apply(PhysOp(OpKind.SHUTTLE, (2,), src=0, dst=1))
     assert st.chains == [[3, 2], [4]]
-    assert st.trap_of(2) == 0
+    assert st.trap_of[2] == 0
     assert out.chains == [[3], [2, 4]]
-    assert out.trap_of(2) == 1
+    assert out.trap_of[2] == 1
 
 def test_state_lookups():
     spec = _linear(n_traps=2)
     st = _state(spec, [[3, 2], [4]])
-    assert st.trap_of(4) == 1
+    assert st.trap_of[4] == 1
     assert len(st.chains[0]) == 2
 
 

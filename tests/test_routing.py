@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from qccdmap.circuits import circuit
 from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology
 from qccdmap.errors import DeadlockError, InputError, QccdError
+from qccdmap.placement import Placement
+from qccdmap.scheduling import schedule
 from qccdmap.routing import (
     DEFAULT_LOOKAHEAD,
     PendingTracker,
@@ -26,14 +28,14 @@ def _spec(n_traps, capacity, excess, topology=Topology.LINEAR) -> DeviceSpec:
 
 
 def _state(spec, chains) -> DeviceState:
-    return DeviceState(spec, [list(c) for c in chains])
+    return DeviceState(spec, Placement(tuple(map(tuple, chains))))
 
 
 def _kinds(ops):
     return [op.kind for op in ops]
 
 
-def _resolve(gate, state, tracker, spec):
+def _resolve(gate, state, tracker):
     """Route gate on state in place; the returned ops are exactly those committed."""
     committed = []
 
@@ -43,7 +45,7 @@ def _resolve(gate, state, tracker, spec):
         committed.append(op)
         return op
 
-    ops = resolve_gate(gate, state, tracker, spec, commit)
+    ops = resolve_gate(gate, state, tracker, commit)
     assert ops == committed
     return ops
 
@@ -91,8 +93,29 @@ def test_tracker_rejects_done_gate_out_of_program_order():
 
 def test_tracker_rejects_non_positive_window():
     c = circuit(2, [("cx", 0, 1)])
-    with pytest.raises(Exception):
-        PendingTracker(c, lookahead=0)
+    for lookahead in (0, -3, 2.5, "4", True, 4.0):
+        with pytest.raises(InputError, match="lookahead must be a positive integer or None"):
+            PendingTracker(c, lookahead=lookahead)
+    # refused even when no gate is split, so the window is never read
+    spec = _spec(1, 2, 0)
+    with pytest.raises(InputError):
+        schedule(c, Placement(((0, 1),)), spec, lookahead=2.5)
+    assert schedule(c, Placement(((0, 1),)), spec, lookahead=None).ops
+
+
+def test_partner_lists_are_built_once_per_circuit():
+    c = circuit(4, [("cx", 0, 1), ("h", 2), ("cx", 0, 2), ("cx", 3, 0)])
+    per_qubit, partners = c.partner_lists
+    assert c.partner_lists is c.partner_lists
+    assert per_qubit[0] == [(0, 1), (2, 2), (3, 3)] and partners[0] == [1, 2, 3]
+    assert per_qubit[2] == [(2, 0)] and partners[2] == [0]
+    first, second = PendingTracker(c), PendingTracker(c, lookahead=1)
+    for tracker in (first, second):
+        assert all(mine is shared for mine, shared in zip(tracker._per_qubit, per_qubit))
+        assert all(mine is shared for mine, shared in zip(tracker._partners, partners))
+    # the heads stay per tracker
+    first.mark_done(0)
+    assert first.pending_gates(1) == [] and second.pending_gates(1) == [(0, 0)]
 
 
 def test_default_lookahead_is_small_window():
@@ -108,16 +131,16 @@ def test_mover_one_swap_one_shuttle(movement_circuit, movement_spec, movement_pl
     state = _state(movement_spec, movement_placement.chains)
     tracker = PendingTracker(movement_circuit)
     gate = movement_circuit.gates[2]  # cx 2 4
-    ops = _resolve(gate, state, tracker, movement_spec)
+    ops = _resolve(gate, state, tracker)
     assert _kinds(ops) == [OpKind.SWAP, OpKind.SHUTTLE]
-    assert state.trap_of(2) == state.trap_of(4) == 1
+    assert state.trap_of[2] == state.trap_of[4] == 1
 
 
 def test_mover_already_at_boundary_needs_only_shuttle():
     spec = _spec(2, 4, 2)
     c = circuit(3, [("cx", 1, 2)])
     state = _state(spec, [[0, 1], [2]])
-    ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
+    ops = _resolve(c.gates[0], state, PendingTracker(c))
     assert _kinds(ops) == [OpKind.SHUTTLE]
 
 
@@ -125,10 +148,10 @@ def test_transit_across_middle_trap_shuttles_twice():
     spec = _spec(3, 4, 2)
     c = circuit(2, [("cx", 0, 1)])
     state = _state(spec, [[0], [], [1]])
-    ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
+    ops = _resolve(c.gates[0], state, PendingTracker(c))
     shuttles = [op for op in ops if op.kind == OpKind.SHUTTLE]
     assert len(shuttles) == 2
-    assert state.trap_of(0) == state.trap_of(1)
+    assert state.trap_of[0] == state.trap_of[1]
 
 
 def test_resolve_commits_each_op_once_in_order():
@@ -146,10 +169,10 @@ def test_resolve_commits_each_op_once_in_order():
         state.apply(op)
         return op
 
-    ops = resolve_gate(c.gates[0], state, PendingTracker(c), spec, commit)
+    ops = resolve_gate(c.gates[0], state, PendingTracker(c), commit)
     assert _kinds(ops) == [OpKind.SWAP, OpKind.SHUTTLE, OpKind.SWAP, OpKind.SHUTTLE]
     assert log == ops
-    assert state.trap_of(0) == state.trap_of(2)
+    assert state.trap_of[0] == state.trap_of[2]
     replay = _state(spec, chains)
     for op in ops:
         replay.apply(op)
@@ -161,7 +184,7 @@ def test_resolve_rejects_cotrapped_gate():
     c = circuit(3, [("cx", 0, 1)])
     state = _state(spec, [[0, 1], [2]])
     with pytest.raises(InputError):
-        resolve_gate(c.gates[0], state, PendingTracker(c), spec, state.apply)
+        resolve_gate(c.gates[0], state, PendingTracker(c), state.apply)
     assert state.chains == [[0, 1], [2]]
 
 
@@ -169,7 +192,7 @@ def test_at_most_one_swap_per_hop():
     spec = _spec(4, 5, 1)
     c = circuit(8, [("cx", 0, 7)])
     state = _state(spec, [[0, 1, 2, 3], [4, 5], [6], [7]])
-    ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
+    ops = _resolve(c.gates[0], state, PendingTracker(c))
     swaps = sum(1 for op in ops if op.kind == OpKind.SWAP)
     shuttles = sum(1 for op in ops if op.kind == OpKind.SHUTTLE)
     assert swaps <= shuttles
@@ -184,10 +207,10 @@ def test_mover_prefers_operand_with_more_to_gain():
     # 0 has two future partners in trap 1; 3 has a future partner at home
     c = circuit(6, [("cx", 0, 3), ("cx", 0, 4), ("cx", 0, 5), ("cx", 3, 1)])
     state = _state(spec, [[0, 1, 2], [3, 4, 5]])
-    decision = select_mover(c.gates[0], state, PendingTracker(c), spec)
-    assert decision.mover == 0
-    assert decision.path[-1] == 1
-    assert decision.path == (0, 1)
+    mover, path = select_mover(c.gates[0], state, PendingTracker(c))
+    assert mover == 0
+    assert path[-1] == 1
+    assert path == (0, 1)
 
 
 def test_mover_scores_count_own_trap_partners_negative():
@@ -195,9 +218,9 @@ def test_mover_scores_count_own_trap_partners_negative():
     # mirror image: now 3 gains nothing by staying, 0 wants to stay home
     c = circuit(6, [("cx", 0, 3), ("cx", 0, 1), ("cx", 0, 2), ("cx", 3, 2)])
     state = _state(spec, [[0, 1, 2], [3, 4, 5]])
-    decision = select_mover(c.gates[0], state, PendingTracker(c), spec)
-    assert decision.mover == 3
-    assert decision.path[-1] == 0
+    mover, path = select_mover(c.gates[0], state, PendingTracker(c))
+    assert mover == 3
+    assert path[-1] == 0
 
 
 def test_mover_tie_breaks_on_boundary_distance():
@@ -205,16 +228,16 @@ def test_mover_tie_breaks_on_boundary_distance():
     c = circuit(4, [("cx", 1, 2)])
     # both operands scoreless; 2 already sits on its facing boundary
     state = _state(spec, [[1, 0], [2, 3]])
-    decision = select_mover(c.gates[0], state, PendingTracker(c), spec)
-    assert decision.mover == 2
+    mover, _ = select_mover(c.gates[0], state, PendingTracker(c))
+    assert mover == 2
 
 
 def test_path_follows_trap_graph_shortest_path():
     spec = _spec(5, 4, 2, topology=Topology.RING)
     c = circuit(2, [("cx", 0, 1)])
     state = _state(spec, [[0], [], [], [], [1]])
-    decision = select_mover(c.gates[0], state, PendingTracker(c), spec)
-    assert decision.path in ((0, 4), (4, 0))  # one hop around the ring seam
+    _, path = select_mover(c.gates[0], state, PendingTracker(c))
+    assert path in ((0, 4), (4, 0))  # one hop around the ring seam
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +249,10 @@ def test_full_destination_evicts_least_attached_resident():
     # trap 1 is full; 3 still has work there, 4 does not, so 4 must leave
     c = circuit(6, [("cx", 0, 2), ("cx", 2, 3)])
     state = _state(spec, [[1, 0], [2, 3, 4], [5]])
-    _resolve(c.gates[0], state, PendingTracker(c), spec)
-    assert state.trap_of(4) == 2
-    assert state.trap_of(0) == state.trap_of(2) == 1
-    assert state.trap_of(3) == 1
+    _resolve(c.gates[0], state, PendingTracker(c))
+    assert state.trap_of[4] == 2
+    assert state.trap_of[0] == state.trap_of[2] == 1
+    assert state.trap_of[3] == 1
 
 
 def test_eviction_tie_on_attachment_evicts_latest_needed():
@@ -238,7 +261,7 @@ def test_eviction_tie_on_attachment_evicts_latest_needed():
     spec = _spec(3, 4, 0)
     c = circuit(7, [("cx", 0, 2), ("cx", 2, 3), ("cx", 2, 5), ("cx", 2, 4)])
     state = _state(spec, [[1, 0], [2, 3, 4, 5], [6]])
-    ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
+    ops = _resolve(c.gates[0], state, PendingTracker(c))
     assert ops == [
         PhysOp(OpKind.SWAP, (4, 5), 1),
         PhysOp(OpKind.SHUTTLE, (4,), src=1, dst=2),
@@ -253,7 +276,7 @@ def test_eviction_tie_on_attachment_and_next_gate_evicts_exit_resident():
     spec = _spec(3, 4, 0)
     c = circuit(7, [("cx", 0, 2), ("cx", 3, 5), ("cx", 2, 4), ("cx", 4, 2)])
     state = _state(spec, [[1, 0], [2, 3, 4, 5], [6]])
-    ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
+    ops = _resolve(c.gates[0], state, PendingTracker(c))
     assert ops == [PhysOp(OpKind.SHUTTLE, (5,), src=1, dst=2), PhysOp(OpKind.SHUTTLE, (0,), src=0, dst=1)]
 
 
@@ -329,7 +352,7 @@ def test_eviction_victim_matches_full_key(case):
         committed.append(op)
         return op
 
-    _evict_one(state, spec, src, case["avoid"], tracker, commit)
+    _evict_one(state, src, case["avoid"], tracker, commit)
     assert committed[-1] == PhysOp(OpKind.SHUTTLE, (expected,), src=src, dst=1 - src)
 
 
@@ -455,7 +478,7 @@ def _run_eviction(case, evict):
         return op
 
     try:
-        evict(state, spec, case["trap"], case["avoid"], tracker, commit, case["blocked"])
+        evict(state, case["trap"], case["avoid"], tracker, commit, case["blocked"])
         error = None
     except DeadlockError as err:
         error = (type(err), str(err))
@@ -465,8 +488,8 @@ def _run_eviction(case, evict):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_relief_case())
 def test_relief_route_matches_recursive_eviction(case):
-    def reference(state, spec, trap, avoid, tracker, commit, blocked):
-        _reference_evict_one(state, spec, trap, avoid, tracker, commit, frozenset(), blocked)
+    def reference(state, trap, avoid, tracker, commit, blocked):
+        _reference_evict_one(state, state.spec, trap, avoid, tracker, commit, frozenset(), blocked)
 
     assert _run_eviction(case, _evict_one) == _run_eviction(case, reference)
 
@@ -475,8 +498,8 @@ def test_eviction_never_moves_gate_operands():
     spec = _spec(3, 2, 0)
     c = circuit(5, [("cx", 0, 2)])
     state = _state(spec, [[0, 1], [2, 3], [4]])
-    _resolve(c.gates[0], state, PendingTracker(c), spec)
-    assert state.trap_of(0) == state.trap_of(2)
+    _resolve(c.gates[0], state, PendingTracker(c))
+    assert state.trap_of[0] == state.trap_of[2]
 
 
 def test_relief_cascades_through_packed_walls():
@@ -486,8 +509,8 @@ def test_relief_cascades_through_packed_walls():
     spec = _spec(4, 2, 0)
     c = circuit(7, [("cx", 0, 2)])
     state = _state(spec, [[0, 1], [2, 3], [4, 5], [6]])
-    ops = _resolve(c.gates[0], state, PendingTracker(c), spec)
-    assert state.trap_of(0) == state.trap_of(2)
+    ops = _resolve(c.gates[0], state, PendingTracker(c))
+    assert state.trap_of[0] == state.trap_of[2]
     shuttles = sum(1 for op in ops if op.kind == OpKind.SHUTTLE)
     assert shuttles >= 4  # eviction chain reaches the slack, then the mover
     assert all(len(state.chains[t]) <= spec.capacity for t in range(4))
@@ -498,7 +521,7 @@ def test_deadlock_when_no_slack_exists():
     c = circuit(4, [("cx", 0, 2)])
     state = _state(spec, [[0, 1], [2, 3]])
     with pytest.raises(DeadlockError) as err:
-        _resolve(c.gates[0], state, PendingTracker(c), spec)
+        _resolve(c.gates[0], state, PendingTracker(c))
     assert "occupancy" in str(err.value)
     assert err.value.exit_code == 2
 
@@ -517,8 +540,8 @@ def test_routing_keeps_capacity_invariant_under_replay():
 
     for gate in c.gates:
         a, b = gate.qubits
-        if state.trap_of(a) != state.trap_of(b):
-            resolve_gate(gate, state, tracker, spec, commit)
-        assert state.trap_of(a) == state.trap_of(b)
-        state.apply(PhysOp(OpKind.GATE2, (a, b), state.trap_of(a), seq=gate.seq))
+        if state.trap_of[a] != state.trap_of[b]:
+            resolve_gate(gate, state, tracker, commit)
+        assert state.trap_of[a] == state.trap_of[b]
+        state.apply(PhysOp(OpKind.GATE2, (a, b), state.trap_of[a], seq=gate.seq))
         tracker.mark_done(gate.seq)

@@ -100,6 +100,27 @@ def test_durations_match_occupancy_at_start(movement_circuit, movement_spec, mov
     assert g24.end - g24.start == pytest.approx(100e-6 * (1 + 0.05 * 2))
 
 
+def test_state_never_aliases_its_placement():
+    spec = DeviceSpec(topology=Topology.LINEAR, n_traps=3, capacity=3, excess_capacity=0)
+    circ = circuit(6, [("cx", 0, 2), ("cx", 2, 3), ("cx", 0, 5)])
+    pl = Placement(chains=((1, 0), (2, 3, 4), (5,)))
+    chains, trap_of = pl.chains, dict(pl.trap_of)
+    state = DeviceState(spec, pl)
+
+    def commit(*fields):
+        op = PhysOp(*fields)
+        state.apply(op)
+        return op
+
+    ops = resolve_gate(circ.gates[0], state, PendingTracker(circ), commit)
+    assert state.trap_of[0] == state.trap_of[2] and len(ops) >= 2
+    assert pl.chains is chains and pl.chains == ((1, 0), (2, 3, 4), (5,))
+    assert pl.trap_of == trap_of
+    # the schedule a placement gives does not depend on earlier compiles from it
+    assert schedule_to_text(schedule(circ, pl, spec)) == schedule_to_text(schedule(circ, pl, spec))
+    assert pl.trap_of == trap_of
+
+
 @pytest.mark.parametrize("topology", list(Topology))
 @pytest.mark.parametrize("slope", [0.0, 0.3])
 def test_scheduled_durations_equal_timing_model_exactly(topology, slope):
@@ -110,7 +131,7 @@ def test_scheduled_durations_equal_timing_model_exactly(topology, slope):
     circ = generate("rnd", 24, gates=300, seed=3)
     pl = place(circ, spec, "sta")
     sched = schedule(circ, pl, spec)
-    state = DeviceState(spec, [list(c) for c in pl.chains])
+    state = DeviceState(spec, pl)
     lengths = set()
     for s in sched.ops:
         occupancy = state.occupancies()
@@ -371,7 +392,7 @@ def _rescan_schedule(circ, placement, spec, lookahead):
     It drives the same ``resolve_gate`` as ``schedule``, so a difference
     between the two can only come from the event loop.
     """
-    state = DeviceState(spec, [list(c) for c in placement.chains])
+    state = DeviceState(spec, placement)
     # A gate's predecessors are the previous gates on each of its operands.
     predecessors, successors = [], [[] for _ in circ.gates]
     last_on: dict[int, int] = {}
@@ -412,19 +433,19 @@ def _rescan_schedule(circ, placement, spec, lookahead):
             if ready_at[seq] > clock:
                 continue
             g = circ.gates[seq]
-            traps = {state.trap_of(q) for q in g.qubits}
+            traps = {state.trap_of[q] for q in g.qubits}
             if any(trap_free[t] > clock for t in traps):
                 continue
             if len(g.qubits) == 2:
                 a, b = g.qubits
                 cursor = clock
                 if len(traps) == 2:
-                    resolve_gate(g, state, tracker, spec, commit_move)
-                gate = PhysOp(OpKind.GATE2, (a, b), state.trap_of(a), seq=seq)
+                    resolve_gate(g, state, tracker, commit_move)
+                gate = PhysOp(OpKind.GATE2, (a, b), state.trap_of[a], seq=seq)
                 end = commit_op(gate, cursor).end
             else:
                 q = g.qubits[0]
-                gate = PhysOp(OpKind.GATE1, (q,), state.trap_of(q), seq=seq)
+                gate = PhysOp(OpKind.GATE1, (q,), state.trap_of[q], seq=seq)
                 end = commit_op(gate, clock).end
             end_of[seq] = end
             tracker.mark_done(seq)

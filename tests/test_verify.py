@@ -404,7 +404,7 @@ def test_shuttle_into_a_full_trap_is_caught(monkeypatch):
     circ = circuit(4, [("h", 3)])
     pl = Placement(chains=((0, 1, 2), (3,)))
     pushed = PhysOp(OpKind.SHUTTLE, (3,), src=1, dst=0)
-    state = DeviceState(spec, [list(c) for c in pl.chains])
+    state = DeviceState(spec, pl)
     state.apply(pushed)  # the buggy model lets the ion in
     assert state.chains[0] == [0, 1, 2, 3]
     shuttle = spec.timing.shuttle
