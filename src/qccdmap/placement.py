@@ -15,9 +15,10 @@ qubit near its partner and round-robins the qubits left over:
   while room allows.
 * ``random_place``: seeded uniform shuffle dealt into traps.
 
-Traps reserve ``excess_capacity`` free slots as routing slack; placement only
-spills into that slack when the usable slots are exhausted (overflow is a
-last resort, never an error while physical space remains).
+Traps reserve ``excess_capacity`` free slots as routing slack. A lone qubit
+spills into it only when no usable slot is left. A pair does when fewer than
+two traps have a usable slot: it goes to the first trap with two physical
+slots before it is split. Overflow is never an error while space remains.
 """
 from __future__ import annotations
 
@@ -127,19 +128,15 @@ class _Slots:
                     self._append(q1, t)
                     self._append(q2, t)
                     return
-            # No trap fits both: split across the closest trap pair.
+            # No trap fits both: split across the closest open pair, lowest
+            # traps first on a tie. On a line or a ring that is two neighbours
+            # in trap order, or the first and last open trap.
             open_traps = [t for t in range(spec.n_traps) if free(t) >= 1]
             if len(open_traps) >= 2:
-                _, ta, tb = min(
-                    (trap_distance(spec, a, b), a, b) for a in open_traps for b in open_traps if a != b
-                )
+                neighbours = [*zip(open_traps, open_traps[1:]), (open_traps[0], open_traps[-1])]
+                _, ta, tb = min((trap_distance(spec, a, b), a, b) for a, b in neighbours)
                 self._append(q1, ta)
                 self._append(q2, tb)
-                return
-            if len(open_traps) == 1 and free is self._usable_free:
-                # One usable slot left: take it, partner overflows nearby.
-                self._append(q1, open_traps[0])
-                self._place_single(q2, q1)
                 return
         raise InputError("device has no physical space left for a qubit pair")
 
@@ -148,8 +145,7 @@ class _Slots:
         for free in (self._usable_free, self._physical_free):
             candidates = [t for t in range(self.spec.n_traps) if free(t) >= 1]
             if candidates:
-                candidates.sort(key=lambda t: (trap_distance(self.spec, home, t), t))
-                self._append(qubit, candidates[0])
+                self._append(qubit, min(candidates, key=lambda t: (trap_distance(self.spec, home, t), t)))
                 return
         raise InputError(f"device has no physical space left for qubit {qubit}")
 

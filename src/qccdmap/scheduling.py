@@ -242,9 +242,8 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
                 ta, tb = trap_of[a], trap_of[b]
                 if ta != tb:
                     raise DeviceOpError(f"gate2 operands {a},{b} not co-trapped (traps {ta},{tb})")
-                start = trap_free[ta]
-                if cursor > start:
-                    start = cursor
+                # The router's last op shuttles the mover into ta, so ta frees at cursor.
+                start = cursor
             else:
                 start = clock
             kind, dur = GATE2, gate2_time[len(chains[ta])]
@@ -382,6 +381,8 @@ def verify_schedule(
         ):
             return _timing_fault(duration, expected, i)
         if kind is SHUTTLE:
+            if len(qubits) != 1:
+                return _illegal(f"shuttle moves one ion, got {qubits}", i)
             q = qubits[0]
             if right_of[src] == dst:
                 right = True

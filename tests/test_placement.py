@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qccdmap.benchmarks import gen_qv
 from qccdmap.circuits import circuit, compute_slices, interaction_graph
 from qccdmap.devices import DeviceSpec, Topology, facing_end, shortest_path, trap_distance
 from qccdmap.errors import InputError
@@ -122,6 +123,25 @@ def test_sta_finds_only_the_relocation_ends_it_uses(monkeypatch):
     split = {(ta, tb) for ta in traps for tb in traps if ta != tb}
     assert calls and len(calls) == len(set(calls))
     assert set(calls) <= split
+
+
+@pytest.mark.parametrize("topology", [Topology.LINEAR, Topology.RING])
+@pytest.mark.parametrize("strategy", [sta_place, greedy_place])
+def test_split_pairs_compare_neighbouring_open_traps_only(monkeypatch, topology, strategy):
+    # One usable slot per trap splits every pair. The closest open traps are
+    # neighbours in trap order, so a split compares one pair per open trap,
+    # not every pair of them.
+    calls = 0
+
+    def counting(spec, a, b):
+        nonlocal calls
+        calls += 1
+        return trap_distance(spec, a, b)
+
+    monkeypatch.setattr("qccdmap.placement.trap_distance", counting)
+    spec = DeviceSpec(topology=topology, n_traps=100, capacity=2, excess_capacity=1)
+    strategy(gen_qv(100, 1, 1), spec).validate(spec, 100)
+    assert calls <= 100**2
 
 
 def _replay_moves(chain, moves):

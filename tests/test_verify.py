@@ -9,6 +9,7 @@ import random
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -432,3 +433,19 @@ def test_swap_in_a_trap_that_does_not_hold_its_ions_is_caught(monkeypatch):
     sched = Schedule(ops=(swap, gate))
     v = verify_schedule(sched, circ, pl, spec)
     assert (v.ok, v.reason, v.op_index) == (False, "illegal op: swap trap 1 does not hold ions 0,1", 0)
+
+
+@pytest.mark.parametrize("qubits", [(), (3, 0)])
+def test_shuttle_that_does_not_name_one_ion_is_caught(qubits):
+    # Ion 3 is at trap 1's boundary facing trap 0, and ion 0 sits in trap 0.
+    # Read as its first ion alone, the two-ion shuttle would pass.
+    spec = DeviceSpec(topology=Topology.LINEAR, n_traps=2, capacity=3, excess_capacity=1)
+    circ = circuit(4, [("h", 3)])
+    pl = Placement(chains=((0, 1), (3, 2)))
+    shuttle = spec.timing.shuttle
+    gate = PhysOp(OpKind.GATE1, (3,), trap=0, seq=0, start=shuttle, end=shuttle + spec.timing.one_qubit)
+    moved = PhysOp(OpKind.SHUTTLE, (3,), src=1, dst=0, end=shuttle)
+    assert verify_schedule(Schedule(ops=(moved, gate)), circ, pl, spec).ok
+    sched = Schedule(ops=(moved._replace(qubits=qubits), gate))
+    v = verify_schedule(sched, circ, pl, spec)
+    assert (v.ok, v.reason, v.op_index) == (False, f"illegal op: shuttle moves one ion, got {qubits}", 0)
