@@ -85,6 +85,9 @@ def run_compile(
 
 
 def _cmd_compile(args) -> int:
+    # The report records the seed, so one the placement would ignore is refused.
+    if args.seed is not None and args.placement != "random":
+        raise InputError(f"--seed is read only by --placement random, not {args.placement}")
     args.lookahead = None if args.lookahead == 0 else args.lookahead
     circ = parse_circuit_file(args.circuit)
     spec = parse_device_file(args.device)
@@ -114,7 +117,14 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+# The bench gen options each family reads; the header records every option given.
+_GEN_OPTIONS = {"rounds": ("qv",), "gates": ("rnd",), "seed": ("qv", "rnd")}
+
+
 def _cmd_bench_gen(args) -> int:
+    for option, families in _GEN_OPTIONS.items():
+        if getattr(args, option) is not None and args.family not in families:
+            raise InputError(f"--{option} is not read by family {args.family}")
     circ = generate(args.family, args.qubits, rounds=args.rounds, gates=args.gates, seed=args.seed)
     parts = [f"family={args.family}", f"qubits={args.qubits}"]
     if args.family == "qv":

@@ -9,7 +9,9 @@ from the source end facing the destination and arrives at the destination
 end facing the source.
 
 A ``DeviceState`` is one compile's copy of a validated placement: its chains
-and the public qubit-to-trap dict ``trap_of``, changed only by ``apply``.
+and the public qubit-to-trap dict ``trap_of``, changed only by the two typed
+mutations ``shuttle_ion`` and ``swap_ions``. ``apply`` dispatches a record to
+them.
 """
 from __future__ import annotations
 
@@ -196,6 +198,8 @@ class DeviceState:
 
     ``paths`` memoises the router's ``shortest_path`` calls for the run; a
     spec outlives its compiles, so a memo there would grow to every pair.
+    ``singletons`` maps each ion to the one-ion tuple that all its shuttle
+    records share, so a shuttle builds no ``qubits`` tuple of its own.
     """
 
     def __init__(self, spec: DeviceSpec, placement: Placement):
@@ -203,6 +207,7 @@ class DeviceState:
         self.chains = [list(c) for c in placement.chains]
         self.trap_of = dict(placement.trap_of)
         self.paths: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.singletons = {q: (q,) for q in self.trap_of}
 
     def copy(self) -> "DeviceState":
         dup = DeviceState.__new__(DeviceState)
@@ -210,58 +215,75 @@ class DeviceState:
         dup.chains = [list(c) for c in self.chains]
         dup.trap_of = dict(self.trap_of)
         dup.paths = self.paths
+        dup.singletons = self.singletons
         return dup
 
     def occupancies(self) -> list[int]:
         return [len(c) for c in self.chains]
 
-    def apply(self, op: PhysOp) -> None:
-        # One unpack, not an attribute lookup per field: this runs once per
-        # SWAP and shuttle.
-        kind, qubits, trap, src, dst, _, _, _ = op
+    def shuttle_ion(self, q: int, src: int, dst: int) -> None:
+        """Shuttle ion q from trap src to the adjacent trap dst. It leaves by
+        src's end facing dst and lands at the opposite end of dst, facing src."""
+        spec = self.spec
+        # One facing lookup both tests adjacency and gives the exit end.
+        exit_end = spec._facing.get((src, dst))
+        if exit_end is None:
+            spec._check_trap(src)
+            raise DeviceOpError(f"shuttle between non-adjacent traps {src} and {dst}")
         trap_of = self.trap_of
-        chains = self.chains
         try:
-            if kind is _SHUTTLE:
-                q = qubits[0]
-                # One facing lookup both tests adjacency and gives the exit end.
-                spec = self.spec
-                facing = spec._facing
-                exit_end = facing.get((src, dst))
-                if exit_end is None:
-                    spec._check_trap(src)
-                    raise DeviceOpError(f"shuttle between non-adjacent traps {src} and {dst}")
-                if trap_of[q] != src:
-                    raise DeviceOpError(f"shuttle qubit {q} is not in source trap {src}")
-                chain, landing = chains[src], chains[dst]
-                bpos = len(chain) - 1 if exit_end == "right" else 0
-                if chain[bpos] != q:
-                    raise DeviceOpError(
-                        f"shuttle qubit {q} is not at the boundary of trap {src} facing trap {dst}"
-                    )
-                if len(landing) >= spec.capacity:
-                    raise DeviceOpError(f"shuttle destination trap {dst} is full")
-                chain.pop(bpos)
-                if facing[dst, src] == "left":
-                    landing.insert(0, q)
-                else:
-                    landing.append(q)
-                trap_of[q] = dst
-            elif kind is _SWAP:
-                # All-to-all connectivity inside a trap: a SWAP gate exchanges the
-                # chain positions of any two resident ions.
-                if len(qubits) != 2 or qubits[0] == qubits[1]:
-                    raise DeviceOpError(f"swap needs two distinct ions, got {qubits}")
-                a, b = qubits
-                ta, tb = trap_of[a], trap_of[b]
-                if ta != tb:
-                    raise DeviceOpError(f"swap ions {a},{b} not co-trapped (traps {ta},{tb})")
-                if trap is not None and trap != ta:
-                    raise DeviceOpError(f"swap trap {trap} does not hold ions {a},{b}")
-                chain = chains[ta]
-                pa, pb = chain.index(a), chain.index(b)
-                chain[pa], chain[pb] = b, a
-            elif kind is _GATE2:
+            at = trap_of[q]
+        except KeyError:
+            raise DeviceOpError(f"qubit {q} is not on the device") from None
+        if at != src:
+            raise DeviceOpError(f"shuttle qubit {q} is not in source trap {src}")
+        chain, landing = self.chains[src], self.chains[dst]
+        right = exit_end == "right"
+        if chain[-1 if right else 0] != q:
+            raise DeviceOpError(f"shuttle qubit {q} is not at the boundary of trap {src} facing trap {dst}")
+        if len(landing) >= spec.capacity:
+            raise DeviceOpError(f"shuttle destination trap {dst} is full")
+        if right:
+            chain.pop()
+            landing.insert(0, q)
+        else:
+            del chain[0]
+            landing.append(q)
+        trap_of[q] = dst
+
+    def swap_ions(self, a: int, b: int, trap: int | None) -> None:
+        """Exchange the chain positions of ions a and b in trap (unchecked when
+        None): a trap is all-to-all connected, so any two residents swap."""
+        if a == b:
+            raise DeviceOpError(f"swap needs two distinct ions, got {(a, b)}")
+        trap_of = self.trap_of
+        try:
+            ta, tb = trap_of[a], trap_of[b]
+        except KeyError as exc:
+            raise DeviceOpError(f"qubit {exc.args[0]} is not on the device") from None
+        if ta != tb:
+            raise DeviceOpError(f"swap ions {a},{b} not co-trapped (traps {ta},{tb})")
+        if trap is not None and trap != ta:
+            raise DeviceOpError(f"swap trap {trap} does not hold ions {a},{b}")
+        chain = self.chains[ta]
+        pa, pb = chain.index(a), chain.index(b)
+        chain[pa], chain[pb] = b, a
+
+    def apply(self, op: PhysOp) -> None:
+        """Apply a SWAP or shuttle record through its typed mutation, or check
+        that a gate record's trap holds its operands, which changes nothing."""
+        kind, qubits, trap, src, dst, _, _, _ = op
+        if kind is _SHUTTLE:
+            self.shuttle_ion(qubits[0], src, dst)
+            return
+        if kind is _SWAP:
+            if len(qubits) != 2 or qubits[0] == qubits[1]:
+                raise DeviceOpError(f"swap needs two distinct ions, got {qubits}")
+            self.swap_ions(*qubits, trap)
+            return
+        trap_of = self.trap_of
+        try:
+            if kind is _GATE2:
                 a, b = qubits
                 ta, tb = trap_of[a], trap_of[b]
                 if ta != tb:

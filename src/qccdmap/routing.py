@@ -14,11 +14,13 @@ each qubit's trap from ``state.trap_of``, and pending work from a
 
 An eviction decides each hop in one scan: it reads each neighbour once for
 the destination, and tests each candidate victim's attachment as one slice
-of the tracker's partner lists.
+of the tracker's partner lists, a partner counting when ``trap_of`` puts it
+in the victim's trap.
 
 Each op goes to the caller's ``commit`` as its fields as soon as it is
-chosen; ``commit`` applies it and returns its record, so the next choice sees
-the state that op left behind.
+chosen; ``commit`` applies it to the state through the state's typed
+mutation and returns its record, so the next choice sees the state that op
+left behind. A shuttle names its ion by the state's shared one-ion tuple.
 """
 from __future__ import annotations
 
@@ -151,25 +153,26 @@ def _evict_one(
     avoid: frozenset[int],
     tracker: PendingTracker,
     commit: Callable[..., PhysOp],
-    blocked: frozenset[int] = frozenset(),
+    blocked: tuple[int, ...] = (),
 ) -> list[PhysOp]:
     """Free one slot in trap by shuttling out its least-attached resident, and
     return the records committed, in order.
 
-    Destinations in ``blocked`` (traps the mover still has to pass through)
-    are taken only as a last resort. When every neighbour is full, each one
-    starts a walk away from trap through full traps to the first free one,
-    dropped at a line end or back round a ring at trap; with at most two
-    neighbours per trap, a walk is the shortest way to slack on its side.
-    Relief cascades back along the chosen route, farthest trap first.
+    Destinations in ``blocked`` (the rest of the mover's path, the traps it
+    still has to pass through) are taken only as a last resort. When every
+    neighbour is full, each one starts a walk away from trap through full
+    traps to the first free one, dropped at a line end or back round a ring
+    at trap; with at most two neighbours per trap, a walk is the shortest way
+    to slack on its side. Relief cascades back along the chosen route,
+    farthest trap first.
     """
     chains, spec = state.chains, state.spec
-    capacity = spec.capacity
+    capacity, adjacency = spec.capacity, spec._adjacency
     _require_unpinned(state, trap, avoid)
     # The open neighbour least by (t in blocked, len(chain), t); neighbours
     # come in ascending index.
     dest = -1
-    for t in spec.neighbors(trap):
+    for t in adjacency[trap]:
         n = len(chains[t])
         if n < capacity:
             in_blocked = t in blocked
@@ -179,13 +182,16 @@ def _evict_one(
         route = [trap, dest]
     else:
         walks = []
-        for first in spec.neighbors(trap):
+        for first in adjacency[trap]:
             walk = [trap, first]
             while len(chains[walk[-1]]) >= capacity:
-                ahead = [u for u in spec.neighbors(walk[-1]) if u != walk[-2]]
-                if not ahead or ahead[0] == trap:
+                # The neighbour ahead is the one that is not back, or back
+                # itself at a line end.
+                back, ahead = walk[-2], adjacency[walk[-1]]
+                nxt = ahead[0] if ahead[0] != back else ahead[-1]
+                if nxt == back or nxt == trap:
                     break
-                walk.append(ahead[0])
+                walk.append(nxt)
             else:
                 walks.append(walk)
         if not walks:
@@ -193,8 +199,9 @@ def _evict_one(
         route = min(walks, key=lambda w: (w[1] in blocked, len(w), w[1]))
         for t in route[1:-1]:
             _require_unpinned(state, t, avoid)
-    # A qubit's pending window is the slice [h : h + window] from its head h.
-    facing = spec._facing
+    # A qubit's pending window is the slice [h : h + window] from its head h,
+    # and a candidate is attached when a partner in it has trap_of[p] == src.
+    facing, trap_of, singletons = spec._facing, state.trap_of, state.singletons
     per_qubit, partners, heads = tracker._per_qubit, tracker._partners, tracker._heads
     window = tracker.window
     ops: list[PhysOp] = []
@@ -204,19 +211,26 @@ def _evict_one(
         src, dest = route[i], route[i + 1]
         chain = chains[src]
         at_exit = chain[-1] if facing[src, dest] == "right" else chain[0]
-        residents = set(chain)
         # Least attached first, then the latest next co-trapped gate (evicting
         # a soon-needed ion just schedules a refetch), then the exit ion, then
         # the lowest qubit. An unattached candidate beats every attached one,
         # so the full key is needed only when every candidate is attached.
-        h = heads[at_exit]
-        if at_exit not in avoid and residents.isdisjoint(partners[at_exit][h : h + window]):
-            victim = at_exit
-        else:
+        victim = None
+        if at_exit not in avoid:
+            h = heads[at_exit]
+            for p in partners[at_exit][h : h + window]:
+                if trap_of[p] == src:
+                    break
+            else:
+                victim = at_exit
+        if victim is None:
             for q in sorted(chain):
                 if q not in avoid:
                     h = heads[q]
-                    if residents.isdisjoint(partners[q][h : h + window]):
+                    for p in partners[q][h : h + window]:
+                        if trap_of[p] == src:
+                            break
+                    else:
                         victim = q
                         break
             else:  # every candidate is attached, so each has a first hit
@@ -224,14 +238,14 @@ def _evict_one(
                 for q in chain:
                     if q not in avoid:
                         h = heads[q]
-                        hits = [seq for seq, p in per_qubit[q][h : h + window] if p in residents]
+                        hits = [seq for seq, p in per_qubit[q][h : h + window] if trap_of[p] == src]
                         key = (len(hits), -hits[0], q != at_exit, q)
                         if best is None or key < best:
                             best = key
                 victim = best[3]
         if victim != at_exit:
             ops.append(commit(_SWAP, (victim, at_exit), src, None, None))
-        ops.append(commit(_SHUTTLE, (victim,), None, src, dest))
+        ops.append(commit(_SHUTTLE, singletons[victim], None, src, dest))
     return ops
 
 
@@ -243,24 +257,27 @@ def resolve_gate(
 ) -> list[PhysOp]:
     """Co-trap a split gate's operands, committing each SWAP and shuttle in turn.
 
-    ``commit(kind, qubits, trap, src, dst)`` must apply the op to ``state``
-    and return its record. Returns the committed records in order; afterwards
-    the operands share the destination trap.
+    ``commit(kind, qubits, trap, src, dst)`` must apply the op to ``state``,
+    through ``state.shuttle_ion`` or ``state.swap_ions``, and return its
+    record. A shuttle's ``qubits`` is ``state.singletons[ion]``. Returns the
+    committed records in order; afterwards the operands share the
+    destination trap.
     """
     mover, path = select_mover(gate, state, tracker)
     avoid = frozenset(gate.qubits)
     chains, capacity, facing = state.chains, state.spec.capacity, state.spec._facing
+    moved = state.singletons[mover]
     ops: list[PhysOp] = []
     record = ops.append
     for i in range(1, len(path)):
         cur, nxt = path[i - 1], path[i]
         if len(chains[nxt]) >= capacity:
-            ops += _evict_one(state, nxt, avoid, tracker, commit, frozenset(path[i + 1 :]))
+            ops += _evict_one(state, nxt, avoid, tracker, commit, path[i + 1 :])
         # In-trap connectivity is all-to-all, so one SWAP gate exchanges the
         # mover with whatever ion holds the end facing nxt.
         chain = chains[cur]
         occupant = chain[-1] if facing[cur, nxt] == "right" else chain[0]
         if occupant != mover:
             record(commit(_SWAP, (mover, occupant), cur, None, None))
-        record(commit(_SHUTTLE, (mover,), None, cur, nxt))
+        record(commit(_SHUTTLE, moved, None, cur, nxt))
     return ops

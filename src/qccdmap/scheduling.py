@@ -9,13 +9,16 @@ sequence index. A split two-qubit gate first commits its movement ops (SWAP
 walks plus shuttles from the router), chained serially, then the gate itself.
 
 Only SWAPs and shuttles change the device state, and only through
-``DeviceState.apply``, which checks each one's preconditions. A gate op
-changes no state, so the loop times and records it without ``apply``; before
-a two-qubit gate it re-reads both operands' traps and raises the device
-model's ``DeviceOpError`` if routing left them apart.
+``DeviceState.swap_ions`` and ``DeviceState.shuttle_ion``, which check each
+one's preconditions. ``commit`` times a SWAP or shuttle, then calls its typed
+mutation. A gate op changes no state, so the loop times and records it
+without touching the state; before a two-qubit gate it re-reads both
+operands' traps and raises the device model's ``DeviceOpError`` if routing
+left them apart.
 
 The schedule is one immutable ``PhysOp`` per op, built once it is timed and
-never copied; the router hands ``commit`` a SWAP's or shuttle's fields.
+applied, and never copied; the router hands ``commit`` a SWAP's or shuttle's
+fields, and the record is only stored and returned.
 
 ``schedule`` pauses Python's cyclic garbage collector while it builds them.
 Each record holds an ``OpKind`` member, which the collector tracks, so every
@@ -164,7 +167,7 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     gate1_time, shuttle_time = timing.one_qubit, timing.shuttle
     chains = state.chains
     trap_of = state.trap_of
-    apply = state.apply
+    shuttle_ion, swap_ions = state.shuttle_ion, state.swap_ions
     record = out.append
     SHUTTLE, GATE1, GATE2 = OpKind.SHUTTLE, OpKind.GATE1, OpKind.GATE2
     inf = math.inf
@@ -175,9 +178,12 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
 
     def commit(kind, qubits, t, src, dst) -> PhysOp:
         """Time a SWAP or shuttle at the first moment from cursor on that its
-        traps are free, apply and return its record, and advance cursor."""
+        traps are free, apply it to the state, advance cursor and return its
+        record."""
         nonlocal cursor
         # Plain comparisons, not max(): this runs once per SWAP and shuttle.
+        # A duration far below the float spacing at start is lost in the sum,
+        # and a huge one overflows it; either would record a wrong duration.
         start = cursor
         if kind is SHUTTLE:
             free = trap_free[src]
@@ -186,20 +192,20 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
             free = trap_free[dst]
             if free > start:
                 start = free
-            dur = shuttle_time
-            cursor = trap_free[src] = trap_free[dst] = start + dur
+            cursor = trap_free[src] = trap_free[dst] = start + shuttle_time
+            if not start < cursor < inf:
+                raise _no_end(len(out), start, shuttle_time)
+            shuttle_ion(qubits[0], src, dst)
         else:
             free = trap_free[t]
             if free > start:
                 start = free
             dur = swap_time[len(chains[t])]
             cursor = trap_free[t] = start + dur
-        # A duration far below the float spacing at start is lost in the sum,
-        # and a huge one overflows it; either would record a wrong duration.
-        if not start < cursor < inf:
-            raise _no_end(len(out), start, dur)
+            if not start < cursor < inf:
+                raise _no_end(len(out), start, dur)
+            swap_ions(qubits[0], qubits[1], t)
         op = new_record(PhysOp, (kind, qubits, t, src, dst, None, start, cursor))
-        apply(op)
         record(op)
         return op
 
@@ -234,7 +240,7 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
             continue
         heappop(wake)
         # Gate ops change no device state, so they are timed here without
-        # DeviceState.apply. An unsplit gate's traps are free at clock.
+        # touching it. An unsplit gate's traps are free at clock.
         if len(qubits) == 2:
             if ta != tb:
                 cursor = clock

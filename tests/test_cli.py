@@ -152,6 +152,40 @@ def test_bench_gen_requires_seed_for_qv(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "family, extra, option",
+    [
+        ("qft", ["--gates", "7"], "--gates"),
+        ("qft", ["--seed", "9"], "--seed"),
+        ("qaoa", ["--rounds", "2"], "--rounds"),
+        ("rnd", ["--gates", "5", "--seed", "1", "--rounds", "2"], "--rounds"),
+        ("qv", ["--seed", "1", "--gates", "5"], "--gates"),
+    ],
+)
+def test_bench_gen_refuses_an_option_its_family_ignores(tmp_path, capsys, family, extra, option):
+    out = tmp_path / "c.circ"
+    argv = ["bench", "gen", "--family", family, "--qubits", "4", *extra, "-o", str(out)]
+    assert cli.main(argv) == 1
+    assert f"error: {option} is not read by family {family}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("placement", [[], ["--placement", "sta"], ["--placement", "greedy"]])
+def test_compile_refuses_a_seed_the_placement_ignores(tmp_path, capsys, placement):
+    circ = _write(tmp_path, "pair.circ", SIX_QUBIT_CIRC)
+    dev = _write(tmp_path, "dev.toml", DEVICE_2X4E2)
+    out = tmp_path / "out"
+    assert cli.main(["compile", circ, "--device", dev, *placement, "--seed", "5", "--out", str(out)]) == 1
+    strategy = placement[1] if placement else "sta"
+    assert f"error: --seed is read only by --placement random, not {strategy}" in capsys.readouterr().err
+    assert not out.exists()
+    # random placement reads the seed and records it
+    assert cli.main(["compile", circ, "--device", dev, "--placement", "random", "--seed", "5",
+                     "--out", str(out)]) == 0
+    assert load_records((out / "pair.report.csv").read_text())[0]["seed"] == "5"
+    capsys.readouterr()
+
+
 def test_sweep_strong_single_point(tmp_path, capsys):
     rc = cli.main(
         ["sweep", "strong", "--family", "qft", "--traps-min", "2", "--traps-max", "2",

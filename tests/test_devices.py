@@ -242,14 +242,44 @@ def test_shuttle_between_non_adjacent_traps_rejected():
     ids=["src-out-of-range", "non-adjacent", "unknown-qubit", "not-in-src", "not-at-boundary", "dst-full"],
 )
 def test_shuttle_rejections_leave_state_unchanged(qubit, src, dst, error, message):
+    # through the record dispatcher and through the typed mutation alike
+    _assert_rejected(
+        error, message,
+        lambda st: st.apply(PhysOp(OpKind.SHUTTLE, (qubit,), src=src, dst=dst)),
+        lambda st: st.shuttle_ion(qubit, src, dst),
+    )
+
+
+@pytest.mark.parametrize(
+    "a, b, trap, message",
+    [
+        (1, 1, 0, "swap needs two distinct ions, got (1, 1)"),
+        (0, 9, 0, "qubit 9 is not on the device"),
+        (0, 2, 0, "swap ions 0,2 not co-trapped (traps 0,1)"),
+        (2, 3, 0, "swap trap 0 does not hold ions 2,3"),
+    ],
+    ids=["same-ion", "unknown-qubit", "not-co-trapped", "wrong-trap"],
+)
+def test_swap_rejections_leave_state_unchanged(a, b, trap, message):
+    _assert_rejected(
+        DeviceOpError, message,
+        lambda st: st.apply(PhysOp(OpKind.SWAP, (a, b), trap)),
+        lambda st: st.swap_ions(a, b, trap),
+    )
+
+
+def _assert_rejected(error, message, *entries):
+    """Each entry, run on a fresh 3-trap state, raises exactly error with
+    message and leaves the state as it was."""
     spec = _linear(n_traps=3, capacity=2, excess=0)
-    st = _state(spec, [[0, 1], [2, 3], [4]])
-    with pytest.raises(error) as err:
-        st.apply(PhysOp(OpKind.SHUTTLE, (qubit,), src=src, dst=dst))
-    assert type(err.value) is error
-    assert str(err.value) == message
-    assert st.chains == [[0, 1], [2, 3], [4]]
-    assert {q: st.trap_of[q] for q in range(5)} == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2}
+    for entry in entries:
+        st = _state(spec, [[0, 1], [2, 3], [4]])
+        with pytest.raises(error) as err:
+            entry(st)
+        assert type(err.value) is error
+        assert str(err.value) == message
+        assert st.chains == [[0, 1], [2, 3], [4]]
+        assert {q: st.trap_of[q] for q in range(5)} == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2}
 
 
 def test_gate2_requires_co_trapped_operands():

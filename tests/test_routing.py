@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qccdmap.circuits import circuit
-from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology
+from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology, shortest_path
 from qccdmap.errors import DeadlockError, InputError, QccdError
 from qccdmap.placement import Placement
 from qccdmap.scheduling import schedule
@@ -441,17 +441,24 @@ def _relief_case(draw):
     avoid = draw(st.sets(st.integers(0, n - 1), max_size=2))
     if others and draw(st.integers(0, 3)) == 0:
         avoid |= set(chains[draw(st.sampled_from(others))])  # pin a whole trap
-    blocked = draw(st.sets(st.integers(0, n_traps - 1), max_size=n_traps))
+    spec = _spec(n_traps, capacity, 0, topology)
+    if draw(st.booleans()):
+        blocked = frozenset(draw(st.sets(st.integers(0, n_traps - 1), max_size=n_traps)))
+    else:
+        # the rest of a mover's path, the tuple the router passes
+        ends = st.integers(0, n_traps - 1)
+        path = shortest_path(spec, draw(ends), draw(ends))
+        blocked = path[draw(st.integers(1, len(path))) :]
     gates = []
     if n >= 2:
         pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
         gates = draw(st.lists(pair, max_size=20))
     return {
-        "spec": _spec(n_traps, capacity, 0, topology),
+        "spec": spec,
         "chains": chains,
         "trap": trap,
         "avoid": frozenset(avoid),
-        "blocked": frozenset(blocked),
+        "blocked": blocked,
         "n": n,
         "gates": gates,
         "n_done": draw(st.integers(0, len(gates))),

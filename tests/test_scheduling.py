@@ -270,17 +270,29 @@ def test_split_gate_left_split_by_the_router_raises_device_op_error(monkeypatch)
 
 
 def test_device_state_applies_only_movement_ops(monkeypatch, movement_circuit, movement_spec, movement_placement):
+    # every SWAP and shuttle reaches its typed mutation once, in schedule
+    # order, and nothing else changes the state
     applied = []
-    original = DeviceState.apply
+    shuttle_ion, swap_ions = DeviceState.shuttle_ion, DeviceState.swap_ions
 
-    def spy(self, op):
-        applied.append(op)
-        return original(self, op)
+    def shuttle_spy(self, q, src, dst):
+        applied.append((OpKind.SHUTTLE, (q,), None, src, dst))
+        return shuttle_ion(self, q, src, dst)
 
-    monkeypatch.setattr(DeviceState, "apply", spy)
+    def swap_spy(self, a, b, trap):
+        applied.append((OpKind.SWAP, (a, b), trap, None, None))
+        return swap_ions(self, a, b, trap)
+
+    def no_apply(self, op):
+        raise AssertionError(f"apply called with {op}")
+
+    monkeypatch.setattr(DeviceState, "shuttle_ion", shuttle_spy)
+    monkeypatch.setattr(DeviceState, "swap_ions", swap_spy)
+    monkeypatch.setattr(DeviceState, "apply", no_apply)
     sched = schedule(movement_circuit, movement_placement, movement_spec)
-    moves = [s for s in sched.ops if s.kind in (OpKind.SWAP, OpKind.SHUTTLE)]
+    moves = [s[:5] for s in sched.ops if s.kind in (OpKind.SWAP, OpKind.SHUTTLE)]
     assert moves and applied == moves
+    assert {kind for kind, *_ in applied} == {OpKind.SWAP, OpKind.SHUTTLE}
     assert len(sched.ops) == len(moves) + len(movement_circuit.gates)
 
 

@@ -334,7 +334,7 @@ def test_verifier_shares_no_code_with_the_device_model():
     # DeviceState or read the device's facing table
     tree = ast.parse(Path(scheduling.__file__).read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    forbidden = {"DeviceState", "apply", "_facing", "facing_end", "new_record"}
+    forbidden = {"DeviceState", "apply", "shuttle_ion", "swap_ions", "_facing", "facing_end", "new_record"}
     todo, checked = ["verify_schedule"], set()
     while todo:
         name = todo.pop()
@@ -351,21 +351,20 @@ def test_verifier_shares_no_code_with_the_device_model():
 
 
 # ---------------------------------------------------------------------------
-# device-model bugs: a wrong DeviceState.apply misleads the scheduler, and
+# device-model bugs: a wrong DeviceState mutation misleads the scheduler, and
 # the verifier, which keeps its own chain model, still rejects the result
 # ---------------------------------------------------------------------------
 
 def test_wrong_landing_end_across_a_ring_wrap_is_caught(monkeypatch):
-    apply = DeviceState.apply
+    shuttle_ion = DeviceState.shuttle_ion
 
-    def lands_on_the_far_end(self, op):
-        apply(self, op)
+    def lands_on_the_far_end(self, q, src, dst):
+        shuttle_ion(self, q, src, dst)
         last = self.spec.n_traps - 1
-        if op.kind is OpKind.SHUTTLE and {op.src, op.dst} == {0, last}:
-            chain = self.chains[op.dst]
-            q = op.qubits[0]
+        if {src, dst} == {0, last}:
+            chain = self.chains[dst]
             chain.remove(q)
-            if op.dst == 0:
+            if dst == 0:
                 chain.append(q)
             else:
                 chain.insert(0, q)
@@ -376,7 +375,7 @@ def test_wrong_landing_end_across_a_ring_wrap_is_caught(monkeypatch):
     spec = DeviceSpec(topology=Topology.RING, n_traps=3, capacity=4, excess_capacity=1)
     circ = circuit(5, [("cx", 3, 0), ("cx", 0, 2)])
     pl = Placement(chains=((0, 1), (2,), (4, 3)))
-    monkeypatch.setattr(DeviceState, "apply", lands_on_the_far_end)
+    monkeypatch.setattr(DeviceState, "shuttle_ion", lands_on_the_far_end)
     sched = schedule(circ, pl, spec)
     assert [s._replace(start=0.0, end=0.0) for s in sched.ops if s.kind is OpKind.SHUTTLE] == [
         PhysOp(OpKind.SHUTTLE, (0,), src=0, dst=2),
