@@ -221,6 +221,18 @@ def _cmd_sweep(args) -> int:
     args.lookahead = None if args.lookahead == 0 else args.lookahead
     if args.seeds < 1:
         raise InputError(f"--seeds must be positive, got {args.seeds}")
+    # The reports record the seed, so an option nothing in the sweep reads is
+    # refused: generation reads the family's options, and a random placement
+    # also reads --seed and --seeds.
+    for option, families in _GEN_OPTIONS.items():
+        if getattr(args, option) is None or args.family in families:
+            continue
+        if option != "seed":
+            raise InputError(f"--{option} is not read by family {args.family}")
+        if args.placement != "random":
+            raise InputError(f"--seed is not read by family {args.family} or by --placement {args.placement}")
+    if args.seeds != 1 and args.placement != "random":
+        raise InputError(f"--seeds is read only by --placement random, not {args.placement}")
     if args.mode == "strong":
         regimes = [("strong", _strong_points)]
     elif args.mode == "weak":

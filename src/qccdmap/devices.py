@@ -161,11 +161,6 @@ class OpKind(Enum):
     SHUTTLE = "shuttle"
 
 
-# The kinds as plain module globals for the per-op paths: on CPython 3.11 an
-# Enum member read through its class costs several times a global read.
-_GATE1, _GATE2, _SWAP, _SHUTTLE = OpKind.GATE1, OpKind.GATE2, OpKind.SWAP, OpKind.SHUTTLE
-
-
 class PhysOp(NamedTuple):
     """One physical operation, with its start and end in seconds. Unused
     fields stay None for the other kinds; a gate's label is
@@ -273,24 +268,24 @@ class DeviceState:
         """Apply a SWAP or shuttle record through its typed mutation, or check
         that a gate record's trap holds its operands, which changes nothing."""
         kind, qubits, trap, src, dst, _, _, _ = op
-        if kind is _SHUTTLE:
+        if kind is OpKind.SHUTTLE:
             self.shuttle_ion(qubits[0], src, dst)
             return
-        if kind is _SWAP:
+        if kind is OpKind.SWAP:
             if len(qubits) != 2 or qubits[0] == qubits[1]:
                 raise DeviceOpError(f"swap needs two distinct ions, got {qubits}")
             self.swap_ions(*qubits, trap)
             return
         trap_of = self.trap_of
         try:
-            if kind is _GATE2:
+            if kind is OpKind.GATE2:
                 a, b = qubits
                 ta, tb = trap_of[a], trap_of[b]
                 if ta != tb:
                     raise DeviceOpError(f"gate2 operands {a},{b} not co-trapped (traps {ta},{tb})")
                 if trap is not None and trap != ta:
                     raise DeviceOpError(f"gate2 trap {trap} does not hold operands {a},{b}")
-            elif kind is _GATE1:
+            elif kind is OpKind.GATE1:
                 t = trap_of[qubits[0]]
                 if trap is not None and trap != t:
                     raise DeviceOpError(f"gate1 trap {trap} does not hold qubit {qubits[0]}")

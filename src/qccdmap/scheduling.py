@@ -8,25 +8,25 @@ free, or re-queued to when they free up. Ties in time go to the lowest
 sequence index. A split two-qubit gate first commits its movement ops (SWAP
 walks plus shuttles from the router), chained serially, then the gate itself.
 
-Only SWAPs and shuttles change the device state, and only through
-``DeviceState.swap_ions`` and ``DeviceState.shuttle_ion``, which check each
-one's preconditions. ``commit`` times a SWAP or shuttle, then calls its typed
-mutation. A gate op changes no state, so the loop times and records it
-without touching the state; before a two-qubit gate it re-reads both
-operands' traps and raises the device model's ``DeviceOpError`` if routing
-left them apart.
+Every op, gate, SWAP or shuttle, goes through one ``commit``: it starts the
+op at the later of the cursor and its traps' free times, checks that the
+op's end is representable, applies a SWAP or shuttle to the state, and
+builds, records and returns the op's one immutable ``PhysOp``, which is
+never copied. Only SWAPs and shuttles change the device state, and only
+through ``DeviceState.swap_ions`` and ``DeviceState.shuttle_ion``, which
+check each one's preconditions. The event loop decides when a gate is ready
+and hands a split gate to the router, which commits its movement ops;
+before the gate itself it re-reads both operands' traps and raises the
+device model's ``DeviceOpError`` if routing left them apart.
 
-The schedule is one immutable ``PhysOp`` per op, built once it is timed and
-applied, and never copied; the router hands ``commit`` a SWAP's or shuttle's
-fields, and the record is only stored and returned.
-
-``schedule`` pauses Python's cyclic garbage collector while it builds them.
-Each record holds an ``OpKind`` member, which the collector tracks, so every
-full collection would walk all records built so far, and a compile builds
-hundreds of thousands. The pause frees nothing later than reference counting
-would: the records form no cycles, and they all live until ``schedule``
-returns. The collector's state is process-wide, so another thread compiling
-at the same time sees it paused too.
+``schedule`` pauses Python's cyclic garbage collector while it builds the
+records. CPython stops tracking only exact tuples, and a ``PhysOp`` is a
+named tuple, so the collector tracks every record whatever its fields hold:
+every full collection would walk all records built so far, and a compile
+builds hundreds of thousands. The pause frees nothing later than reference
+counting would: the records form no cycles, and they all live until
+``schedule`` returns. The collector's state is process-wide, so another
+thread compiling at the same time sees it paused too.
 
 ``schedule_to_text`` writes each row's qubits and traps from a table of
 integer texts built per call; a row the table cannot write, such as one with
@@ -169,19 +169,19 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     trap_of = state.trap_of
     shuttle_ion, swap_ions = state.shuttle_ion, state.swap_ions
     record = out.append
-    SHUTTLE, GATE1, GATE2 = OpKind.SHUTTLE, OpKind.GATE1, OpKind.GATE2
+    GATE1, GATE2, SWAP, SHUTTLE = OpKind.GATE1, OpKind.GATE2, OpKind.SWAP, OpKind.SHUTTLE
     inf = math.inf
-    # Where the next movement op may start. A split gate sets it to the clock
-    # tick it was taken at; its movement ops, then the gate itself, each start
-    # no earlier than the op before.
+    # Where the next op may start. Each popped gate sets it to the clock tick
+    # it was taken at; a split gate's movement ops, then the gate itself, each
+    # start no earlier than the op before.
     cursor = 0.0
 
-    def commit(kind, qubits, t, src, dst) -> PhysOp:
-        """Time a SWAP or shuttle at the first moment from cursor on that its
-        traps are free, apply it to the state, advance cursor and return its
-        record."""
+    def commit(kind, qubits, t, src, dst, seq=None) -> PhysOp:
+        """Time an op at the first moment from cursor on that its traps are
+        free, apply a SWAP or shuttle to the state, advance cursor to the op's
+        end and return its record."""
         nonlocal cursor
-        # Plain comparisons, not max(): this runs once per SWAP and shuttle.
+        # Plain comparisons, not max(): this runs once per op.
         # A duration far below the float spacing at start is lost in the sum,
         # and a huge one overflows it; either would record a wrong duration.
         start = cursor
@@ -200,12 +200,18 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
             free = trap_free[t]
             if free > start:
                 start = free
-            dur = swap_time[len(chains[t])]
+            if kind is SWAP:
+                dur = swap_time[len(chains[t])]
+            elif kind is GATE2:
+                dur = gate2_time[len(chains[t])]
+            else:
+                dur = gate1_time
             cursor = trap_free[t] = start + dur
             if not start < cursor < inf:
                 raise _no_end(len(out), start, dur)
-            swap_ions(qubits[0], qubits[1], t)
-        op = new_record(PhysOp, (kind, qubits, t, src, dst, None, start, cursor))
+            if kind is SWAP:
+                swap_ions(qubits[0], qubits[1], t)
+        op = new_record(PhysOp, (kind, qubits, t, src, dst, seq, start, cursor))
         record(op)
         return op
 
@@ -223,15 +229,10 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     while wake:
         clock, seq = wake[0]
         qubits = gates[seq][1]
-        try:
-            if len(qubits) == 2:
-                a, b = qubits
-                ta, tb = trap_of[a], trap_of[b]
-            else:
-                q = qubits[0]
-                ta = tb = trap_of[q]
-        except KeyError as exc:
-            raise DeviceOpError(f"qubit {exc.args[0]} is not on the device") from None
+        # A one-qubit gate reads its one trap twice. The placement holds
+        # exactly the circuit's qubits and shuttles only move them, so each
+        # operand has a trap.
+        ta, tb = trap_of[qubits[0]], trap_of[qubits[-1]]
         free, free_b = trap_free[ta], trap_free[tb]
         if free_b > free:
             free = free_b
@@ -239,27 +240,14 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
             heapreplace(wake, (free, seq))
             continue
         heappop(wake)
-        # Gate ops change no device state, so they are timed here without
-        # touching it. An unsplit gate's traps are free at clock.
-        if len(qubits) == 2:
+        cursor = clock
+        if ta != tb:
+            resolve_gate(gates[seq], state, tracker, commit)
+            ta, tb = trap_of[qubits[0]], trap_of[qubits[1]]
             if ta != tb:
-                cursor = clock
-                resolve_gate(gates[seq], state, tracker, commit)
-                ta, tb = trap_of[a], trap_of[b]
-                if ta != tb:
-                    raise DeviceOpError(f"gate2 operands {a},{b} not co-trapped (traps {ta},{tb})")
-                # The router's last op shuttles the mover into ta, so ta frees at cursor.
-                start = cursor
-            else:
-                start = clock
-            kind, dur = GATE2, gate2_time[len(chains[ta])]
-        else:
-            kind, start, dur = GATE1, clock, gate1_time
-        end = start + dur
-        if not start < end < inf:
-            raise _no_end(len(out), start, dur)
-        trap_free[ta] = end
-        record(new_record(PhysOp, (kind, qubits, ta, None, None, seq, start, end)))
+                raise DeviceOpError(f"gate2 operands {qubits[0]},{qubits[1]} not co-trapped (traps {ta},{tb})")
+        commit(GATE2 if len(qubits) == 2 else GATE1, qubits, ta, None, None, seq)
+        end = cursor
         mark_done(seq)
         for q in qubits:
             qubit_end[q] = end

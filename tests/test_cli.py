@@ -289,6 +289,42 @@ def test_sweep_random_requires_seed(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "family, extra, message",
+    [
+        ("qft", ["--gates", "99"], "--gates is not read by family qft"),
+        ("qaoa", ["--rounds", "3"], "--rounds is not read by family qaoa"),
+        ("rnd", ["--gates", "5", "--seed", "1", "--rounds", "2"], "--rounds is not read by family rnd"),
+        ("qft", ["--seed", "7"], "--seed is not read by family qft or by --placement sta"),
+        ("qft", ["--placement", "greedy", "--seed", "7"],
+         "--seed is not read by family qft or by --placement greedy"),
+        ("qft", ["--seeds", "4"], "--seeds is read only by --placement random, not sta"),
+        ("rnd", ["--gates", "5", "--seed", "1", "--seeds", "2"],
+         "--seeds is read only by --placement random, not sta"),
+        ("qft", ["--seed", "7", "--gates", "99", "--rounds", "3", "--seeds", "4"],
+         "--rounds is not read by family qft"),
+    ],
+)
+def test_sweep_refuses_an_option_nothing_reads(tmp_path, capsys, family, extra, message):
+    out = tmp_path / "out"
+    argv = ["sweep", "weak", "--family", family, *extra, "--traps-min", "3", "--traps-max", "4",
+            "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_random_placement_reads_the_seed_of_any_family(tmp_path, capsys):
+    rc = cli.main(
+        ["sweep", "strong", "--family", "qft", "--placement", "random", "--seed", "4", "--seeds", "2",
+         "--traps-min", "2", "--traps-max", "2", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    rows = load_records((tmp_path / "sweep_strong_qft_random.csv").read_text())
+    assert [r["seed"] for r in rows[:2]] == ["4", "5"]
+    capsys.readouterr()
+
+
 def test_compare_end_to_end(tmp_path, capsys):
     circ = _write(tmp_path, "pair.circ", SIX_QUBIT_CIRC)
     dev = _write(tmp_path, "dev.toml", DEVICE_2X4E2)

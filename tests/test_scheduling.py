@@ -551,6 +551,18 @@ def test_end_overflowing_to_infinity_raises_input_error():
         schedule(c, Placement(chains=((0,), (), (1,))), spec)
 
 
+def test_gate_duration_lost_at_a_huge_start_raises_input_error():
+    # The one shuttle ends at 1e308, so the gate after it is op 1.
+    spec = DeviceSpec(Topology.LINEAR, 2, 2, 1, TimingModel(split=1e308))
+    c = circuit(2, [("cx", 0, 1)])
+    with pytest.raises(InputError) as err:
+        schedule(c, Placement(((0,), (1,))), spec)
+    assert str(err.value) == (
+        "op 1 starting at 1e+308 s with duration 0.000105 s has no"
+        " representable end; the timing parameters are too large"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the collector pause
 # ---------------------------------------------------------------------------
