@@ -47,6 +47,8 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n_qubits) is not int:
+            raise InputError(f"circuit qubit count must be an integer, got {self.n_qubits!r}")
         if self.n_qubits < 1:
             raise InputError("circuit must declare at least one qubit")
         n = self.n_qubits

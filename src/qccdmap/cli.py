@@ -40,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _lookahead(text: str) -> int | None:
+    """--lookahead: a pending-gate window, 0 for the whole circuit (None)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 (the whole circuit) or a positive integer, got {text!r}")
+    return value or None
+
+
 def run_compile(
     circ: Circuit,
     spec: DeviceSpec,
@@ -88,7 +99,6 @@ def _cmd_compile(args) -> int:
     # The report records the seed, so one the placement would ignore is refused.
     if args.seed is not None and args.placement != "random":
         raise InputError(f"--seed is read only by --placement random, not {args.placement}")
-    args.lookahead = None if args.lookahead == 0 else args.lookahead
     circ = parse_circuit_file(args.circuit)
     spec = parse_device_file(args.device)
     label = args.label if args.label else Path(args.circuit).stem
@@ -218,7 +228,6 @@ def _sweep_run(args, circ, traps, capacity, excess) -> list[RunRecord]:
 
 
 def _cmd_sweep(args) -> int:
-    args.lookahead = None if args.lookahead == 0 else args.lookahead
     if args.seeds < 1:
         raise InputError(f"--seeds must be positive, got {args.seeds}")
     # The reports record the seed, so an option nothing in the sweep reads is
@@ -237,6 +246,8 @@ def _cmd_sweep(args) -> int:
         regimes = [("strong", _strong_points)]
     elif args.mode == "weak":
         regimes = [("weak", _weak_points)]
+    elif args.traps_min is not None or args.traps_max is not None:
+        raise InputError("--traps-min and --traps-max are read only by sweep strong and weak")
     else:
         regimes = [("excess_fixed_ions", _excess_fixed_points), ("excess_var_ions", _excess_var_points)]
     outdir = Path(args.out)
@@ -291,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, help="seed for the random placement")
     c.add_argument(
         "--lookahead",
-        type=int,
+        type=_lookahead,
         default=DEFAULT_LOOKAHEAD,
         help="pending-gate window for routing scores (0 = whole circuit)",
     )
@@ -322,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--seed", type=int, help="generation seed (qv/rnd) and base placement seed")
     s.add_argument("--seeds", type=int, default=1, help="random placement seeds per point")
-    s.add_argument("--lookahead", type=int, default=DEFAULT_LOOKAHEAD)
+    s.add_argument("--lookahead", type=_lookahead, default=DEFAULT_LOOKAHEAD)
     s.add_argument("--out", default=".", help="output directory")
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     s.add_argument("--rounds", type=int, help="qv rounds (default: qubit count)")

@@ -8,6 +8,11 @@ linear pair, and a single trap has no neighbours. A shuttle always leaves
 from the source end facing the destination and arrives at the destination
 end facing the source.
 
+That rule is one table, ``DeviceSpec.exit_slot``: for each adjacent pair
+(t, u) it holds the index in trap t's chain of the ion that leaves toward u,
+0 for the left end and -1 for the right end. A pair that is not adjacent is
+absent from it.
+
 A ``DeviceState`` is one compile's copy of a validated placement: its chains
 and the public qubit-to-trap dict ``trap_of``, changed only by the two typed
 mutations ``shuttle_ion`` and ``swap_ions``. ``apply`` dispatches a record to
@@ -80,6 +85,10 @@ class DeviceSpec:
                 object.__setattr__(self, "topology", Topology(self.topology))
             except ValueError:
                 raise InputError(f"topology must be 'linear' or 'ring', got {self.topology!r}")
+        for name in ("n_traps", "capacity", "excess_capacity"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InputError(f"device {name} must be an integer, got {value!r}")
         if self.n_traps < 1:
             raise InputError("device needs at least one trap")
         if self.capacity < 1:
@@ -90,18 +99,18 @@ class DeviceSpec:
             raise InputError(
                 f"excess capacity {self.excess_capacity} must be smaller than capacity {self.capacity}"
             )
-        # Adjacency and facing tables, built once. Chains run left to right by
-        # trap index; a ring of 3+ traps wraps, so trap T-1's right end faces 0.
+        # Adjacency and exit-slot tables, built once. Chains run left to right
+        # by trap index; a ring of 3+ traps wraps, so trap T-1's right end faces 0.
         n = self.n_traps
         ring = self.topology is Topology.RING and n > 2
-        facing: dict[tuple[int, int], str] = {}
+        exit_slot: dict[tuple[int, int], int] = {}
         adjacency: list[list[int]] = [[] for _ in range(n)]
         for t in range(n):
-            for u, end in ((t - 1, "left"), (t + 1, "right")):
+            for u, slot in ((t - 1, 0), (t + 1, -1)):
                 if ring or 0 <= u < n:
-                    facing[t, u % n] = end
+                    exit_slot[t, u % n] = slot
                     adjacency[t].append(u % n)
-        object.__setattr__(self, "_facing", facing)
+        object.__setattr__(self, "exit_slot", exit_slot)
         object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in adjacency))
 
     @property
@@ -143,15 +152,6 @@ def shortest_path(spec: DeviceSpec, a: int, b: int) -> tuple[int, ...]:
     if fwd <= bwd:
         return (*range(a, min(a + fwd, t - 1) + 1), *range(a + fwd + 1 - t))
     return (*range(a, max(a - bwd, 0) - 1, -1), *range(t - 1, a - bwd + t - 1, -1))
-
-
-def facing_end(spec: DeviceSpec, trap: int, neighbor: int) -> str:
-    """Which end ('left' or 'right') of trap's chain faces the given neighbor."""
-    try:
-        return spec._facing[trap, neighbor]
-    except KeyError:
-        spec._check_trap(trap)
-        raise DeviceOpError(f"traps {trap} and {neighbor} are not adjacent") from None
 
 
 class OpKind(Enum):
@@ -220,9 +220,10 @@ class DeviceState:
         """Shuttle ion q from trap src to the adjacent trap dst. It leaves by
         src's end facing dst and lands at the opposite end of dst, facing src."""
         spec = self.spec
-        # One facing lookup both tests adjacency and gives the exit end.
-        exit_end = spec._facing.get((src, dst))
-        if exit_end is None:
+        # One lookup both tests adjacency and gives the exit slot; slot 0 is
+        # falsy, so absence is tested with None.
+        slot = spec.exit_slot.get((src, dst))
+        if slot is None:
             spec._check_trap(src)
             raise DeviceOpError(f"shuttle between non-adjacent traps {src} and {dst}")
         trap_of = self.trap_of
@@ -233,16 +234,15 @@ class DeviceState:
         if at != src:
             raise DeviceOpError(f"shuttle qubit {q} is not in source trap {src}")
         chain, landing = self.chains[src], self.chains[dst]
-        right = exit_end == "right"
-        if chain[-1 if right else 0] != q:
+        if chain[slot] != q:
             raise DeviceOpError(f"shuttle qubit {q} is not at the boundary of trap {src} facing trap {dst}")
         if len(landing) >= spec.capacity:
             raise DeviceOpError(f"shuttle destination trap {dst} is full")
-        if right:
-            chain.pop()
+        del chain[slot]
+        # Leaving by a right end lands on dst's left end, and the reverse.
+        if slot == -1:
             landing.insert(0, q)
         else:
-            del chain[0]
             landing.append(q)
         trap_of[q] = dst
 

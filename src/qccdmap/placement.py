@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 
 from .circuits import Circuit, Gate, compute_slices, interaction_graph
-from .devices import DeviceSpec, facing_end, shortest_path, trap_distance
+from .devices import DeviceSpec, shortest_path, trap_distance
 from .errors import InputError
 
 
@@ -243,10 +243,10 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
     # Pairs move in ascending weight, so heavier pairs relocate last and win
     # the boundary slots. A qubit's last move is its first in descending
     # weight, so pairs are read heaviest first, each qubit is decided once,
-    # and reading stops once all are. Each (trap, partner trap) end is found
-    # on first use.
-    ends: dict[tuple[int, int], str] = {}
-    last_move: dict[int, tuple[int, str]] = {}
+    # and reading stops once all are. Each (trap, partner trap) exit slot is
+    # found on first use.
+    ends: dict[tuple[int, int], int] = {}
+    last_move: dict[int, tuple[int, int]] = {}
     last_turn = len(pairs) - 1
     for j, (a, b) in enumerate(pairs):
         ta, tb = trap_of[a], trap_of[b]
@@ -256,7 +256,7 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
             if q not in last_move:
                 end = ends.get((t, toward))
                 if end is None:
-                    end = ends[t, toward] = facing_end(spec, t, shortest_path(spec, t, toward)[1])
+                    end = ends[t, toward] = spec.exit_slot[t, shortest_path(spec, t, toward)[1]]
                 last_move[q] = (last_turn - j, end)
         if len(last_move) == circ.n_qubits:
             break
@@ -264,16 +264,16 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
     return slots.to_placement(circ.n_qubits)
 
 
-def _final_order(chain: list[int], last_move: dict[int, tuple[int, str]]) -> list[int]:
+def _final_order(chain: list[int], last_move: dict[int, tuple[int, int]]) -> list[int]:
     """chain after its qubits' moves to an end, from each moved qubit's last
-    (turn, end): those last moved left, latest first, then the unmoved in
-    order, then those last moved right, latest last."""
+    (turn, exit slot): those last moved to slot 0, latest first, then the
+    unmoved in order, then those last moved to slot -1, latest last."""
     left, stay, right = [], [], []
     for q in chain:
         move = last_move.get(q)
         if move is None:
             stay.append(q)
-        elif move[1] == "right":
+        elif move[1] == -1:
             right.append((move[0], q))
         else:
             left.append((move[0], q))

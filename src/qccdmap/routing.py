@@ -28,7 +28,7 @@ import sys
 from collections.abc import Callable
 
 from .circuits import Circuit, Gate
-from .devices import DeviceState, OpKind, PhysOp, facing_end, shortest_path
+from .devices import DeviceState, OpKind, PhysOp, shortest_path
 from .errors import DeadlockError, InputError, QccdError
 
 # Default pending-gate window for movement scores. A short horizon keeps the
@@ -129,17 +129,10 @@ def select_mover(gate: Gate, state: DeviceState, tracker: PendingTracker) -> tup
         path_b = paths[tb, ta] = shortest_path(state.spec, tb, ta)
     # All-to-all in-trap connectivity: one SWAP gate moves any ion straight to
     # the boundary slot, so an operand already there saves that SWAP.
-    key_a = (-_score(a, ta, tb, state, tracker, gate.seq), a != _exit_ion(state, ta, path_a[1]), a)
-    key_b = (-_score(b, tb, ta, state, tracker, gate.seq), b != _exit_ion(state, tb, path_b[1]), b)
+    chains, exit_slot = state.chains, state.spec.exit_slot
+    key_a = (-_score(a, ta, tb, state, tracker, gate.seq), a != chains[ta][exit_slot[ta, path_a[1]]], a)
+    key_b = (-_score(b, tb, ta, state, tracker, gate.seq), b != chains[tb][exit_slot[tb, path_b[1]]], b)
     return (a, path_a) if key_a <= key_b else (b, path_b)
-
-
-def _exit_ion(state: DeviceState, trap: int, neighbor: int) -> int:
-    """The ion on the slot of trap's chain end that faces neighbor."""
-    chain = state.chains[trap]
-    # facing_end only runs to raise its error for a non-adjacent pair.
-    end = state.spec._facing.get((trap, neighbor)) or facing_end(state.spec, trap, neighbor)
-    return chain[-1] if end == "right" else chain[0]
 
 
 def _require_unpinned(state: DeviceState, trap: int, avoid: frozenset[int]) -> None:
@@ -201,7 +194,7 @@ def _evict_one(
             _require_unpinned(state, t, avoid)
     # A qubit's pending window is the slice [h : h + window] from its head h,
     # and a candidate is attached when a partner in it has trap_of[p] == src.
-    facing, trap_of, singletons = spec._facing, state.trap_of, state.singletons
+    exit_slot, trap_of, singletons = spec.exit_slot, state.trap_of, state.singletons
     per_qubit, partners, heads = tracker._per_qubit, tracker._partners, tracker._heads
     window = tracker.window
     ops: list[PhysOp] = []
@@ -210,7 +203,7 @@ def _evict_one(
     for i in range(len(route) - 2, -1, -1):
         src, dest = route[i], route[i + 1]
         chain = chains[src]
-        at_exit = chain[-1] if facing[src, dest] == "right" else chain[0]
+        at_exit = chain[exit_slot[src, dest]]
         # Least attached first, then the latest next co-trapped gate (evicting
         # a soon-needed ion just schedules a refetch), then the exit ion, then
         # the lowest qubit. An unattached candidate beats every attached one,
@@ -265,7 +258,7 @@ def resolve_gate(
     """
     mover, path = select_mover(gate, state, tracker)
     avoid = frozenset(gate.qubits)
-    chains, capacity, facing = state.chains, state.spec.capacity, state.spec._facing
+    chains, capacity, exit_slot = state.chains, state.spec.capacity, state.spec.exit_slot
     moved = state.singletons[mover]
     ops: list[PhysOp] = []
     record = ops.append
@@ -275,8 +268,7 @@ def resolve_gate(
             ops += _evict_one(state, nxt, avoid, tracker, commit, path[i + 1 :])
         # In-trap connectivity is all-to-all, so one SWAP gate exchanges the
         # mover with whatever ion holds the end facing nxt.
-        chain = chains[cur]
-        occupant = chain[-1] if facing[cur, nxt] == "right" else chain[0]
+        occupant = chains[cur][exit_slot[cur, nxt]]
         if occupant != mover:
             record(commit(_SWAP, (mover, occupant), cur, None, None))
         record(commit(_SHUTTLE, moved, None, cur, nxt))

@@ -13,16 +13,20 @@ victim tests and boundary SWAP as they stood as helpers of ``routing``, the
 victim tests read through ``PendingTracker.pending_gates`` rather than the
 tracker's lists; the reference eviction in the routing tests uses them
 against the router's one-scan eviction.
+
+``exit_index`` is the facing rule as a formula of the topology; tests check
+``DeviceSpec.exit_slot`` against it, and ``walk_to_boundary`` finds the exit
+ion with it rather than with the table.
 """
 from __future__ import annotations
 
 import math
 
 from qccdmap.circuits import Circuit
-from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, TimingModel
+from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, TimingModel, Topology
 from qccdmap.errors import DeviceOpError, InputError
 from qccdmap.placement import Placement
-from qccdmap.routing import PendingTracker, _exit_ion
+from qccdmap.routing import PendingTracker
 from qccdmap.scheduling import Schedule, Verdict
 
 
@@ -68,10 +72,19 @@ def unattached(qubit: int, residents: set[int], tracker: PendingTracker) -> bool
     return not any(p in residents for _, p in tracker.pending_gates(qubit))
 
 
+def exit_index(spec: DeviceSpec, trap: int, neighbor: int) -> int:
+    """Index in trap's chain of the ion that leaves toward the adjacent trap
+    neighbor: -1 (the right end) toward the next trap up, which wraps only on
+    a ring of three or more traps, else 0 (the left end)."""
+    n = spec.n_traps
+    up = (trap + 1) % n if spec.topology is Topology.RING and n > 2 else trap + 1
+    return -1 if neighbor == up else 0
+
+
 def walk_to_boundary(state: DeviceState, qubit: int, trap: int, neighbor: int, commit) -> None:
     """Commit the SWAP that puts qubit, held by trap, at the end facing
     neighbor; no op when it is already there."""
-    occupant = _exit_ion(state, trap, neighbor)
+    occupant = state.chains[trap][exit_index(state.spec, trap, neighbor)]
     if occupant != qubit:
         commit(OpKind.SWAP, (qubit, occupant), trap, None, None)
 

@@ -16,7 +16,7 @@ from reference import held, op_duration
 from qccdmap import cli
 from qccdmap.benchmarks import generate
 from qccdmap.circuits import circuit, compute_slices, interaction_graph
-from qccdmap.devices import DeviceSpec, OpKind, PhysOp, Topology, facing_end
+from qccdmap.devices import DeviceSpec, OpKind, PhysOp, Topology
 from qccdmap.placement import (
     Placement,
     compute_ratios,
@@ -87,10 +87,11 @@ def test_03_placement_walkthrough(worked_circuit, worked_spec):
     # q2 must sit on trap 0's face toward trap 1; q4 on trap 1's face toward
     # trap 0 with q3 next to it
     a, b = pl.chains
-    ok &= (a[-1] if facing_end(worked_spec, 0, 1) == "right" else a[0]) == 2
-    left = facing_end(worked_spec, 1, 0) == "left"
-    ok &= (b[0] if left else b[-1]) == 4
-    ok &= (b[1] if left else b[-2]) == 3
+    slot = worked_spec.exit_slot
+    ok &= a[slot[0, 1]] == 2
+    ok &= b[slot[1, 0]] == 4
+    # one slot in from that end: index 1 after a left end, -2 after a right one
+    ok &= b[1 if slot[1, 0] == 0 else -2] == 3
     elapsed = time.monotonic() - t0
     _verdict("placement walkthrough", ok and elapsed < 1, f"chains={pl.chains}")
 

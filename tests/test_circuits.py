@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qccdmap.circuits import (
+    Circuit,
     circuit,
     circuit_to_text,
     compute_slices,
@@ -74,6 +75,12 @@ def test_qasm_subset():
         ("rz", (4,)),
         ("cx", (4, 1)),
     ]
+
+
+@pytest.mark.parametrize("n_qubits", [2.0, True, "2"])
+def test_circuit_refuses_a_qubit_count_that_is_not_an_integer(n_qubits):
+    with pytest.raises(InputError, match="circuit qubit count must be an integer"):
+        Circuit(n_qubits, ())
 
 
 def test_qasm_rejects_unknown_register():

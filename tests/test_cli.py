@@ -70,6 +70,30 @@ def test_compile_lookahead_zero_means_whole_circuit(tmp_path):
     assert load_records((tmp_path / "o" / "pair.report.csv").read_text())[0]["lookahead"] == ""
 
 
+@pytest.mark.parametrize("command", ["compile", "sweep"])
+@pytest.mark.parametrize("value", ["-1", "two", "2.5"])
+def test_lookahead_is_refused_in_cli_terms(tmp_path, capsys, command, value):
+    if command == "compile":
+        argv = ["compile", _write(tmp_path, "pair.circ", SIX_QUBIT_CIRC), "--device",
+                _write(tmp_path, "dev.toml", DEVICE_2X4E2)]
+    else:
+        argv = ["sweep", "strong", "--family", "qft", "--traps-min", "2", "--traps-max", "2"]
+    out = tmp_path / "out"
+    assert cli.main([*argv, f"--lookahead={value}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument --lookahead: must be 0 (the whole circuit) or a positive integer, got {value!r}" in err
+    assert not out.exists()
+
+
+def test_sweep_lookahead_zero_means_whole_circuit(tmp_path, capsys):
+    argv = ["sweep", "strong", "--family", "qft", "--traps-min", "2", "--traps-max", "2",
+            "--lookahead", "0", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    rows = load_records((tmp_path / "sweep_strong_qft_sta.csv").read_text())
+    assert [(r["lookahead"], r["invocation"]) for r in rows] == [("", "qccdmap " + " ".join(argv))]
+    capsys.readouterr()
+
+
 def test_exit_1_on_missing_file(tmp_path, capsys):
     dev = _write(tmp_path, "dev.toml", DEVICE_2X4E2)
     rc = cli.main(["compile", str(tmp_path / "nope.circ"), "--device", dev])
@@ -311,6 +335,17 @@ def test_sweep_refuses_an_option_nothing_reads(tmp_path, capsys, family, extra, 
             "--out", str(out)]
     assert cli.main(argv) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra", [["--traps-min", "3"], ["--traps-max", "4"], ["--traps-min", "3", "--traps-max", "4"]]
+)
+def test_sweep_excess_refuses_a_trap_range(tmp_path, capsys, extra):
+    # both excess series fix their own trap counts
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "excess", "--family", "qft", *extra, "--out", str(out)]) == 1
+    assert "error: --traps-min and --traps-max are read only by sweep strong and weak" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -12,14 +12,13 @@ from qccdmap.devices import (
     PhysOp,
     TimingModel,
     Topology,
-    facing_end,
     parse_device,
     shortest_path,
     trap_distance,
 )
 from qccdmap.errors import DeviceOpError, InputError
 from qccdmap.placement import Placement
-from reference import held, op_duration
+from reference import exit_index, held, op_duration
 
 
 def _linear(n_traps=3, capacity=4, excess=2) -> DeviceSpec:
@@ -47,6 +46,24 @@ def test_spec_rejects_bad_shapes():
         DeviceSpec(topology=Topology.LINEAR, n_traps=2, capacity=4, excess_capacity=4)
     with pytest.raises(InputError):
         DeviceSpec(topology=Topology.LINEAR, n_traps=2, capacity=4, excess_capacity=-1)
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ((2.5, 4, 2), "device n_traps must be an integer, got 2.5"),
+        ((True, 4, 2), "device n_traps must be an integer, got True"),
+        ((2, 6.0, 2), "device capacity must be an integer, got 6.0"),
+        ((2, 4, 1.5), "device excess_capacity must be an integer, got 1.5"),
+        ((2, 4, False), "device excess_capacity must be an integer, got False"),
+    ],
+    ids=["float-traps", "bool-traps", "float-capacity", "float-excess", "bool-excess"],
+)
+def test_spec_refuses_a_size_that_is_not_an_integer(sizes, message):
+    n_traps, capacity, excess = sizes
+    with pytest.raises(InputError) as err:
+        DeviceSpec(topology=Topology.LINEAR, n_traps=n_traps, capacity=capacity, excess_capacity=excess)
+    assert str(err.value) == message
 
 
 def test_spec_coerces_topology_string():
@@ -126,19 +143,18 @@ def test_ring_paths_match_the_modular_formula_on_every_pair(n_traps):
             assert shortest_path(spec, a, b) == expected, (a, b)
 
 
-def test_facing_end_linear():
+def test_exit_slot_linear():
     spec = _linear(n_traps=3)
-    assert facing_end(spec, 0, 1) == "right"
-    assert facing_end(spec, 1, 0) == "left"
-    assert facing_end(spec, 1, 2) == "right"
-    with pytest.raises(DeviceOpError):
-        facing_end(spec, 0, 2)
+    assert spec.exit_slot[0, 1] == -1
+    assert spec.exit_slot[1, 0] == 0
+    assert spec.exit_slot[1, 2] == -1
+    assert (0, 2) not in spec.exit_slot
 
 
-def test_facing_end_ring_wraps():
+def test_exit_slot_ring_wraps():
     spec = _ring(n_traps=4)
-    assert facing_end(spec, 0, 3) == "left"
-    assert facing_end(spec, 3, 0) == "right"
+    assert spec.exit_slot[0, 3] == 0
+    assert spec.exit_slot[3, 0] == -1
 
 
 def _reference_neighbors(spec, trap):
@@ -155,12 +171,6 @@ def _reference_neighbors(spec, trap):
     return tuple(sorted({(trap - 1) % spec.n_traps, (trap + 1) % spec.n_traps}))
 
 
-def _reference_facing_end(spec, trap, neighbor):
-    if spec.topology is Topology.LINEAR or spec.n_traps == 2:
-        return "right" if neighbor > trap else "left"
-    return "right" if neighbor == (trap + 1) % spec.n_traps else "left"
-
-
 @pytest.mark.parametrize("topology", list(Topology))
 @pytest.mark.parametrize("n_traps", range(1, 9))
 def test_device_tables_match_reference_formulas(topology, n_traps):
@@ -169,15 +179,14 @@ def test_device_tables_match_reference_formulas(topology, n_traps):
         assert spec.neighbors(trap) == _reference_neighbors(spec, trap)
         for other in range(n_traps):
             if other in spec.neighbors(trap):
-                assert facing_end(spec, trap, other) == _reference_facing_end(spec, trap, other)
+                assert spec.exit_slot[trap, other] == exit_index(spec, trap, other)
             else:
-                with pytest.raises(DeviceOpError):
-                    facing_end(spec, trap, other)
+                assert (trap, other) not in spec.exit_slot
+    # no key names a trap outside the device
+    assert len(spec.exit_slot) == sum(len(_reference_neighbors(spec, t)) for t in range(n_traps))
     for bad in (-1, n_traps):
         with pytest.raises(InputError):
             spec.neighbors(bad)
-        with pytest.raises(InputError):
-            facing_end(spec, bad, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +206,25 @@ def test_shuttle_lands_on_facing_boundary_of_destination():
     st.apply(PhysOp(OpKind.SHUTTLE, (2,), src=0, dst=1))
     assert st.chains[0] == [3]
     assert st.chains[1] == [2, 4]  # arrives at the end facing trap 0
+
+
+@pytest.mark.parametrize("spec", [_linear(n_traps=3), _ring(n_traps=4)], ids=["linear", "ring"])
+def test_left_end_shuttle_is_applied_and_non_adjacent_is_refused(spec):
+    # Slot 0, the left end, is falsy, so adjacency must not be read from a
+    # slot's truth. Trap 1's left end faces trap 0; on the ring, trap 0's
+    # left end faces trap 3 across the wrap.
+    last = spec.n_traps - 1
+    chains = [[0, 1], [2, 3]] + [[] for _ in range(last - 1)]
+    st = _state(spec, chains)
+    st.shuttle_ion(2, 1, 0)
+    assert st.chains[:2] == [[0, 1, 2], [3]]  # lands on trap 0's right end
+    if spec.topology is Topology.RING:
+        st.shuttle_ion(0, 0, last)
+        assert st.chains[0] == [1, 2] and st.chains[last] == [0]
+    before = [list(c) for c in st.chains]
+    with pytest.raises(DeviceOpError, match="non-adjacent"):
+        st.shuttle_ion(1, 0, 2)
+    assert st.chains == before
 
 
 def test_swap_exchanges_any_two_residents():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qccdmap.benchmarks import gen_qv
 from qccdmap.circuits import circuit, compute_slices, interaction_graph
-from qccdmap.devices import DeviceSpec, Topology, facing_end, shortest_path, trap_distance
+from qccdmap.devices import DeviceSpec, Topology, shortest_path, trap_distance
 from qccdmap.errors import InputError
 from qccdmap.placement import (
     Placement,
@@ -21,6 +21,7 @@ from qccdmap.placement import (
     random_place,
     sta_place,
 )
+from reference import exit_index
 
 
 def _spec(n_traps=2, capacity=4, excess=2, topology=Topology.LINEAR) -> DeviceSpec:
@@ -145,11 +146,11 @@ def test_split_pairs_compare_neighbouring_open_traps_only(monkeypatch, topology,
 
 
 def _replay_moves(chain, moves):
-    """chain after each (qubit, end) move in turn, one list move at a time."""
+    """chain after each (qubit, exit slot) move in turn, one list move at a time."""
     chain = list(chain)
-    for q, end in moves:
+    for q, slot in moves:
         chain.remove(q)
-        if end == "right":
+        if slot == -1:
             chain.append(q)
         else:
             chain.insert(0, q)
@@ -157,10 +158,10 @@ def _replay_moves(chain, moves):
 
 
 def test_final_order_places_a_qubit_by_its_last_move_only():
-    # 1 goes left, 3 and 4 go right, then 1 goes right: 1 ends at the right
-    # end, after 3 and 4, which last moved right before it
-    moves = [(1, "left"), (3, "right"), (4, "right"), (1, "right"), (0, "left")]
-    last_move = {q: (turn, end) for turn, (q, end) in enumerate(moves)}
+    # 1 goes left (slot 0), 3 and 4 go right (slot -1), then 1 goes right:
+    # 1 ends at the right end, after 3 and 4, which last moved right before it
+    moves = [(1, 0), (3, -1), (4, -1), (1, -1), (0, 0)]
+    last_move = {q: (turn, slot) for turn, (q, slot) in enumerate(moves)}
     assert _final_order([0, 1, 2, 3, 4, 5], last_move) == [0, 2, 5, 3, 4, 1]
     assert _replay_moves([0, 1, 2, 3, 4, 5], moves) == [0, 2, 5, 3, 4, 1]
 
@@ -169,8 +170,8 @@ def test_final_order_places_a_qubit_by_its_last_move_only():
 def test_final_order_matches_moving_one_qubit_at_a_time(seed):
     rng = random.Random(seed)
     chain = rng.sample(range(40), rng.randint(1, 12))
-    moves = [(rng.choice(chain), rng.choice(("left", "right"))) for _ in range(rng.randint(0, 20))]
-    last_move = {q: (turn, end) for turn, (q, end) in enumerate(moves)}
+    moves = [(rng.choice(chain), rng.choice((0, -1))) for _ in range(rng.randint(0, 20))]
+    last_move = {q: (turn, slot) for turn, (q, slot) in enumerate(moves)}
     assert _final_order(chain, last_move) == _replay_moves(chain, moves)
 
 
@@ -395,10 +396,9 @@ class _RefStaState:
 
     def _move_to_end(self, qubit, trap, toward):
         path = shortest_path(self.spec, trap, toward)
-        end = facing_end(self.spec, trap, path[1])
         chain = self.chains[trap]
         chain.remove(qubit)
-        if end == "right":
+        if exit_index(self.spec, trap, path[1]) == -1:
             chain.append(qubit)
         else:
             chain.insert(0, qubit)

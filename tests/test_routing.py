@@ -16,11 +16,10 @@ from qccdmap.routing import (
     DEFAULT_LOOKAHEAD,
     PendingTracker,
     _evict_one,
-    _exit_ion,
     resolve_gate,
     select_mover,
 )
-from reference import attachment, unattached, walk_to_boundary
+from reference import attachment, exit_index, unattached, walk_to_boundary
 
 
 def _spec(n_traps, capacity, excess, topology=Topology.LINEAR) -> DeviceSpec:
@@ -50,14 +49,16 @@ def _resolve(gate, state, tracker):
     return ops
 
 
-def test_exit_ion_is_on_the_end_facing_the_neighbor():
+def test_exit_slot_indexes_the_ion_on_the_end_facing_the_neighbor():
     st = _state(_spec(2, 4, 2), [[3, 2], [4]])
-    assert _exit_ion(st, 0, 1) == 2
-    assert _exit_ion(st, 1, 0) == 4
+    chains, slot = st.chains, st.spec.exit_slot
+    assert chains[0][slot[0, 1]] == 2
+    assert chains[1][slot[1, 0]] == 4
     # ring wrap: trap 0's left end faces trap 2, trap 2's right end faces 0
     ring = _state(_spec(3, 4, 1, Topology.RING), [[0, 1], [2, 3], [4, 5]])
-    assert [_exit_ion(ring, 0, 2), _exit_ion(ring, 0, 1)] == [0, 1]
-    assert [_exit_ion(ring, 2, 0), _exit_ion(ring, 2, 1)] == [5, 4]
+    chains, slot = ring.chains, ring.spec.exit_slot
+    assert [chains[0][slot[0, 2]], chains[0][slot[0, 1]]] == [0, 1]
+    assert [chains[2][slot[2, 0]], chains[2][slot[2, 1]]] == [5, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +403,7 @@ def _reference_evict_one(state, spec, trap, avoid, tracker, commit, visited, blo
             )
         dest = min(relievable, key=lambda t: (t in blocked, dist[t], t))
         _reference_evict_one(state, spec, dest, avoid, tracker, commit, visited, blocked)
-    at_exit = _exit_ion(state, trap, dest)
+    at_exit = chains[trap][exit_index(spec, trap, dest)]
     residents = set(chains[trap])
     if at_exit not in avoid and unattached(at_exit, residents, tracker):
         victim = at_exit

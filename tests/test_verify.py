@@ -331,10 +331,12 @@ def test_verifier_agrees_with_reference_replay_on_mutated_schedules(case, mutati
 
 def test_verifier_shares_no_code_with_the_device_model():
     # verify_schedule and the module helpers it calls must not replay through
-    # DeviceState or read the device's facing table
+    # DeviceState or read the device's exit-slot table
     tree = ast.parse(Path(scheduling.__file__).read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    forbidden = {"DeviceState", "apply", "shuttle_ion", "swap_ions", "_facing", "facing_end", "new_record"}
+    forbidden = {
+        "DeviceState", "apply", "shuttle_ion", "swap_ions", "exit_slot", "_facing", "facing_end", "new_record",
+    }
     todo, checked = ["verify_schedule"], set()
     while todo:
         name = todo.pop()
