@@ -52,16 +52,19 @@ class Circuit:
         if self.n_qubits < 1:
             raise InputError("circuit must declare at least one qubit")
         n = self.n_qubits
-        for i, (label, qubits, seq) in enumerate(self.gates):
-            if seq != i:
-                raise InputError(f"gate {i} has sequence index {seq}")
-            if len(qubits) not in (1, 2):
-                raise InputError(f"gate {i} ({label}) has arity {len(qubits)}")
-            for q in qubits:
-                if not 0 <= q < n:
-                    raise InputError(f"gate {i} ({label}) operand {q} outside 0..{n - 1}")
-            if len(qubits) == 2 and qubits[0] == qubits[1]:
-                raise InputError(f"gate {i} ({label}) repeats operand {qubits[0]}")
+        # One test per gate on the common path; only a gate that fails it is
+        # checked field by field, by _refuse_gate, to say what is wrong.
+        for i, gate in enumerate(self.gates):
+            qubits = gate[1]
+            if len(qubits) == 2:
+                a, b = qubits
+                if type(a) is int and type(b) is int and -1 < a < n and -1 < b < n and a != b and gate[2] == i:
+                    continue
+            elif len(qubits) == 1:
+                a = qubits[0]
+                if type(a) is int and -1 < a < n and gate[2] == i:
+                    continue
+            _refuse_gate(i, gate, n)
 
     @cached_property
     def slices(self) -> tuple[tuple[Gate, ...], ...]:
@@ -115,11 +118,46 @@ class Circuit:
         return tuple(per_qubit), tuple([p for _, p in pairs] for pairs in per_qubit)
 
 
+def _refuse_gate(i: int, gate: Gate, n: int) -> None:
+    label, qubits, seq = gate
+    if seq != i:
+        raise InputError(f"gate {i} has sequence index {seq}")
+    if len(qubits) not in (1, 2):
+        raise InputError(f"gate {i} ({label}) has arity {len(qubits)}")
+    for q in qubits:
+        if type(q) is not int:
+            raise InputError(f"gate {i} ({label}) operand {q!r} is not an integer")
+        if not 0 <= q < n:
+            raise InputError(f"gate {i} ({label}) operand {q} outside 0..{n - 1}")
+    if len(qubits) == 2 and qubits[0] == qubits[1]:
+        raise InputError(f"gate {i} ({label}) repeats operand {qubits[0]}")
+
+
 def circuit(n_qubits: int, gate_list) -> Circuit:
-    """Build a Circuit from (label, q) / (label, q1, q2) tuples."""
+    """Build a Circuit from (label, q) / (label, q1, q2) tuples.
+
+    Operands are taken as given, not converted: each must be an ``int``
+    (not a bool) in 0..n_qubits-1, or ``Circuit`` raises ``InputError``.
+    A label that is not a ``str`` is passed through ``str``.
+    """
     gates = []
-    for i, (label, *qs) in enumerate(gate_list):
-        gates.append(new_record(Gate, (str(label), tuple(map(int, qs)), i)))
+    append = gates.append
+    for i, g in enumerate(gate_list):
+        # Unpack by arity; any other length takes the generic unpack, so
+        # Circuit names the gate's arity.
+        size = len(g)
+        if size == 3:
+            label, a, b = g
+            qubits = (a, b)
+        elif size == 2:
+            label, a = g
+            qubits = (a,)
+        else:
+            label, *qs = g
+            qubits = tuple(qs)
+        if type(label) is not str:
+            label = str(label)
+        append(new_record(Gate, (label, qubits, i)))
     return Circuit(n_qubits=n_qubits, gates=tuple(gates))
 
 
@@ -296,12 +334,29 @@ def dependency_graph(circ: Circuit) -> tuple[tuple[int, ...], ...]:
 
 
 def circuit_to_text(circ: Circuit, header: str | None = None) -> str:
-    """Serialize a circuit in the native text format."""
+    """Serialize a circuit in the native text format.
+
+    Raises ``InputError`` for a gate label the format cannot carry: one that
+    is not a string, is empty, or holds whitespace or ``#``.
+    """
     lines = []
     if header:
         for h in header.splitlines():
             lines.append(f"# {h}")
     lines.append(f"qubits {circ.n_qubits}")
-    for g in circ.gates:
-        lines.append(" ".join([g.label, *map(str, g.qubits)]))
+    row = lines.append
+    # Circuit holds only int operands in 0..n_qubits-1, so the table covers
+    # every one of them.
+    text = [str(q) for q in range(circ.n_qubits)]
+    written: set[str] = set()
+    for label, qubits, seq in circ.gates:
+        if label not in written:
+            if type(label) is not str or "#" in label or label.split() != [label]:
+                raise InputError(f"gate {seq} label {label!r} cannot be written in the native format")
+            written.add(label)
+        if len(qubits) == 2:
+            a, b = qubits
+            row(f"{label} {text[a]} {text[b]}")
+        else:
+            row(f"{label} {text[qubits[0]]}")
     return "\n".join(lines) + "\n"

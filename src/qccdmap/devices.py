@@ -55,6 +55,8 @@ class TimingModel:
         for f in sorted(fields(self), key=lambda f: f.name == "two_qubit_slope"):
             value = getattr(self, f.name)
             slope = f.name == "two_qubit_slope"
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InputError(f"timing parameter {f.name} must be a number, got {value!r}")
             # isfinite first: nan fails every comparison, so "<= 0" alone lets it in.
             if not (math.isfinite(value) and (value >= 0 if slope else value > 0)):
                 sign = "non-negative" if slope else "positive"

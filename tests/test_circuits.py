@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qccdmap.circuits import (
     Circuit,
+    Gate,
     circuit,
     circuit_to_text,
     compute_slices,
@@ -51,6 +52,61 @@ def test_native_roundtrip_random():
         assert back == circ or [(g.label, g.qubits) for g in back.gates] == [
             (g.label, g.qubits) for g in circ.gates
         ]
+
+
+def _reference_circuit_to_text(circ, header=None):
+    """The writer that joins each row's label and operand texts with spaces."""
+    lines = []
+    if header:
+        for h in header.splitlines():
+            lines.append(f"# {h}")
+    lines.append(f"qubits {circ.n_qubits}")
+    for g in circ.gates:
+        lines.append(" ".join([g.label, *map(str, g.qubits)]))
+    return "\n".join(lines) + "\n"
+
+
+_LABELS = st.text("abcxyz0123456789_-+.()[],'=", min_size=1, max_size=6)
+_HEADERS = st.none() | st.text("ab =#:\t\r\n", max_size=30)
+
+
+@st.composite
+def _serializable_circuit(draw):
+    n = draw(st.sampled_from([1, 2, 3, 9, 10, 11, 99, 100, 101]) | st.integers(1, 5000))
+    qubit = st.integers(0, n - 1)
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        label = draw(_LABELS)
+        if n > 1 and draw(st.booleans()):
+            a = draw(qubit)
+            b = draw(qubit.filter(lambda q: q != a))
+            gates.append((label, a, b))
+        else:
+            gates.append((label, draw(qubit)))
+    return circuit(n, gates)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_serializable_circuit(), _HEADERS)
+def test_circuit_to_text_round_trips_and_matches_reference_writer(circ, header):
+    text = circuit_to_text(circ, header=header)
+    assert text == _reference_circuit_to_text(circ, header=header)
+    assert parse_circuit(text) == circ
+
+
+@pytest.mark.parametrize("label", ["#x", "x#", "my gate", "", "a\tb", "x\n", "y\u2028z"])
+def test_circuit_to_text_refuses_a_label_the_native_format_cannot_carry(label):
+    # '#x' would be read back as a comment, so the gate would vanish
+    circ = circuit(2, [("h", 0), (label, 1), ("h", 1)])
+    with pytest.raises(InputError) as err:
+        circuit_to_text(circ)
+    assert str(err.value) == f"gate 1 label {label!r} cannot be written in the native format"
+
+
+def test_circuit_to_text_refuses_a_label_that_is_not_a_string():
+    circ = Circuit(2, (Gate("h", (0,), 0), Gate(7, (1,), 1)))
+    with pytest.raises(InputError, match="gate 1 label 7 cannot be written"):
+        circuit_to_text(circ)
 
 
 def test_qasm_subset():
@@ -259,6 +315,68 @@ def test_dependency_graph_matches_brute_force(seed):
 def test_gate_on_out_of_range_qubit_rejected():
     with pytest.raises(InputError):
         circuit(2, [("cx", 0, 2)])
+
+
+def test_circuit_refuses_an_operand_it_would_have_to_truncate():
+    # truncated by int(), this would be cx 0 1: a wrong mapping with no error
+    with pytest.raises(InputError) as err:
+        circuit(3, [("cx", 0.5, 1.9)])
+    assert str(err.value) == "gate 0 (cx) operand 0.5 is not an integer"
+
+
+def test_circuit_type_refuses_a_float_operand():
+    # let through, a float operand fails the compile later with a TypeError
+    with pytest.raises(InputError) as err:
+        Circuit(3, (Gate("cx", (0.0, 2), 0),))
+    assert str(err.value) == "gate 0 (cx) operand 0.0 is not an integer"
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        (("h", True), "gate 1 (h) operand True is not an integer"),
+        (("cx", 2, False), "gate 1 (cx) operand False is not an integer"),
+        (("cx", "0", 2), "gate 1 (cx) operand '0' is not an integer"),
+        (("cx", 1, 2.0), "gate 1 (cx) operand 2.0 is not an integer"),
+        (("h", 1.0), "gate 1 (h) operand 1.0 is not an integer"),
+    ],
+)
+def test_circuit_refuses_an_operand_that_is_not_an_int(gate, message):
+    with pytest.raises(InputError) as err:
+        circuit(3, [("h", 0), gate])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "gates, message",
+    [
+        ((Gate("h", (0,), 1),), "gate 0 has sequence index 1"),
+        ((Gate("h", (0,), 0), Gate("x", (), 1)), "gate 1 (x) has arity 0"),
+        ((Gate("ccx", (0, 1, 2), 0),), "gate 0 (ccx) has arity 3"),
+        # the sequence index is checked before the arity
+        ((Gate("ccx", (0, 1, 2), 2),), "gate 0 has sequence index 2"),
+        ((Gate("cx", (0, 3), 0),), "gate 0 (cx) operand 3 outside 0..2"),
+        ((Gate("h", (-1,), 0),), "gate 0 (h) operand -1 outside 0..2"),
+        ((Gate("cx", (4, 4), 0),), "gate 0 (cx) operand 4 outside 0..2"),
+        ((Gate("cx", (2, 2), 0),), "gate 0 (cx) repeats operand 2"),
+        # each operand's type is checked before its range
+        ((Gate("cx", (5, 0.5), 0),), "gate 0 (cx) operand 5 outside 0..2"),
+        ((Gate("cx", (0.5, 5), 0),), "gate 0 (cx) operand 0.5 is not an integer"),
+    ],
+)
+def test_circuit_names_the_first_check_a_gate_fails(gates, message):
+    with pytest.raises(InputError) as err:
+        Circuit(3, gates)
+    assert str(err.value) == message
+
+
+def test_circuit_unpacks_any_arity_and_stringifies_labels():
+    circ = circuit(3, [(5, 0, 1), ["h", 2], ("cx", 2, 1)])
+    assert circ.gates == (Gate("5", (0, 1), 0), Gate("h", (2,), 1), Gate("cx", (2, 1), 2))
+    with pytest.raises(InputError, match=r"gate 0 \(ccx\) has arity 3"):
+        circuit(3, [("ccx", 0, 1, 2)])
+    with pytest.raises(InputError, match=r"gate 0 \(m\) has arity 0"):
+        circuit(3, [("m",)])
 
 
 def test_empty_circuit_slices():

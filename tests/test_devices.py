@@ -106,6 +106,20 @@ def test_timing_rejects_non_finite_values(key, value):
         TimingModel(**{key: float(value)})
 
 
+@pytest.mark.parametrize("value", [True, False, "1", None])
+@pytest.mark.parametrize("key", ["one_qubit", "two_qubit_slope", "merge"])
+def test_timing_refuses_a_value_that_is_not_a_number(key, value):
+    # a bool would pass as 1 or 0, and a str or None would reach math.isfinite
+    with pytest.raises(InputError) as err:
+        TimingModel(**{key: value})
+    assert str(err.value) == f"timing parameter {key} must be a number, got {value!r}"
+
+
+def test_timing_takes_int_and_float_durations():
+    t = TimingModel(one_qubit=2, two_qubit_slope=0, split=1e-6)
+    assert (t.one_qubit, t.two_qubit_slope, t.split) == (2, 0, 1e-6)
+
+
 # ---------------------------------------------------------------------------
 # topology
 # ---------------------------------------------------------------------------

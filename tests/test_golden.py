@@ -10,6 +10,10 @@ and re-record the table.
 
 ``REPORT_GOLDEN`` pins the report writer's bytes the same way: ``emit`` and
 ``emit_compare`` output, CSV and JSON.
+
+``CIRCUIT_GOLDEN`` pins each generator family's circuit text, as
+``circuit_to_text`` writes it. The schedule and report digests cannot catch a
+change to that text that parses back to the same circuit.
 """
 from __future__ import annotations
 
@@ -19,7 +23,8 @@ from functools import cache
 import pytest
 
 from qccdmap import cli
-from qccdmap.benchmarks import generate
+from qccdmap.benchmarks import FAMILIES, generate
+from qccdmap.circuits import circuit_to_text
 from qccdmap.devices import DeviceSpec, Topology
 from qccdmap.placement import place
 from qccdmap.reporting import compare, emit, emit_compare, load_records
@@ -200,3 +205,25 @@ def _report_text(case, fmt, tmp_path, monkeypatch):
 def test_report_digest(case, tmp_path, monkeypatch):
     text = _report_text(*case, tmp_path, monkeypatch)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_GOLDEN[case]
+
+
+# family -> (generate's arguments, sha256 of circuit_to_text of the circuit)
+CIRCUIT_GOLDEN = {
+    "qft": (dict(qubits=24), "517c98d5843b7dbefae9955dbef00fd2808ee241fdaa36e6d652e5ee3d35f49d"),
+    "qaoa": (dict(qubits=24), "7f95eb38d45d3039c2d074a1aa4a0bfe4c30608d3aba71293262df3d68a67462"),
+    "qv": (dict(qubits=24, rounds=3, seed=5), "f16f36080ac523082412633e4dc8d5cd43b5265d6c0bfd7f694a35440fef5dbc"),
+    "ca": (dict(qubits=24), "326b62d6dc0f0a2b561c0c9942e0106deffefee3f1a52a423b930f80c369ed0a"),
+    "da": (dict(qubits=24), "ff626911f486bee4bb3fef91fe9f06f31203bf1e5f14e267c65232379056cb40"),
+    "rnd": (dict(qubits=24, gates=300, seed=2), "cb6c5f440307e6bc6927d858e1857775e2c93a80c61e70533350306c7f599ecb"),
+}
+
+
+def test_circuit_golden_covers_every_family():
+    assert tuple(CIRCUIT_GOLDEN) == FAMILIES
+
+
+@pytest.mark.parametrize("family", list(CIRCUIT_GOLDEN))
+def test_generated_circuit_text_digest(family):
+    kwargs, digest = CIRCUIT_GOLDEN[family]
+    text = circuit_to_text(generate(family, **kwargs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
