@@ -11,9 +11,14 @@ Families:
   blocks, Toffolis decomposed to the 6-CNOT network).
 * ``da``: Fourier-basis adder on k-bit registers (QFT, controlled phases,
   inverse QFT).
-* ``rnd``: uniformly random distinct CX pairs, seeded.
+* ``rnd``: uniformly random distinct CX pairs, seeded. Each pair is two
+  ``randrange`` draws from one ``random.Random(seed)``, taken the way
+  ``random.sample(range(n), 2)`` takes them, so a seed gives the same
+  circuit as the ``sample``-based generator of earlier versions.
 
-All generators are deterministic given their arguments.
+All generators are deterministic given their arguments. Qubit counts, gate
+counts and rounds must be ``int`` (not ``bool``); anything else raises
+``InputError`` before a gate is drawn.
 """
 from __future__ import annotations
 
@@ -23,6 +28,11 @@ from .circuits import Circuit, circuit
 from .errors import InputError
 
 FAMILIES = ("qft", "qaoa", "qv", "ca", "da", "rnd")
+
+
+def _require_int(family: str, what: str, value) -> None:
+    if type(value) is not int:
+        raise InputError(f"{family} {what} must be an integer, got {value!r}")
 
 
 def _qft_gates(qubits: list[int]) -> list[tuple]:
@@ -36,6 +46,7 @@ def _qft_gates(qubits: list[int]) -> list[tuple]:
 
 def gen_qft(n: int) -> Circuit:
     """QFT on n qubits: n(n-1)/2 controlled phases in 2n-3 slices."""
+    _require_int("qft", "qubit count", n)
     if n < 2:
         raise InputError(f"qft needs at least 2 qubits, got {n}")
     return circuit(n, _qft_gates(list(range(n))))
@@ -43,6 +54,7 @@ def gen_qft(n: int) -> Circuit:
 
 def gen_qaoa(n: int) -> Circuit:
     """One MaxCut QAOA round on the complete graph over n qubits."""
+    _require_int("qaoa", "qubit count", n)
     if n < 2:
         raise InputError(f"qaoa needs at least 2 qubits, got {n}")
     gates: list[tuple] = [("h", q) for q in range(n)]
@@ -56,6 +68,8 @@ def gen_qaoa(n: int) -> Circuit:
 def gen_qv(n: int, rounds: int, seed: int) -> Circuit:
     """Quantum-volume style circuit: per round a random perfect matching,
     each matched pair running u3-wrapped 3 CX."""
+    _require_int("qv", "qubit count", n)
+    _require_int("qv", "round count", rounds)
     if n < 2 or n % 2:
         raise InputError(f"qv needs an even qubit count of at least 2, got {n}")
     if rounds < 1:
@@ -114,6 +128,7 @@ def gen_cuccaro(n: int) -> Circuit:
     Total qubits n = 2k + 2, laid out carry, b0, a0, b1, a1, ..., z so each
     majority block touches three adjacent indices. 16k + 1 two-qubit gates.
     """
+    _require_int("ca", "qubit count", n)
     if n < 4 or n % 2:
         raise InputError(f"ca needs an even qubit count of at least 4, got {n}")
     k = (n - 2) // 2
@@ -132,6 +147,7 @@ def gen_draper(n: int) -> Circuit:
     QFT on b, k(k+1)/2 cross-register controlled phases, inverse QFT on b:
     (3k^2 - k) / 2 two-qubit gates.
     """
+    _require_int("da", "qubit count", n)
     if n < 2 or n % 2:
         raise InputError(f"da needs an even qubit count of at least 2, got {n}")
     k = n // 2
@@ -146,17 +162,36 @@ def gen_draper(n: int) -> Circuit:
 
 def gen_random(n: int, gates: int, seed: int) -> Circuit:
     """Uniformly random CX gates over distinct qubit pairs."""
+    _require_int("rnd", "qubit count", n)
+    _require_int("rnd", "gate count", gates)
     if n < 2:
         raise InputError(f"rnd needs at least 2 qubits, got {n}")
     if gates < 1:
         raise InputError(f"rnd needs at least 1 gate, got {gates}")
     if seed is None:
         raise InputError("rnd requires a seed")
-    rng = random.Random(seed)
+    draw = random.Random(seed).randrange
     out: list[tuple] = []
-    for _ in range(gates):
-        a, b = rng.sample(range(n), 2)
-        out.append(("cx", a, b))
+    append = out.append
+    # Each pair takes the draws random.sample(range(n), 2) takes, so a seed
+    # keeps its circuit. CPython's sample keeps a set of picks once n exceeds
+    # its setsize of 21, redrawing a repeat; up to 21 it picks from a pool
+    # that moves the last qubit into the first pick's place.
+    if n > 21:
+        for _ in range(gates):
+            a = draw(n)
+            b = draw(n)
+            while b == a:
+                b = draw(n)
+            append(("cx", a, b))
+    else:
+        last = n - 1
+        for _ in range(gates):
+            a = draw(n)
+            b = draw(last)
+            if b == a:
+                b = last
+            append(("cx", a, b))
     return circuit(n, out)
 
 

@@ -138,26 +138,31 @@ def circuit(n_qubits: int, gate_list) -> Circuit:
 
     Operands are taken as given, not converted: each must be an ``int``
     (not a bool) in 0..n_qubits-1, or ``Circuit`` raises ``InputError``.
-    A label that is not a ``str`` is passed through ``str``.
+    A label that is not a ``str`` is passed through ``str``. An entry that
+    is not a sequence holding a label raises ``InputError`` naming its index.
     """
     gates = []
     append = gates.append
-    for i, g in enumerate(gate_list):
-        # Unpack by arity; any other length takes the generic unpack, so
-        # Circuit names the gate's arity.
-        size = len(g)
-        if size == 3:
-            label, a, b = g
-            qubits = (a, b)
-        elif size == 2:
-            label, a = g
-            qubits = (a,)
-        else:
-            label, *qs = g
-            qubits = tuple(qs)
-        if type(label) is not str:
-            label = str(label)
-        append(new_record(Gate, (label, qubits, i)))
+    try:
+        for i, g in enumerate(gate_list):
+            # Unpack by arity; any other length takes the generic unpack, so
+            # Circuit names the gate's arity.
+            size = len(g)
+            if size == 3:
+                label, a, b = g
+                qubits = (a, b)
+            elif size == 2:
+                label, a = g
+                qubits = (a,)
+            else:
+                label, *qs = g
+                qubits = tuple(qs)
+            if type(label) is not str:
+                label = str(label)
+            append(new_record(Gate, (label, qubits, i)))
+    except (TypeError, ValueError) as exc:
+        # len() or the unpack refused the entry after the last one appended.
+        raise InputError(f"gate {len(gates)} is not a (label, qubit, ...) sequence: {exc}") from None
     return Circuit(n_qubits=n_qubits, gates=tuple(gates))
 
 
@@ -187,7 +192,9 @@ def parse_circuit_file(path) -> Circuit:
 
 
 def _parse_native(text: str) -> Circuit:
-    # One pass: each line becomes a Gate as it is read. The stripped line is
+    # One pass: each line becomes a Gate as it is read. Operand ranges and
+    # repeats are left to Circuit's check; only on a failure does
+    # _refuse_operands find the first bad gate's line. The stripped line is
     # rebuilt only for the error messages that quote it.
     n_qubits = None
     gates: list[Gate] = []
@@ -210,6 +217,7 @@ def _parse_native(text: str) -> Circuit:
             continue
         n_tokens = len(tokens)
         if n_tokens != 2 and n_tokens != 3:
+            _refuse_operands(text, gates, n_qubits)
             raise InputError(f"line {lineno}: expected '<label> <q>' or '<label> <q1> <q2>'")
         try:
             if n_tokens == 3:
@@ -219,16 +227,34 @@ def _parse_native(text: str) -> Circuit:
                 label, a = tokens
                 qubits = (int(a),)
         except ValueError:
+            _refuse_operands(text, gates, n_qubits)
             raise InputError(f"line {lineno}: operands must be integers, got {raw.strip()!r}")
-        for q in qubits:
-            if not 0 <= q < n_qubits:
-                raise InputError(f"line {lineno}: operand {q} outside 0..{n_qubits - 1}")
-        if len(qubits) == 2 and qubits[0] == qubits[1]:
-            raise InputError(f"line {lineno}: two-qubit gate repeats operand {qubits[0]}")
         append(new_record(Gate, (label, qubits, len(gates))))
     if n_qubits is None:
         raise InputError("circuit text contains no 'qubits <N>' declaration")
-    return Circuit(n_qubits=n_qubits, gates=tuple(gates))
+    try:
+        return Circuit(n_qubits=n_qubits, gates=tuple(gates))
+    except InputError:
+        _refuse_operands(text, gates, n_qubits)
+        raise
+
+
+def _refuse_operands(text: str, gates: list[Gate], n: int) -> None:
+    """Raise the line error of the first parsed gate whose operand is out of
+    range or repeated, so the first bad line wins; return if there is none."""
+    for i, (_, qubits, _) in enumerate(gates):
+        for q in qubits:
+            if not 0 <= q < n:
+                raise InputError(f"line {_gate_line(text, i)}: operand {q} outside 0..{n - 1}")
+        if len(qubits) == 2 and qubits[0] == qubits[1]:
+            raise InputError(f"line {_gate_line(text, i)}: two-qubit gate repeats operand {qubits[0]}")
+
+
+def _gate_line(text: str, index: int) -> int:
+    """Line number of gate ``index``: the ``index + 1``-th line after the
+    ``qubits`` line that holds more than blanks and a comment."""
+    meaningful = [n for n, raw in enumerate(text.splitlines(), start=1) if raw.split("#", 1)[0].split()]
+    return meaningful[index + 1]
 
 
 _QASM_OPERAND = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")

@@ -1,6 +1,8 @@
 """Benchmark circuit generators: structural counts and seeding."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from qccdmap.benchmarks import (
@@ -14,7 +16,7 @@ from qccdmap.benchmarks import (
     generate,
     largest_valid_size,
 )
-from qccdmap.circuits import compute_slices, interaction_graph
+from qccdmap.circuits import circuit, compute_slices, interaction_graph
 from qccdmap.errors import InputError
 
 
@@ -88,6 +90,38 @@ def test_random_family_is_seeded():
     assert len(a.gates) == 40
     assert all(len(g.qubits) == 2 for g in a.gates)
     assert all(g.qubits[0] != g.qubits[1] for g in a.gates)
+
+
+def _reference_gen_random(n: int, gates: int, seed: int):
+    """The random.sample-based rnd generator of earlier versions."""
+    rng = random.Random(seed)
+    return circuit(n, [("cx", *rng.sample(range(n), 2)) for _ in range(gates)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_random_family_draws_the_pairs_sample_drew(seed):
+    # sample takes its pool path up to 21 qubits and its set path above
+    for n in range(2, 65):
+        assert gen_random(n, 300, seed) == _reference_gen_random(n, 300, seed), n
+
+
+@pytest.mark.parametrize(
+    "family, kwargs",
+    [
+        ("qft", dict(qubits=6.0)),
+        ("qaoa", dict(qubits=True)),
+        ("ca", dict(qubits="8")),
+        ("da", dict(qubits=8.0)),
+        ("qv", dict(qubits=8.0, seed=1)),
+        ("qv", dict(qubits=8, rounds=1.0, seed=1)),
+        ("rnd", dict(qubits=8.0, gates=2, seed=1)),
+        ("rnd", dict(qubits=8, gates=2.5, seed=1)),
+        ("rnd", dict(qubits=8, gates=True, seed=1)),
+    ],
+)
+def test_generators_refuse_sizes_that_are_not_integers(family, kwargs):
+    with pytest.raises(InputError, match=f"^{family} .* must be an integer, got "):
+        generate(family, **kwargs)
 
 
 def test_generate_dispatch_and_validation():

@@ -189,6 +189,11 @@ def test_two_qubit_gate_repeating_operand_rejected_native():
         ("qubits 3\ncx 2 2\n", "line 2: two-qubit gate repeats operand 2"),
         ("# header\n\nqubits 3\n# note\n\nh 0  # ok\n\ncx 1 7\n", "line 8: operand 7 outside 0..2"),
         ("qubits 3\r\nh 0\r\n\r\ncx 1 1\r\n", "line 4: two-qubit gate repeats operand 1"),
+        # Circuit alone checks operands, yet an earlier bad operand still
+        # wins over a later malformed line
+        ("qubits 3\ncx 0 5\ncx x y\n", "line 2: operand 5 outside 0..2"),
+        ("qubits 3\ncx 0 1\ncx 0 9\nh 0 1 2\n", "line 3: operand 9 outside 0..2"),
+        ("qubits 3\nh 0\n\n# c\ncx 1 1\ncx 0 4\n", "line 5: two-qubit gate repeats operand 1"),
     ],
 )
 def test_native_parser_errors(text, message):
@@ -368,6 +373,12 @@ def test_circuit_names_the_first_check_a_gate_fails(gates, message):
     with pytest.raises(InputError) as err:
         Circuit(3, gates)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("gates, index", [([5], 0), ([("h", 0), None], 1), ([("h", 0), ()], 1)])
+def test_circuit_refuses_a_gate_entry_that_is_not_a_sequence(gates, index):
+    with pytest.raises(InputError, match=rf"^gate {index} is not a \(label, qubit, \.\.\.\) sequence: "):
+        circuit(2, gates)
 
 
 def test_circuit_unpacks_any_arity_and_stringifies_labels():

@@ -227,3 +227,10 @@ def test_generated_circuit_text_digest(family):
     kwargs, digest = CIRCUIT_GOLDEN[family]
     text = circuit_to_text(generate(family, **kwargs))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_generated_rnd_text_digest_below_the_sample_set_size():
+    # CIRCUIT_GOLDEN's rnd entry has more than 21 qubits; 12 takes the other
+    # of random.sample's two paths, which gen_random reproduces
+    text = circuit_to_text(generate("rnd", 12, gates=100, seed=1))
+    assert hashlib.sha256(text.encode()).hexdigest() == "cbc7868efb4bbc35abad25005d2c4ad928d8ee424819dc2a1c23bad846c7859a"
