@@ -208,8 +208,6 @@ def generate(
     if family == "qaoa":
         return gen_qaoa(qubits)
     if family == "qv":
-        if seed is None:
-            raise InputError("qv requires --seed")
         return gen_qv(qubits, rounds if rounds is not None else qubits, seed)
     if family == "ca":
         return gen_cuccaro(qubits)
@@ -218,8 +216,6 @@ def generate(
     if family == "rnd":
         if gates is None:
             raise InputError("rnd requires --gates")
-        if seed is None:
-            raise InputError("rnd requires --seed")
         return gen_random(qubits, gates, seed)
     raise InputError(f"unknown benchmark family {family!r} (choose from {', '.join(FAMILIES)})")
 

@@ -58,11 +58,14 @@ class Circuit:
             qubits = gate[1]
             if len(qubits) == 2:
                 a, b = qubits
-                if type(a) is int and type(b) is int and -1 < a < n and -1 < b < n and a != b and gate[2] == i:
+                if (
+                    type(a) is int and type(b) is int and -1 < a < n and -1 < b < n and a != b
+                    and gate[2] == i and type(gate[0]) is str
+                ):
                     continue
             elif len(qubits) == 1:
                 a = qubits[0]
-                if type(a) is int and -1 < a < n and gate[2] == i:
+                if type(a) is int and -1 < a < n and gate[2] == i and type(gate[0]) is str:
                     continue
             _refuse_gate(i, gate, n)
 
@@ -122,6 +125,8 @@ def _refuse_gate(i: int, gate: Gate, n: int) -> None:
     label, qubits, seq = gate
     if seq != i:
         raise InputError(f"gate {i} has sequence index {seq}")
+    if type(label) is not str:
+        raise InputError(f"gate {i} label {label!r} is not a string")
     if len(qubits) not in (1, 2):
         raise InputError(f"gate {i} ({label}) has arity {len(qubits)}")
     for q in qubits:
@@ -141,10 +146,14 @@ def circuit(n_qubits: int, gate_list) -> Circuit:
     A label that is not a ``str`` is passed through ``str``. An entry that
     is not a sequence holding a label raises ``InputError`` naming its index.
     """
+    try:
+        entries = enumerate(gate_list)
+    except TypeError:
+        raise InputError(f"gate list {gate_list!r} is not iterable") from None
     gates = []
     append = gates.append
     try:
-        for i, g in enumerate(gate_list):
+        for i, g in entries:
             # Unpack by arity; any other length takes the generic unpack, so
             # Circuit names the gate's arity.
             size = len(g)
@@ -363,7 +372,7 @@ def circuit_to_text(circ: Circuit, header: str | None = None) -> str:
     """Serialize a circuit in the native text format.
 
     Raises ``InputError`` for a gate label the format cannot carry: one that
-    is not a string, is empty, or holds whitespace or ``#``.
+    is empty or holds whitespace or ``#``.
     """
     lines = []
     if header:
@@ -377,7 +386,7 @@ def circuit_to_text(circ: Circuit, header: str | None = None) -> str:
     written: set[str] = set()
     for label, qubits, seq in circ.gates:
         if label not in written:
-            if type(label) is not str or "#" in label or label.split() != [label]:
+            if "#" in label or label.split() != [label]:
                 raise InputError(f"gate {seq} label {label!r} cannot be written in the native format")
             written.add(label)
         if len(qubits) == 2:

@@ -168,8 +168,9 @@ class PhysOp(NamedTuple):
     fields stay None for the other kinds; a gate's label is
     ``circ.gates[seq].label``.
 
-    A named tuple: immutable, hashable and equal by field, and cheap to build,
-    which matters because a schedule holds one per op.
+    A named tuple: immutable, hashable and equal by field. A schedule keeps
+    no record per op, only these eight fields in order, and builds records
+    when ``Schedule.ops`` is read.
     """
 
     kind: OpKind
@@ -184,8 +185,9 @@ class PhysOp(NamedTuple):
 
 # Builds a named tuple from the tuple of all its fields, skipping the class's
 # Python-level __new__: new_record(PhysOp, (kind, qubits, trap, src, dst, seq,
-# start, end)). The scheduler builds one record per op this way, and the
-# circuit builders one Gate per gate.
+# start, end)). The router builds the records it returns for a gate's SWAPs
+# and shuttles this way, which live only as long as its caller keeps them,
+# and the circuit builders one Gate per gate.
 new_record = tuple.__new__
 
 

@@ -19,8 +19,10 @@ in the victim's trap.
 
 Each op goes to the caller's ``commit`` as its fields as soon as it is
 chosen; ``commit`` applies it to the state through the state's typed
-mutation and returns its record, so the next choice sees the state that op
-left behind. A shuttle names its ion by the state's shared one-ion tuple.
+mutation and returns the op's eight fields, so the next choice sees the
+state that op left behind. The router returns them as ``PhysOp`` records,
+which live only as long as its caller keeps them. A shuttle names its ion
+by the state's shared one-ion tuple.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import sys
 from collections.abc import Callable
 
 from .circuits import Circuit, Gate
-from .devices import DeviceState, OpKind, PhysOp, shortest_path
+from .devices import DeviceState, OpKind, PhysOp, new_record, shortest_path
 from .errors import DeadlockError, InputError, QccdError
 
 # Default pending-gate window for movement scores. A short horizon keeps the
@@ -145,7 +147,7 @@ def _evict_one(
     trap: int,
     avoid: frozenset[int],
     tracker: PendingTracker,
-    commit: Callable[..., PhysOp],
+    commit: Callable[..., tuple],
     blocked: tuple[int, ...] = (),
 ) -> list[PhysOp]:
     """Free one slot in trap by shuttling out its least-attached resident, and
@@ -237,8 +239,8 @@ def _evict_one(
                             best = key
                 victim = best[3]
         if victim != at_exit:
-            ops.append(commit(_SWAP, (victim, at_exit), src, None, None))
-        ops.append(commit(_SHUTTLE, singletons[victim], None, src, dest))
+            ops.append(new_record(PhysOp, commit(_SWAP, (victim, at_exit), src, None, None)))
+        ops.append(new_record(PhysOp, commit(_SHUTTLE, singletons[victim], None, src, dest)))
     return ops
 
 
@@ -246,15 +248,15 @@ def resolve_gate(
     gate: Gate,
     state: DeviceState,
     tracker: PendingTracker,
-    commit: Callable[..., PhysOp],
+    commit: Callable[..., tuple],
 ) -> list[PhysOp]:
     """Co-trap a split gate's operands, committing each SWAP and shuttle in turn.
 
     ``commit(kind, qubits, trap, src, dst)`` must apply the op to ``state``,
-    through ``state.shuttle_ion`` or ``state.swap_ions``, and return its
-    record. A shuttle's ``qubits`` is ``state.singletons[ion]``. Returns the
-    committed records in order; afterwards the operands share the
-    destination trap.
+    through ``state.shuttle_ion`` or ``state.swap_ions``, and return the
+    op's eight ``PhysOp`` fields. A shuttle's ``qubits`` is
+    ``state.singletons[ion]``. Returns the committed ops in order as
+    ``PhysOp`` records; afterwards the operands share the destination trap.
     """
     mover, path = select_mover(gate, state, tracker)
     avoid = frozenset(gate.qubits)
@@ -270,6 +272,6 @@ def resolve_gate(
         # mover with whatever ion holds the end facing nxt.
         occupant = chains[cur][exit_slot[cur, nxt]]
         if occupant != mover:
-            record(commit(_SWAP, (mover, occupant), cur, None, None))
-        record(commit(_SHUTTLE, moved, None, cur, nxt))
+            record(new_record(PhysOp, commit(_SWAP, (mover, occupant), cur, None, None)))
+        record(new_record(PhysOp, commit(_SHUTTLE, moved, None, cur, nxt)))
     return ops

@@ -10,23 +10,23 @@ walks plus shuttles from the router), chained serially, then the gate itself.
 
 Every op, gate, SWAP or shuttle, goes through one ``commit``: it starts the
 op at the later of the cursor and its traps' free times, checks that the
-op's end is representable, applies a SWAP or shuttle to the state, and
-builds, records and returns the op's one immutable ``PhysOp``, which is
-never copied. Only SWAPs and shuttles change the device state, and only
+op's end is representable, applies a SWAP or shuttle to the state, appends
+the op's eight fields to the schedule's flat rows and returns them as a
+plain tuple. Only SWAPs and shuttles change the device state, and only
 through ``DeviceState.swap_ions`` and ``DeviceState.shuttle_ion``, which
 check each one's preconditions. The event loop decides when a gate is ready
 and hands a split gate to the router, which commits its movement ops;
 before the gate itself it re-reads both operands' traps and raises the
 device model's ``DeviceOpError`` if routing left them apart.
 
-``schedule`` pauses Python's cyclic garbage collector while it builds the
-records. CPython stops tracking only exact tuples, and a ``PhysOp`` is a
-named tuple, so the collector tracks every record whatever its fields hold:
-every full collection would walk all records built so far, and a compile
-builds hundreds of thousands. The pause frees nothing later than reference
-counting would: the records form no cycles, and they all live until
-``schedule`` returns. The collector's state is process-wide, so another
-thread compiling at the same time sees it paused too.
+A ``Schedule`` keeps its ops as one flat list, eight fields per op in
+``PhysOp`` order, not as one record per op. CPython's cyclic collector never
+untracks a named tuple, so a record per op would make every full collection
+after a compile walk hundreds of thousands of records that free nothing. Of
+the fields the rows hold, only a SWAP's operand pair is a new object the
+collector tracks, and it stops tracking such a tuple of ints the first time
+it examines it. ``Schedule.ops`` builds ``PhysOp`` records from the rows
+when read; the compile path never reads it.
 
 ``schedule_to_text`` writes each row's qubits and traps from a table of
 integer texts built per call; a row the table cannot write, such as one with
@@ -43,34 +43,55 @@ landing ends. It times each op from its own duration tables, built from the
 """
 from __future__ import annotations
 
-import gc
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush, heapreplace
-from operator import itemgetter
 
 from .circuits import Circuit, dependency_graph
-from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology, new_record
+from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology
 from .errors import DeadlockError, DeviceOpError, InputError, QccdError
 from .placement import Placement
 from .routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
 
 
-@dataclass(frozen=True)
 class Schedule:
-    ops: tuple[PhysOp, ...]
+    """A timed op sequence. ``rows`` holds the ops' fields back to back in
+    ``PhysOp`` order, so op i is ``PhysOp(*rows[8 * i : 8 * i + 8])``.
+
+    ``Schedule(ops=records)`` builds the rows from ``PhysOp`` records, for a
+    schedule made by hand; the scheduler passes its rows as ``rows``.
+    """
+
+    def __init__(self, ops: Iterable[PhysOp] = (), *, rows: list | None = None):
+        if rows is None:
+            ops = tuple(ops)
+            rows = [field for op in ops for field in op]
+            if len(rows) != 8 * len(ops):
+                raise InputError("every schedule op needs the eight PhysOp fields")
+        self.rows = rows
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return self.rows == other.rows
+
+    @property
+    def ops(self) -> tuple[PhysOp, ...]:
+        """The ops as ``PhysOp`` records, in commit order, built on each read."""
+        return tuple(map(PhysOp._make, zip(*[iter(self.rows)] * 8)))
 
     @property
     def makespan(self) -> float:
-        return max(map(itemgetter(7), self.ops), default=0.0)
+        return max(self.rows[7::8], default=0.0)
 
     @cached_property
     def metrics(self) -> Metrics:
         """Op counts by kind and the makespan, counted on first use and kept,
         so the run report and the schedule writer share one pass."""
         # list.count compares by identity first, so no Enum is hashed per op.
-        kinds = list(map(itemgetter(0), self.ops))
+        kinds = self.rows[0::8]
         return Metrics(
             total_time=self.makespan,
             shuttles=kinds.count(OpKind.SHUTTLE),
@@ -126,20 +147,8 @@ def schedule(
     """Compile a circuit to a timed op sequence starting from placement.
 
     ``lookahead`` is the pending-gate window used for movement scores;
-    ``None`` means the whole remaining circuit. The cyclic garbage collector
-    is paused while the schedule is built and restored to its prior state on
-    return or on error.
+    ``None`` means the whole remaining circuit.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _schedule(circ, placement, spec, lookahead)
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: int | None) -> Schedule:
     placement.validate(spec, circ.n_qubits)
     state = DeviceState(spec, placement)
     _reject_infeasible(circ, state)
@@ -157,7 +166,7 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     tracker = PendingTracker(circ, lookahead)
     mark_done = tracker.mark_done
     trap_free = [0.0] * spec.n_traps
-    out: list[PhysOp] = []
+    rows: list = []
     # Durations by kind and chain length (at most the circuit's qubit count),
     # from the timing model's own formulas, so each float is the model's.
     timing = spec.timing
@@ -168,7 +177,7 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     chains = state.chains
     trap_of = state.trap_of
     shuttle_ion, swap_ions = state.shuttle_ion, state.swap_ions
-    record = out.append
+    extend = rows.extend
     GATE1, GATE2, SWAP, SHUTTLE = OpKind.GATE1, OpKind.GATE2, OpKind.SWAP, OpKind.SHUTTLE
     inf = math.inf
     # Where the next op may start. Each popped gate sets it to the clock tick
@@ -176,10 +185,10 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
     # start no earlier than the op before.
     cursor = 0.0
 
-    def commit(kind, qubits, t, src, dst, seq=None) -> PhysOp:
+    def commit(kind, qubits, t, src, dst, seq=None) -> tuple:
         """Time an op at the first moment from cursor on that its traps are
         free, apply a SWAP or shuttle to the state, advance cursor to the op's
-        end and return its record."""
+        end, and append the op's fields to rows and return them."""
         nonlocal cursor
         # Plain comparisons, not max(): this runs once per op.
         # A duration far below the float spacing at start is lost in the sum,
@@ -194,7 +203,7 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
                 start = free
             cursor = trap_free[src] = trap_free[dst] = start + shuttle_time
             if not start < cursor < inf:
-                raise _no_end(len(out), start, shuttle_time)
+                raise _no_end(len(rows) // 8, start, shuttle_time)
             shuttle_ion(qubits[0], src, dst)
         else:
             free = trap_free[t]
@@ -208,11 +217,11 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
                 dur = gate1_time
             cursor = trap_free[t] = start + dur
             if not start < cursor < inf:
-                raise _no_end(len(out), start, dur)
+                raise _no_end(len(rows) // 8, start, dur)
             if kind is SWAP:
                 swap_ions(qubits[0], qubits[1], t)
-        op = new_record(PhysOp, (kind, qubits, t, src, dst, seq, start, cursor))
-        record(op)
+        op = (kind, qubits, t, src, dst, seq, start, cursor)
+        extend(op)
         return op
 
     # Wake heap of (time, seq): a gate enters once, when the previous gate on
@@ -263,7 +272,7 @@ def _schedule(circ: Circuit, placement: Placement, spec: DeviceSpec, lookahead: 
                     heappush(wake, (ready, nxt))
     if any(waiting):
         raise QccdError("scheduler stalled: gates remain but none can become ready")
-    return Schedule(ops=tuple(out))
+    return Schedule(rows=rows)
 
 
 def _no_end(index: int, start: float, dur: float) -> InputError:
@@ -316,15 +325,21 @@ def verify_schedule(
     if spec.topology is Topology.RING and n_traps > 2:
         right_of[-1], left_of[0] = 0, n_traps - 1
 
-    ops = sched.ops
-    starts = list(map(itemgetter(6), ops))
-    # A stable sort on start alone keeps equal starts in index order.
-    order = sorted(range(len(ops)), key=starts.__getitem__)
+    # Op i's fields are rows[8 * i : 8 * i + 8]. A stable sort on start alone
+    # keeps equal starts in index order.
+    rows = sched.rows
+    starts = rows[6::8]
+    order = sorted(range(len(starts)), key=starts.__getitem__)
     busy_until = [0.0] * n_traps
     gate_qubits = [g.qubits for g in circ.gates]
     n_gates = len(gate_qubits)
     seen = bytearray(n_gates)
-    per_qubit_runs: list[list[int]] = [[] for _ in range(circ.n_qubits)]
+    # Each gate must run exactly once, so a qubit's gates ran in program order
+    # exactly when their seqs only grew: last_run[q] is the latest seq run on
+    # q, and disordered[q] marks a qubit that saw one lower than it. Neither
+    # holds a list per qubit for the collector to track.
+    last_run = [-1] * circ.n_qubits
+    disordered = bytearray(circ.n_qubits)
     # Durations by kind and chain length, from the timing model. A chain never
     # outgrows capacity (a shuttle into a full trap is illegal) or the circuit.
     timing = spec.timing
@@ -348,7 +363,8 @@ def verify_schedule(
     # start + duration was stored, so isclose also allows the float spacing
     # at end as well as the fixed floor.
     for i in order:
-        kind, qubits, trap, src, dst, seq, start, end = ops[i]
+        j = 8 * i
+        kind, qubits, trap, src, dst, seq, start, end = rows[j : j + 8]
         if not end > start:
             return Verdict(False, f"op has non-positive duration {end - start}", i)
         duration = end - start
@@ -433,7 +449,9 @@ def verify_schedule(
                 return Verdict(False, f"gate {seq} scheduled more than once", i)
             seen[seq] = 1
             for q in operands:
-                per_qubit_runs[q].append(seq)
+                if last_run[q] > seq:
+                    disordered[q] = 1
+                last_run[q] = seq
             # Every circuit qubit is placed and only moves between traps, so
             # an operand is always on the device.
             if kind is GATE2:
@@ -449,13 +467,8 @@ def verify_schedule(
     missing = [seq for seq in range(n_gates) if not seen[seq]]
     if missing:
         return Verdict(False, f"gates never scheduled: {missing[:8]}{'...' if len(missing) > 8 else ''}")
-    program: list[list[int]] = [[] for _ in range(circ.n_qubits)]
-    for g in circ.gates:
-        for q in g.qubits:
-            program[q].append(g.seq)
-    for q in range(circ.n_qubits):
-        if per_qubit_runs[q] != program[q]:
-            return Verdict(False, f"qubit {q} saw gates out of program order")
+    if any(disordered):
+        return Verdict(False, f"qubit {disordered.index(1)} saw gates out of program order")
     return Verdict(True)
 
 
@@ -492,7 +505,7 @@ def schedule_to_text(sched: Schedule) -> str:
     # Equal floats format alike unless they are 0.0 and -0.0, so a zero start
     # is always formatted.
     prev_end, end_us = None, ""
-    for kind, qubits, trap, src, dst, _, start, end in sched.ops:
+    for kind, qubits, trap, src, dst, _, start, end in zip(*[iter(sched.rows)] * 8):
         start_us = end_us if start == prev_end and start else f"{start * 1e6:.3f}"
         prev_end, end_us = end, f"{end * 1e6:.3f}"
         # A negative index would read the table from its end, so each one is
@@ -525,4 +538,6 @@ def schedule_to_text(sched: Schedule) -> str:
     lines.append(f"# swaps={m.swaps}")
     lines.append(f"# one_qubit_gates={m.one_qubit_gates}")
     lines.append(f"# two_qubit_gates={m.two_qubit_gates}")
-    return "\n".join(lines) + "\n"
+    # The empty last line gives the trailing newline without copying the text.
+    lines.append("")
+    return "\n".join(lines)

@@ -103,12 +103,6 @@ def test_circuit_to_text_refuses_a_label_the_native_format_cannot_carry(label):
     assert str(err.value) == f"gate 1 label {label!r} cannot be written in the native format"
 
 
-def test_circuit_to_text_refuses_a_label_that_is_not_a_string():
-    circ = Circuit(2, (Gate("h", (0,), 0), Gate(7, (1,), 1)))
-    with pytest.raises(InputError, match="gate 1 label 7 cannot be written"):
-        circuit_to_text(circ)
-
-
 def test_qasm_subset():
     text = """
     OPENQASM 2.0;
@@ -367,6 +361,9 @@ def test_circuit_refuses_an_operand_that_is_not_an_int(gate, message):
         # each operand's type is checked before its range
         ((Gate("cx", (5, 0.5), 0),), "gate 0 (cx) operand 5 outside 0..2"),
         ((Gate("cx", (0.5, 5), 0),), "gate 0 (cx) operand 0.5 is not an integer"),
+        # a label must be a str, or the circuit could not be written out
+        ((Gate(7, (0,), 0), Gate("cx", (0, 1), 1)), "gate 0 label 7 is not a string"),
+        ((Gate("h", (0,), 0), Gate(None, (1, 2), 1)), "gate 1 label None is not a string"),
     ],
 )
 def test_circuit_names_the_first_check_a_gate_fails(gates, message):
@@ -379,6 +376,13 @@ def test_circuit_names_the_first_check_a_gate_fails(gates, message):
 def test_circuit_refuses_a_gate_entry_that_is_not_a_sequence(gates, index):
     with pytest.raises(InputError, match=rf"^gate {index} is not a \(label, qubit, \.\.\.\) sequence: "):
         circuit(2, gates)
+
+
+@pytest.mark.parametrize("gate_list", [5, None])
+def test_circuit_refuses_a_gate_list_that_is_not_iterable(gate_list):
+    with pytest.raises(InputError) as err:
+        circuit(2, gate_list)
+    assert str(err.value) == f"gate list {gate_list!r} is not iterable"
 
 
 def test_circuit_unpacks_any_arity_and_stringifies_labels():
