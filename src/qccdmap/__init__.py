@@ -10,7 +10,7 @@ from .benchmarks import generate
 from .devices import DeviceSpec, Topology
 from .errors import DeadlockError, DeviceOpError, InputError, QccdError, VerificationError
 from .placement import place
-from .scheduling import compute_metrics, schedule, verify_schedule
+from .scheduling import schedule, verify_schedule
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,6 @@ __all__ = [
     "generate",
     "place",
     "schedule",
-    "compute_metrics",
     "verify_schedule",
     "DeadlockError",
     "DeviceOpError",

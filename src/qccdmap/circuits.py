@@ -394,4 +394,6 @@ def circuit_to_text(circ: Circuit, header: str | None = None) -> str:
             row(f"{label} {text[a]} {text[b]}")
         else:
             row(f"{label} {text[qubits[0]]}")
-    return "\n".join(lines) + "\n"
+    # The empty last line gives the trailing newline without copying the text.
+    row("")
+    return "\n".join(lines)

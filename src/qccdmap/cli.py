@@ -213,11 +213,9 @@ def _sweep_run(args, circ, traps, capacity, excess) -> list[RunRecord]:
         topology=Topology(args.topology), n_traps=traps, capacity=capacity, excess_capacity=excess
     )
     label = f"{args.family}{circ.n_qubits}"
-    seeds = [args.seed]
-    if args.placement == "random":
-        if args.seed is None:
-            raise InputError("random placement requires --seed")
-        seeds = [args.seed + i for i in range(args.seeds)]
+    # --seeds above 1 comes only with a random placement; without --seed,
+    # place refuses a random one.
+    seeds = [None] if args.seed is None else range(args.seed, args.seed + args.seeds)
     return [
         run_compile(
             circ, spec, args.placement, seed=seed, lookahead=args.lookahead,
@@ -251,10 +249,12 @@ def _cmd_sweep(args) -> int:
     else:
         regimes = [("excess_fixed_ions", _excess_fixed_points), ("excess_var_ions", _excess_var_points)]
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     # Qubit count -> circuit. Points of equal size share one circuit, and with
     # it the slices and interaction graph it keeps.
     circuits: dict[int, Circuit] = {}
+    # Every report is rendered before any is written: a sweep refused or
+    # failed part-way leaves no files.
+    reports: list[tuple[Path, str, int]] = []
     for name, points in regimes:
         records: list[RunRecord] = []
         for traps, capacity, excess, n, feasible in points(args):
@@ -273,8 +273,11 @@ def _cmd_sweep(args) -> int:
                 )
             records.extend(_sweep_run(args, circ, traps, capacity, excess))
         path = outdir / f"sweep_{name}_{args.family}_{args.placement}.{args.format}"
-        path.write_text(emit(records, args.format, args.with_wall_clock))
-        print(f"wrote {path} ({len(records)} records)")
+        reports.append((path, emit(records, args.format, args.with_wall_clock), len(records)))
+    outdir.mkdir(parents=True, exist_ok=True)
+    for path, text, count in reports:
+        path.write_text(text)
+        print(f"wrote {path} ({count} records)")
     return 0
 
 

@@ -243,9 +243,7 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
     # Pairs move in ascending weight, so heavier pairs relocate last and win
     # the boundary slots. A qubit's last move is its first in descending
     # weight, so pairs are read heaviest first, each qubit is decided once,
-    # and reading stops once all are. Each (trap, partner trap) exit slot is
-    # found on first use.
-    ends: dict[tuple[int, int], int] = {}
+    # and reading stops once all are.
     last_move: dict[int, tuple[int, int]] = {}
     last_turn = len(pairs) - 1
     for j, (a, b) in enumerate(pairs):
@@ -254,10 +252,7 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
             continue
         for q, t, toward in ((a, ta, tb), (b, tb, ta)):
             if q not in last_move:
-                end = ends.get((t, toward))
-                if end is None:
-                    end = ends[t, toward] = spec.exit_slot[t, shortest_path(spec, t, toward)[1]]
-                last_move[q] = (last_turn - j, end)
+                last_move[q] = (last_turn - j, spec.exit_slot[t, shortest_path(spec, t, toward)[1]])
         if len(last_move) == circ.n_qubits:
             break
     slots.chains = [_final_order(chain, last_move) for chain in slots.chains]

@@ -4,18 +4,20 @@ When a gate's operands sit in different traps, one of them (the mover) is
 walked to its trap boundary by SWAPs and shuttled along the shortest trap
 path to its partner. The mover is chosen by comparing how much each operand
 still has to gain from relocating. A full trap on the way is cleared along a
-relief route, the trap line from it to the nearest trap with a free slot:
-each trap on the route, farthest first, evicts its least-attached resident
-into the slot the next one holds open.
+relief route. Each of its neighbours starts a walk through full traps to the
+first trap with a free slot, and the route is the least walk by (more than
+one hop, first hop on the mover's remaining path, hops, first hop's
+occupancy, first hop's index). Each trap on the route, farthest first,
+evicts its least-attached resident into the slot the next one holds open.
 
 Each routing input has one source: the device comes from ``state.spec``,
 each qubit's trap from ``state.trap_of``, and pending work from a
 ``PendingTracker`` over the circuit's ``partner_lists``.
 
-An eviction decides each hop in one scan: it reads each neighbour once for
-the destination, and tests each candidate victim's attachment as one slice
-of the tracker's partner lists, a partner counting when ``trap_of`` puts it
-in the victim's trap.
+An eviction finds its route in one search over its neighbours' walks, and
+tests each candidate victim's attachment as one slice of the tracker's
+partner lists, a partner counting when ``trap_of`` puts it in the victim's
+trap.
 
 Each op goes to the caller's ``commit`` as its fields as soon as it is
 chosen; ``commit`` applies it to the state through the state's typed
@@ -142,6 +144,21 @@ def _require_unpinned(state: DeviceState, trap: int, avoid: frozenset[int]) -> N
         raise DeadlockError(f"trap {trap} is full and every resident is pinned", state.occupancies())
 
 
+def _least_attached(
+    state: DeviceState, src: int, at_exit: int, avoid: frozenset[int], tracker: PendingTracker
+) -> int:
+    """The eviction victim in src by the full key, for when every candidate
+    is attached and so has a first hit."""
+    trap_of, per_qubit, heads, window = state.trap_of, tracker._per_qubit, tracker._heads, tracker.window
+
+    def key(q: int) -> tuple:
+        h = heads[q]
+        hits = [seq for seq, p in per_qubit[q][h : h + window] if trap_of[p] == src]
+        return (len(hits), -hits[0], q != at_exit, q)
+
+    return min((q for q in state.chains[src] if q not in avoid), key=key)
+
+
 def _evict_one(
     state: DeviceState,
     trap: int,
@@ -153,52 +170,43 @@ def _evict_one(
     """Free one slot in trap by shuttling out its least-attached resident, and
     return the records committed, in order.
 
-    Destinations in ``blocked`` (the rest of the mover's path, the traps it
-    still has to pass through) are taken only as a last resort. When every
-    neighbour is full, each one starts a walk away from trap through full
-    traps to the first free one, dropped at a line end or back round a ring
-    at trap; with at most two neighbours per trap, a walk is the shortest way
-    to slack on its side. Relief cascades back along the chosen route,
-    farthest trap first.
+    Each neighbour starts a walk away from trap through full traps to the
+    first trap with a free slot, dropped at a line end or back round a ring
+    at trap; an open neighbour is a one-hop walk, and with at most two
+    neighbours per trap a walk is the shortest way to slack on its side. The
+    route is the least walk by (more than one hop, first hop in ``blocked``,
+    hops, first hop's occupancy, first hop's index). ``blocked`` is the rest
+    of the mover's path, the traps it still has to pass through, so an open
+    neighbour beats every longer walk, and among walks of either kind one
+    whose first hop is off the mover's path wins. Relief cascades back along
+    the route, farthest trap first.
     """
     chains, spec = state.chains, state.spec
     capacity, adjacency = spec.capacity, spec._adjacency
     _require_unpinned(state, trap, avoid)
-    # The open neighbour least by (t in blocked, len(chain), t); neighbours
-    # come in ascending index.
-    dest = -1
-    for t in adjacency[trap]:
-        n = len(chains[t])
-        if n < capacity:
-            in_blocked = t in blocked
-            if dest < 0 or in_blocked < dest_blocked or (in_blocked == dest_blocked and n < dest_len):
-                dest, dest_blocked, dest_len = t, in_blocked, n
-    if dest >= 0:
-        route = [trap, dest]
-    else:
-        walks = []
-        for first in adjacency[trap]:
-            walk = [trap, first]
-            while len(chains[walk[-1]]) >= capacity:
-                # The neighbour ahead is the one that is not back, or back
-                # itself at a line end.
-                back, ahead = walk[-2], adjacency[walk[-1]]
-                nxt = ahead[0] if ahead[0] != back else ahead[-1]
-                if nxt == back or nxt == trap:
-                    break
-                walk.append(nxt)
-            else:
-                walks.append(walk)
-        if not walks:
-            raise DeadlockError(f"no free slot reachable from trap {trap}", state.occupancies())
-        route = min(walks, key=lambda w: (w[1] in blocked, len(w), w[1]))
-        for t in route[1:-1]:
-            _require_unpinned(state, t, avoid)
+    # A walk goes in after its key; first hops differ, so min never compares walks.
+    walks = []
+    for first in adjacency[trap]:
+        walk = [trap, first]
+        while len(chains[walk[-1]]) >= capacity:
+            # The neighbour ahead is the one that is not back, or back itself
+            # at a line end.
+            back, ahead = walk[-2], adjacency[walk[-1]]
+            nxt = ahead[0] if ahead[0] != back else ahead[-1]
+            if nxt == back or nxt == trap:
+                break
+            walk.append(nxt)
+        else:
+            walks.append((len(walk) > 2, first in blocked, len(walk), len(chains[first]), first, walk))
+    if not walks:
+        raise DeadlockError(f"no free slot reachable from trap {trap}", state.occupancies())
+    route = min(walks)[-1]
+    for t in route[1:-1]:
+        _require_unpinned(state, t, avoid)
     # A qubit's pending window is the slice [h : h + window] from its head h,
     # and a candidate is attached when a partner in it has trap_of[p] == src.
     exit_slot, trap_of, singletons = spec.exit_slot, state.trap_of, state.singletons
-    per_qubit, partners, heads = tracker._per_qubit, tracker._partners, tracker._heads
-    window = tracker.window
+    partners, heads, window = tracker._partners, tracker._heads, tracker.window
     ops: list[PhysOp] = []
     # Deeper evictions leave the traps nearer trap untouched, so each victim
     # is chosen against its own trap as it stood when the route was found.
@@ -228,16 +236,8 @@ def _evict_one(
                     else:
                         victim = q
                         break
-            else:  # every candidate is attached, so each has a first hit
-                best = None
-                for q in chain:
-                    if q not in avoid:
-                        h = heads[q]
-                        hits = [seq for seq, p in per_qubit[q][h : h + window] if trap_of[p] == src]
-                        key = (len(hits), -hits[0], q != at_exit, q)
-                        if best is None or key < best:
-                            best = key
-                victim = best[3]
+            else:
+                victim = _least_attached(state, src, at_exit, avoid, tracker)
         if victim != at_exit:
             ops.append(new_record(PhysOp, commit(_SWAP, (victim, at_exit), src, None, None)))
         ops.append(new_record(PhysOp, commit(_SHUTTLE, singletons[victim], None, src, dest)))

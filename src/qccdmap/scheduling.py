@@ -110,10 +110,6 @@ class Metrics:
     two_qubit_gates: int
 
 
-def compute_metrics(schedule: Schedule) -> Metrics:
-    return schedule.metrics
-
-
 def _reject_infeasible(circ: Circuit, state: DeviceState) -> None:
     """Raise DeadlockError for a split two-qubit gate that no routing can join.
 

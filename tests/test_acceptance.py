@@ -26,7 +26,6 @@ from qccdmap.placement import (
 )
 from qccdmap.scheduling import (
     Schedule,
-    compute_metrics,
     schedule,
     verify_schedule,
 )
@@ -43,7 +42,7 @@ def _verdict(name: str, ok: bool, detail: str = ""):
 
 def _metrics(circ, spec, strategy, seed=None):
     pl = place(circ, spec, strategy, seed)
-    return compute_metrics(schedule(circ, pl, spec))
+    return schedule(circ, pl, spec).metrics
 
 
 def _two_qubit_count(circ) -> int:
@@ -99,7 +98,7 @@ def test_03_placement_walkthrough(worked_circuit, worked_spec):
 def test_04_movement_synthesis(movement_circuit, movement_spec, movement_placement):
     t0 = time.monotonic()
     sched = schedule(movement_circuit, movement_placement, movement_spec)
-    m = compute_metrics(sched)
+    m = sched.metrics
     g01 = next(s for s in sched.ops if s.kind is OpKind.GATE2 and set(s.qubits) == {0, 1})
     g45 = next(s for s in sched.ops if s.kind is OpKind.GATE2 and set(s.qubits) == {4, 5})
     overlap = g01.start < g45.end and g45.start < g01.end
@@ -166,7 +165,7 @@ def test_06_zero_movement():
             len({pl.trap_of[q] for q in range(comp * u, (comp + 1) * u)}) == 1
             for comp in range(n // u)
         )
-        m = compute_metrics(schedule(circ, pl, spec))
+        m = schedule(circ, pl, spec).metrics
         ok &= m.shuttles == 0 and m.swaps == 0
         checked += 1
     elapsed = time.monotonic() - t0

@@ -304,13 +304,21 @@ def test_sweep_rejects_trap_range_outside_one_to_max(tmp_path, capsys, mode, lo,
     assert not list(tmp_path.glob("sweep_*"))
 
 
-def test_sweep_random_requires_seed(tmp_path, capsys):
-    rc = cli.main(
-        ["sweep", "strong", "--family", "qft", "--placement", "random",
-         "--traps-min", "2", "--traps-max", "2", "--out", str(tmp_path)]
-    )
-    assert rc == 1
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["excess", "--family", "rnd", "--seed", "1"], "rnd requires --gates"),
+        (["excess", "--family", "qv"], "qv requires a seed"),
+        (["strong", "--family", "qft", "--placement", "random", "--traps-min", "2", "--traps-max", "2"],
+         "random placement requires a seed"),
+    ],
+    ids=["rnd-without-gates", "qv-without-seed", "random-without-seed"],
+)
+def test_sweep_refused_at_generation_or_placement_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", *argv, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

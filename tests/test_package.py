@@ -8,8 +8,7 @@ import pytest
 
 import qccdmap
 from qccdmap import (
-    DeviceSpec, Topology, generate, place, schedule,
-    compute_metrics, verify_schedule,
+    DeviceSpec, Topology, generate, place, schedule, verify_schedule,
 )
 
 
@@ -19,7 +18,7 @@ def test_readme_library_example_runs_from_top_level():
     pl = place(circ, spec, "sta")
     sched = schedule(circ, pl, spec)
     assert verify_schedule(sched, circ, pl, spec).ok
-    assert compute_metrics(sched).two_qubit_gates == sum(len(g.qubits) == 2 for g in circ.gates)
+    assert sched.metrics.two_qubit_gates == sum(len(g.qubits) == 2 for g in circ.gates)
 
 
 def test_top_level_exports_only_the_library_example_and_errors():
@@ -29,7 +28,6 @@ def test_top_level_exports_only_the_library_example_and_errors():
         "generate",
         "place",
         "schedule",
-        "compute_metrics",
         "verify_schedule",
         "DeadlockError",
         "DeviceOpError",

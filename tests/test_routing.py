@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qccdmap.circuits import circuit
@@ -493,8 +493,33 @@ def _run_eviction(case, evict):
     return committed, state.chains, error
 
 
+def _relief_example(topology, capacity, chains, trap, blocked):
+    """A relief case with no pending gates: the route alone decides the ops."""
+    return {
+        "spec": _spec(len(chains), capacity, 0, topology),
+        "chains": chains,
+        "trap": trap,
+        "avoid": frozenset(),
+        "blocked": blocked,
+        "n": sum(map(len, chains)),
+        "gates": [],
+        "n_done": 0,
+        "lookahead": None,
+    }
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_relief_case())
+# an open neighbour on the mover's path beats a full neighbour off it with
+# slack beyond: trap 2 evicts into 3, not along 1 to 0
+@example(_relief_example(Topology.LINEAR, 2, [[0], [1, 2], [3, 4], [5], [6, 7]], 2, (3, 4)))
+# both neighbours full: the walk 0-5-4-3 off the mover's path beats the
+# shorter walk 0-1-2 whose first hop is on it
+@example(_relief_example(Topology.RING, 2, [[0, 1], [2, 3], [4], [5], [6, 7], [8, 9]], 0, (1, 2)))
+# two open neighbours, both on the mover's path: the less occupied one, 2
+@example(_relief_example(Topology.LINEAR, 3, [[0, 1], [2, 3, 4], [5]], 1, (0, 2)))
+# two open neighbours, equally occupied and off the path: the lower index, 0
+@example(_relief_example(Topology.LINEAR, 3, [[0], [1, 2, 3], [4]], 1, ()))
 def test_relief_route_matches_recursive_eviction(case):
     def reference(state, trap, avoid, tracker, commit, blocked):
         _reference_evict_one(state, state.spec, trap, avoid, tracker, commit, frozenset(), blocked)

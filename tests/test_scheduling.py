@@ -25,7 +25,6 @@ from qccdmap.routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
 from qccdmap import scheduling
 from qccdmap.scheduling import (
     Schedule,
-    compute_metrics,
     schedule,
     schedule_to_text,
     verify_schedule,
@@ -141,11 +140,11 @@ def test_scheduled_durations_equal_timing_model_exactly(topology, slope):
         state.apply(s)
     assert {kind for kind, _ in lengths} == {OpKind.GATE2, OpKind.SWAP}
     assert len(lengths) >= 6
-    assert compute_metrics(sched).shuttles > 0
+    assert sched.metrics.shuttles > 0
 
 
 def test_metrics_count_kinds(movement_circuit, movement_spec, movement_placement):
-    m = compute_metrics(schedule(movement_circuit, movement_placement, movement_spec))
+    m = schedule(movement_circuit, movement_placement, movement_spec).metrics
     assert (m.shuttles, m.swaps) == (1, 1)
     assert m.two_qubit_gates == 4
     assert m.one_qubit_gates == 0
@@ -243,7 +242,7 @@ def test_component_fitting_circuits_need_no_movement():
         for comp in range(circ.n_qubits // u):
             traps = {pl.trap_of[q] for q in range(comp * u, (comp + 1) * u)}
             assert len(traps) == 1, f"component {comp} split across {traps}"
-        m = compute_metrics(schedule(circ, pl, spec))
+        m = schedule(circ, pl, spec).metrics
         assert m.shuttles == 0
         assert m.swaps == 0
 
@@ -251,7 +250,7 @@ def test_component_fitting_circuits_need_no_movement():
 def test_split_pairs_do_move():
     c = circuit(4, [("cx", 0, 2), ("cx", 1, 3)])
     spec = _spec(2, 4, 2)
-    m = compute_metrics(schedule(c, Placement(chains=((0, 1), (2, 3))), spec))
+    m = schedule(c, Placement(chains=((0, 1), (2, 3))), spec).metrics
     assert m.shuttles + m.swaps > 0
 
 
@@ -331,7 +330,7 @@ def test_duration_tables_are_sized_by_the_circuit_not_the_capacity(monkeypatch):
     circ = generate("qft", 8)
     pl = Placement(chains=((0, 1, 2, 3), (4, 5, 6, 7)))
     sched = schedule(circ, pl, spec)
-    assert compute_metrics(sched).shuttles > 0
+    assert sched.metrics.shuttles > 0
     assert verify_schedule(sched, circ, pl, spec).ok
     assert max(calls) <= circ.n_qubits
     assert len(calls) <= 4 * (circ.n_qubits + 1)
@@ -610,7 +609,7 @@ def test_schedule_keeps_no_tracked_object_per_op(collector):
     sched = schedule(circ, pl, spec)
     grown = len(gc.get_objects()) - before
     n_ops = len(sched.ops)
-    assert compute_metrics(sched).shuttles > n_ops // 3
+    assert sched.metrics.shuttles > n_ops // 3
     assert grown < n_ops // 2
 
 
@@ -640,7 +639,7 @@ def test_compile_leaves_no_reference_cycles(collector, topology):
     sched = schedule(circ, pl, spec)
     assert verify_schedule(sched, circ, pl, spec).ok
     schedule_to_text(sched)
-    m = compute_metrics(sched)
+    m = sched.metrics
     assert m.swaps > 0 and m.shuttles > 0 and _evictions(sched) > 0
     del pl, sched
     assert gc.collect() == 0
@@ -658,7 +657,7 @@ def _reference_schedule_to_text(sched):
         traps = f"{op.src}:{op.dst}" if op.kind is OpKind.SHUTTLE else op.trap
         qubits = ":".join(map(str, op.qubits))
         lines.append(f"{op.start * 1e6:.3f},{op.end * 1e6:.3f},{name[op.kind]},{qubits},{traps}")
-    m = compute_metrics(sched)
+    m = sched.metrics
     lines.append(f"# total_time_us={m.total_time * 1e6:.3f}")
     lines.append(f"# shuttles={m.shuttles}")
     lines.append(f"# swaps={m.swaps}")
