@@ -9,16 +9,15 @@ are computed here:
 
 * ASAP time slices over the two-qubit gates (single-qubit gates are not
   sliced), a plain tuple of slices, each a tuple of gates,
-* the weighted qubit interaction graph, a read-only mapping from pair (a, b)
-  with a < b to its number of two-qubit gates,
-* the dependency order, each qubit's gates in program order,
 * the partner lists: per qubit, its two-qubit gates as (seq, partner) pairs
-  and the partner column alone, both in program order, which the router's
-  pending-work tracker reads.
+  and the partner column alone, both in program order, which STA's qubit
+  ranking and the router's pending-work tracker read,
+* the dependency order, each qubit's gate seqs in program order,
+* the weighted qubit interaction graph, a read-only mapping from pair (a, b)
+  with a < b to its number of two-qubit gates, which greedy placement reads.
 
-The slices, the interaction graph and the partner lists are built on first
-use and kept on the circuit, so every stage and every compile of one circuit
-shares them.
+Each is built on first use and kept on the circuit, so every stage and every
+compile of one circuit shares it; the first three share one pass.
 """
 from __future__ import annotations
 
@@ -70,34 +69,50 @@ class Circuit:
             _refuse_gate(i, gate, n)
 
     @cached_property
-    def slices(self) -> tuple[tuple[Gate, ...], ...]:
-        """Greedy earliest-slice layering of the two-qubit gates.
-
-        Returns the slices in order, each a tuple of its gates in program
-        order. Each gate lands in the earliest slice strictly after the last
-        slice that contains either of its operands. Single-qubit gates are
-        excluded. Built once per circuit: placement and the run report both
-        read it.
-        """
-        last = [-1] * self.n_qubits
+    def _views(self):
+        """(slices, partner_lists, dependency order), built in one pass."""
+        n = self.n_qubits
+        last = [-1] * n
         buckets: list[list[Gate]] = []
-        for g in self.gates:
-            qubits = g.qubits
+        per_qubit: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        order: list[list[int]] = [[] for _ in range(n)]
+        for gate in self.gates:
+            qubits = gate[1]
+            seq = gate[2]
             if len(qubits) != 2:
+                order[qubits[0]].append(seq)
                 continue
             a, b = qubits
-            s = max(last[a], last[b]) + 1
+            s = (last[a] if last[a] > last[b] else last[b]) + 1
             if s == len(buckets):
                 buckets.append([])
-            buckets[s].append(g)
+            buckets[s].append(gate)
             last[a] = last[b] = s
-        return tuple(tuple(b) for b in buckets)
+            per_qubit[a].append((seq, b))
+            per_qubit[b].append((seq, a))
+            order[a].append(seq)
+            order[b].append(seq)
+        partners = tuple([p for _, p in pairs] for pairs in per_qubit)
+        return tuple(map(tuple, buckets)), (tuple(per_qubit), partners), tuple(map(tuple, order))
+
+    @property
+    def slices(self) -> tuple[tuple[Gate, ...], ...]:
+        """Greedy earliest-slice layering of the two-qubit gates: each lands in
+        the slice after the last one holding either operand. Each slice is a
+        tuple of its gates in program order; single-qubit gates are excluded."""
+        return self._views[0]
+
+    @property
+    def partner_lists(self) -> tuple[tuple[list[tuple[int, int]], ...], tuple[list[int], ...]]:
+        """Per qubit, its two-qubit gates as (seq, partner) in program order, and
+        the partner column of those lists. Shared: no reader may change them."""
+        return self._views[1]
 
     @cached_property
     def interaction_graph(self) -> Mapping[tuple[int, int], int]:
         """Interaction weights: (a, b) with a < b -> number of two-qubit gates
-        on that pair, in order of each pair's first gate. Built once per
-        circuit and read-only, since every caller shares it."""
+        on that pair, in order of each pair's first gate. Read-only, since
+        every caller shares it."""
         weights: dict[tuple[int, int], int] = {}
         for _, qubits, _ in self.gates:
             if len(qubits) != 2:
@@ -106,19 +121,6 @@ class Circuit:
             key = (a, b) if a < b else (b, a)
             weights[key] = weights.get(key, 0) + 1
         return MappingProxyType(weights)
-
-    @cached_property
-    def partner_lists(self) -> tuple[tuple[list[tuple[int, int]], ...], tuple[list[int], ...]]:
-        """Per qubit, its two-qubit gates as (seq, partner) in program order,
-        and the partner column of those lists. Built once per circuit; every
-        reader shares the lists and none may change them."""
-        per_qubit: list[list[tuple[int, int]]] = [[] for _ in range(self.n_qubits)]
-        for _, qubits, seq in self.gates:
-            if len(qubits) == 2:
-                a, b = qubits
-                per_qubit[a].append((seq, b))
-                per_qubit[b].append((seq, a))
-        return tuple(per_qubit), tuple([p for _, p in pairs] for pairs in per_qubit)
 
 
 def _refuse_gate(i: int, gate: Gate, n: int) -> None:
@@ -344,28 +346,23 @@ def _parse_qasm(text: str) -> Circuit:
 # ---------------------------------------------------------------------------
 
 def compute_slices(circ: Circuit) -> tuple[tuple[Gate, ...], ...]:
-    """The circuit's ASAP slices, built on first use and kept on the circuit
-    (see ``Circuit.slices``); later calls return the same tuple."""
+    """The circuit's ASAP slices, kept on the circuit (see ``Circuit.slices``)."""
     return circ.slices
 
 
 def interaction_graph(circ: Circuit) -> Mapping[tuple[int, int], int]:
-    """The circuit's interaction weights, built on first use and kept on the
-    circuit (see ``Circuit.interaction_graph``)."""
+    """The circuit's interaction weights (see ``Circuit.interaction_graph``)."""
     return circ.interaction_graph
 
 
 def dependency_graph(circ: Circuit) -> tuple[tuple[int, ...], ...]:
-    """Each qubit's gate seqs in program order, indexed by qubit.
+    """Each qubit's gate seqs in program order, indexed by qubit; kept on the
+    circuit (see ``Circuit._views``).
 
     This is the whole dependency structure: a gate depends only on the
     previous gate on each of its operands.
     """
-    order: list[list[int]] = [[] for _ in range(circ.n_qubits)]
-    for g in circ.gates:
-        for q in g.qubits:
-            order[q].append(g.seq)
-    return tuple(map(tuple, order))
+    return circ._views[2]
 
 
 def circuit_to_text(circ: Circuit, header: str | None = None) -> str:

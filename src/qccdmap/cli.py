@@ -250,7 +250,7 @@ def _cmd_sweep(args) -> int:
         regimes = [("excess_fixed_ions", _excess_fixed_points), ("excess_var_ions", _excess_var_points)]
     outdir = Path(args.out)
     # Qubit count -> circuit. Points of equal size share one circuit, and with
-    # it the slices and interaction graph it keeps.
+    # it every view it keeps.
     circuits: dict[int, Circuit] = {}
     # Every report is rendered before any is written: a sweep refused or
     # failed part-way leaves no files.

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .circuits import Circuit, Gate, compute_slices, interaction_graph
 from .devices import DeviceSpec, shortest_path, trap_distance
@@ -62,40 +63,43 @@ class Placement:
             raise InputError(f"placement misses qubits {missing}")
 
 
-def compute_ratios(weights: dict[tuple[int, int], int], n_qubits: int) -> list[tuple[int, float]]:
+def compute_ratios(partners: tuple[list[int], ...]) -> list[tuple[int, float]]:
     """Interaction ratios (distinct partners / qubit count), sorted descending.
 
-    ``weights`` is the ``interaction_graph`` of an ``n_qubits`` circuit. Ties
-    break toward the qubit with more total incident gates, then the lower
-    index. Qubits without interactions are omitted.
+    ``partners`` is the partner column of a circuit's ``partner_lists``. Ties
+    break toward the qubit with more incident gates (a longer list), then the
+    lower index. Qubits without interactions are omitted.
     """
-    degree = {q: 0 for q in range(n_qubits)}
-    incident = {q: 0 for q in range(n_qubits)}
-    for (a, b), w in weights.items():
-        degree[a] += 1
-        degree[b] += 1
-        incident[a] += w
-        incident[b] += w
-    entries = [(q, d) for q, d in degree.items() if d > 0]
-    entries.sort(key=lambda e: (-e[1], -incident[e[0]], e[0]))
-    return [(q, d / n_qubits) for q, d in entries]
+    n = len(partners)
+    distinct = [len(set(p)) for p in partners]
+    incident = [len(p) for p in partners]
+    ranked = [q for q in range(n) if incident[q]]
+    # Stable sorts, last key first: each keeps the order of the one before on a tie.
+    ranked.sort(key=incident.__getitem__, reverse=True)
+    ranked.sort(key=distinct.__getitem__, reverse=True)
+    return [(q, distinct[q] / n) for q in ranked]
 
 
-def compute_temporal_weights(slices: tuple[tuple[Gate, ...], ...]) -> list[tuple[tuple[int, int], float]]:
-    """Pair weights sum(2^-s over slices s where the pair interacts), descending.
+def rank_pairs(slices: tuple[tuple[Gate, ...], ...], n: int) -> list[tuple[int, int]]:
+    """The pairs (a, b), a < b, that interact in an n-qubit circuit's slices,
+    by weight sum(2^-s over slices s where the pair interacts), descending.
 
-    Ties break lexicographically by (min index, max index). Slice indices
-    beyond the double-precision subnormal range contribute exactly zero,
-    which is the faithful floating-point reading of the weight formula.
+    Ties break lexicographically by (a, b). Slice indices beyond the
+    double-precision subnormal range contribute exactly zero, which is the
+    faithful floating-point reading of the weight formula.
     """
-    weights: dict[tuple[int, int], float] = {}
+    # Pairs are coded a * n + b, in (a, b) order; a reversed stable sort keeps ties in code order.
+    weights: dict[int, float] = {}
+    get = weights.get
     for s, bucket in enumerate(slices):
         contrib = math.ldexp(1.0, -s) if s <= 1074 else 0.0
-        for g in bucket:
-            a, b = g.qubits
-            key = (a, b) if a < b else (b, a)
-            weights[key] = weights.get(key, 0.0) + contrib
-    return sorted(weights.items(), key=lambda e: (-e[1], e[0]))
+        for gate in bucket:
+            a, b = gate[1]
+            code = a * n + b if a < b else b * n + a
+            weights[code] = get(code, 0.0) + contrib
+    codes = sorted(weights)
+    codes.sort(key=weights.__getitem__, reverse=True)
+    return list(map(divmod, codes, repeat(n)))
 
 
 class _Slots:
@@ -197,8 +201,7 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
     """
     slots = _Slots(spec, circ.n_qubits)
     trap_of = slots.trap_of
-    ratios = compute_ratios(interaction_graph(circ), circ.n_qubits)
-    pairs = [pair for pair, _ in compute_temporal_weights(compute_slices(circ))]
+    pairs = rank_pairs(compute_slices(circ), circ.n_qubits)
     positions: list[list[int]] = [[] for _ in range(circ.n_qubits)]
     for i, (a, b) in enumerate(pairs):
         positions[a].append(i)
@@ -234,7 +237,7 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
 
     # Mapping places exactly the qubits of the pairs it retires, so skipping
     # placed qubits walks the ranking as a list shrunk after each map would.
-    for q, _ in ratios:
+    for q, _ in compute_ratios(circ.partner_lists[1]):
         if q not in trap_of:
             map_qubit(q)
     slots.place_rest([q for q in range(circ.n_qubits) if q not in trap_of])

@@ -17,12 +17,17 @@ against the router's one-scan eviction.
 ``exit_index`` is the facing rule as a formula of the topology; tests check
 ``DeviceSpec.exit_slot`` against it, and ``walk_to_boundary`` finds the exit
 ion with it rather than with the table.
+
+``compute_ratios`` and ``compute_temporal_weights`` are STA's qubit and pair
+rankings as they stood when they read the interaction graph and sorted on
+tuple keys; tests require the library's rankings, built from the partner
+lists and integer pair codes, to order qubits and pairs as they do.
 """
 from __future__ import annotations
 
 import math
 
-from qccdmap.circuits import Circuit
+from qccdmap.circuits import Circuit, Gate
 from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, TimingModel, Topology
 from qccdmap.errors import DeviceOpError, InputError
 from qccdmap.placement import Placement
@@ -189,3 +194,39 @@ def verify_schedule(
         if per_qubit_runs[q] != program[q]:
             return Verdict(False, f"qubit {q} saw gates out of program order")
     return Verdict(True)
+
+
+def compute_ratios(weights: dict[tuple[int, int], int], n_qubits: int) -> list[tuple[int, float]]:
+    """Interaction ratios (distinct partners / qubit count), sorted descending.
+
+    ``weights`` is the ``interaction_graph`` of an ``n_qubits`` circuit. Ties
+    break toward the qubit with more total incident gates, then the lower
+    index. Qubits without interactions are omitted.
+    """
+    degree = {q: 0 for q in range(n_qubits)}
+    incident = {q: 0 for q in range(n_qubits)}
+    for (a, b), w in weights.items():
+        degree[a] += 1
+        degree[b] += 1
+        incident[a] += w
+        incident[b] += w
+    entries = [(q, d) for q, d in degree.items() if d > 0]
+    entries.sort(key=lambda e: (-e[1], -incident[e[0]], e[0]))
+    return [(q, d / n_qubits) for q, d in entries]
+
+
+def compute_temporal_weights(slices: tuple[tuple[Gate, ...], ...]) -> list[tuple[tuple[int, int], float]]:
+    """Pair weights sum(2^-s over slices s where the pair interacts), descending.
+
+    Ties break lexicographically by (min index, max index). Slice indices
+    beyond the double-precision subnormal range contribute exactly zero,
+    which is the faithful floating-point reading of the weight formula.
+    """
+    weights: dict[tuple[int, int], float] = {}
+    for s, bucket in enumerate(slices):
+        contrib = math.ldexp(1.0, -s) if s <= 1074 else 0.0
+        for g in bucket:
+            a, b = g.qubits
+            key = (a, b) if a < b else (b, a)
+            weights[key] = weights.get(key, 0.0) + contrib
+    return sorted(weights.items(), key=lambda e: (-e[1], e[0]))

@@ -11,17 +11,17 @@ import statistics
 import time
 
 from conftest import ACCEPTANCE_LINES
-from reference import held, op_duration
+from reference import compute_temporal_weights, held, op_duration
 
 from qccdmap import cli
 from qccdmap.benchmarks import generate
-from qccdmap.circuits import circuit, compute_slices, interaction_graph
+from qccdmap.circuits import circuit, compute_slices
 from qccdmap.devices import DeviceSpec, OpKind, PhysOp, Topology
 from qccdmap.placement import (
     Placement,
     compute_ratios,
-    compute_temporal_weights,
     place,
+    rank_pairs,
     sta_place,
 )
 from qccdmap.scheduling import (
@@ -77,11 +77,13 @@ def test_02_adder_calibration():
 
 def test_03_placement_walkthrough(worked_circuit, worked_spec):
     t0 = time.monotonic()
-    ratios = compute_ratios(interaction_graph(worked_circuit), worked_circuit.n_qubits)
+    ratios = compute_ratios(worked_circuit.partner_lists[1])
+    # pair order from the library, the weight it ranks by from the reference
+    pairs = rank_pairs(compute_slices(worked_circuit), worked_circuit.n_qubits)
     weights = compute_temporal_weights(compute_slices(worked_circuit))
     pl = sta_place(worked_circuit, worked_spec)
     ok = ratios[0] == (2, 0.8)
-    ok &= weights[0][0] == (0, 2)
+    ok &= pairs[0] == (0, 2) and weights[0] == ((0, 2), 1.5)
     ok &= tuple(sorted(pl.chains[0])) == (0, 2) and tuple(sorted(pl.chains[1])) == (1, 3, 4)
     # q2 must sit on trap 0's face toward trap 1; q4 on trap 1's face toward
     # trap 0 with q3 next to it

@@ -17,7 +17,10 @@ from qccdmap.circuits import (
     interaction_graph,
     parse_circuit,
 )
+from qccdmap.devices import DeviceSpec, Topology
 from qccdmap.errors import InputError
+from qccdmap.placement import place
+from qccdmap.scheduling import schedule
 
 
 def _random_circuit(rng: random.Random, n_qubits: int, n_gates: int):
@@ -296,6 +299,8 @@ def _brute_deps(circ):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_dependency_graph_matches_brute_force(seed):
+    # The dependency order, the slices and the partner lists come from one
+    # pass; each must match its own definition and be built only once.
     rng = random.Random(seed)
     circ = _random_circuit(rng, rng.randint(2, 10), rng.randint(0, 30))
     order = dependency_graph(circ)
@@ -305,6 +310,28 @@ def test_dependency_graph_matches_brute_force(seed):
     edges = {(p, s) for seqs in order for p, s in zip(seqs, seqs[1:])}
     brute = {(p, s) for s, pred in enumerate(_brute_deps(circ)) for p in pred}
     assert edges == brute
+    slices = circ.slices
+    assert _slice_of(slices) == _brute_slices(circ)
+    assert all([g.seq for g in bucket] == sorted(g.seq for g in bucket) for bucket in slices)
+    per_qubit, partners = circ.partner_lists
+    two_qubit = [g for g in circ.gates if len(g.qubits) == 2]
+    for q in range(circ.n_qubits):
+        mine = [(g.seq, g.qubits[1] if g.qubits[0] == q else g.qubits[0]) for g in two_qubit if q in g.qubits]
+        assert per_qubit[q] == mine
+        assert partners[q] == [p for _, p in mine]
+    assert circ.slices is slices and compute_slices(circ) is slices
+    assert circ.partner_lists is circ.partner_lists
+    assert dependency_graph(circ) is order
+
+
+def test_sta_compile_builds_no_interaction_graph():
+    # Only greedy placement reads the interaction graph.
+    circ = _random_circuit(random.Random(5), 12, 80)
+    spec = DeviceSpec(topology=Topology.LINEAR, n_traps=3, capacity=6, excess_capacity=1)
+    schedule(circ, place(circ, spec, "sta"), spec)
+    assert "interaction_graph" not in circ.__dict__
+    place(circ, spec, "greedy")
+    assert "interaction_graph" in circ.__dict__
 
 
 # ---------------------------------------------------------------------------

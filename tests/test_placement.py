@@ -15,13 +15,14 @@ from qccdmap.placement import (
     Placement,
     _final_order,
     compute_ratios,
-    compute_temporal_weights,
     greedy_place,
     place,
     random_place,
+    rank_pairs,
     sta_place,
 )
-from reference import exit_index
+from reference import compute_temporal_weights, exit_index
+from reference import compute_ratios as ref_compute_ratios
 
 
 def _spec(n_traps=2, capacity=4, excess=2, topology=Topology.LINEAR) -> DeviceSpec:
@@ -33,21 +34,26 @@ def _spec(n_traps=2, capacity=4, excess=2, topology=Topology.LINEAR) -> DeviceSp
 # ---------------------------------------------------------------------------
 
 def test_ratios_worked_example(worked_circuit):
-    r = compute_ratios(interaction_graph(worked_circuit), worked_circuit.n_qubits)
+    r = compute_ratios(worked_circuit.partner_lists[1])
     assert r[0] == (2, pytest.approx(0.8))
     # ties on ratio 0.6 break by total incident gates, then index
     assert [q for q, _ in r] == [2, 4, 1, 3, 0]
 
 
 def test_ratios_omit_isolated_qubits():
-    r = compute_ratios(interaction_graph(circuit(4, [("cx", 1, 2)])), 4)
+    r = compute_ratios(circuit(4, [("cx", 1, 2)]).partner_lists[1])
     assert [q for q, _ in r] == [1, 2]
+
+
+# The library ranks pairs without keeping their weights; the weight values
+# are checked through the reference ranking, the order through the library's.
 
 
 def test_temporal_weights_worked_example(worked_circuit):
     t = compute_temporal_weights(compute_slices(worked_circuit))
     assert t[0] == ((0, 2), pytest.approx(1.5))
     assert t[1] == ((1, 3), pytest.approx(1.25))
+    assert rank_pairs(compute_slices(worked_circuit), 5)[:2] == [(0, 2), (1, 3)]
 
 
 def test_temporal_weights_discount_by_slice():
@@ -56,6 +62,44 @@ def test_temporal_weights_discount_by_slice():
     t = dict(compute_temporal_weights(compute_slices(c)))
     assert t[(0, 1)] == pytest.approx(1.5)
     assert t[(2, 3)] == pytest.approx(1.0)
+    assert rank_pairs(compute_slices(c), 4) == [(0, 1), (2, 3)]
+
+
+def _ranking_circuit(rng: random.Random):
+    """A circuit whose rankings tie often: few qubits, some never used, pairs
+    repeated in both operand orders, and one-qubit gates between them."""
+    n = rng.randint(2, 9)
+    active = rng.sample(range(n), rng.randint(2, n))
+    gates = []
+    for _ in range(rng.randint(0, 40)):
+        if rng.random() < 0.25:
+            gates.append(("h", rng.choice(active)))
+        else:
+            gates.append(("cx", *rng.sample(active, 2)))
+    return circuit(n, gates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_rankings_match_reference(seed):
+    c = _ranking_circuit(random.Random(seed))
+    assert compute_ratios(c.partner_lists[1]) == ref_compute_ratios(interaction_graph(c), c.n_qubits)
+    reference = compute_temporal_weights(compute_slices(c))
+    assert rank_pairs(compute_slices(c), c.n_qubits) == [pair for pair, _ in reference]
+
+
+def test_pairs_beyond_the_subnormal_range_rank_by_pair_order():
+    # 1,080 gates on (0, 1) fill slices 0..1079; each later pair interacts
+    # once, in a slice past 1074, so it weighs exactly 0.0 and must rank by
+    # (a, b), not by when it first appears.
+    late = [("cx", 1, 7), ("cx", 6, 1), ("cx", 1, 2), ("cx", 5, 2), ("cx", 4, 1), ("cx", 3, 5)]
+    c = circuit(8, [("cx", 0, 1)] * 1080 + late)
+    slices = compute_slices(c)
+    assert len(slices) > 1075
+    reference = compute_temporal_weights(slices)
+    assert [w for _, w in reference[1:]] == [0.0] * 6
+    expected = [(0, 1), (1, 2), (1, 4), (1, 6), (1, 7), (2, 5), (3, 5)]
+    assert rank_pairs(slices, 8) == [pair for pair, _ in reference] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +345,7 @@ class _RefStaState:
             )
         self.spec = spec
         self.n_qubits = circ.n_qubits
-        self.ratios = compute_ratios(interaction_graph(circ), circ.n_qubits)
+        self.ratios = ref_compute_ratios(interaction_graph(circ), circ.n_qubits)
         self.weights = compute_temporal_weights(compute_slices(circ))
         self.weights_all = list(self.weights)
         self.chains = [[] for _ in range(spec.n_traps)]
