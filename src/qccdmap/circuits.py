@@ -3,12 +3,17 @@
 A circuit is an ordered list of opaque one- and two-qubit gates over densely
 numbered logical qubits. Gate labels are carried through but never
 interpreted: placement, routing and scheduling only care about arity and
-operands. A ``Gate`` is an immutable named tuple ``(label, qubits, seq)``,
-built once per gate by the parsers and never copied. Four derived views
-are computed here:
+operands. A ``Circuit`` keeps its gates as two columns, ``labels`` (one
+``str`` per gate) and ``operands`` (one tuple of qubit ints per gate), and a
+gate's seq is its index in them. It keeps no record per gate: CPython's
+cyclic collector never untracks a named tuple, so one per gate would make
+every full collection walk them all, while it stops tracking a tuple of
+ints the first time it examines it. ``Circuit.gates`` builds ``Gate`` named
+tuples ``(label, qubits, seq)`` on first read, for readers outside the
+compile path; no compile reads it. Four derived views are computed here:
 
 * ASAP time slices over the two-qubit gates (single-qubit gates are not
-  sliced), a plain tuple of slices, each a tuple of gates,
+  sliced), a plain tuple of slices, each a tuple of gate seqs,
 * the partner lists: per qubit, two integer columns in program order, the
   seqs of its two-qubit gates and each one's partner; the router's
   pending-work tracker reads both and STA's qubit ranking the partners,
@@ -25,6 +30,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -42,44 +48,56 @@ class Gate(NamedTuple):
 
 @dataclass(frozen=True)
 class Circuit:
+    """``labels[i]`` and ``operands[i]`` are gate i's label and qubits."""
+
     n_qubits: int
-    gates: tuple[Gate, ...]
+    labels: tuple[str, ...]
+    operands: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if type(self.n_qubits) is not int:
             raise InputError(f"circuit qubit count must be an integer, got {self.n_qubits!r}")
         if self.n_qubits < 1:
             raise InputError("circuit must declare at least one qubit")
-        n = self.n_qubits
-        # One test per gate on the common path; only a gate that fails it is
-        # checked field by field, by _refuse_gate, to say what is wrong.
-        for i, gate in enumerate(self.gates):
-            qubits = gate[1]
-            if len(qubits) == 2:
-                a, b = qubits
-                if (
-                    type(a) is int and type(b) is int and -1 < a < n and -1 < b < n and a != b
-                    and gate[2] == i and type(gate[0]) is str
-                ):
-                    continue
-            elif len(qubits) == 1:
-                a = qubits[0]
-                if type(a) is int and -1 < a < n and gate[2] == i and type(gate[0]) is str:
-                    continue
-            _refuse_gate(i, gate, n)
+        labels, operands, n = self.labels, self.operands, self.n_qubits
+        if type(labels) is not tuple or type(operands) is not tuple:
+            raise InputError("circuit labels and operands must be tuples")
+        if len(labels) != len(operands):
+            raise InputError(f"circuit has {len(labels)} labels for {len(operands)} operand tuples")
+        # One test per gate on the common path; only when one fails is each
+        # gate checked field by field, by _refuse_gates, to name the first bad one.
+        if set(map(type, labels)) <= {str}:
+            for qubits in operands:
+                if type(qubits) is tuple:
+                    if len(qubits) == 2:
+                        a, b = qubits
+                        if type(a) is int and type(b) is int and -1 < a < n and -1 < b < n and a != b:
+                            continue
+                    elif len(qubits) == 1:
+                        a = qubits[0]
+                        if type(a) is int and -1 < a < n:
+                            continue
+                break
+            else:
+                return
+        _refuse_gates(labels, operands, n)
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates as ``Gate`` records, built on first read and kept."""
+        fields = zip(self.labels, self.operands, range(len(self.labels)))
+        return tuple(map(new_record, repeat(Gate), fields))
 
     @cached_property
     def _views(self):
         """(slices, partner_lists, dependency order), built in one pass."""
         n = self.n_qubits
         last = [-1] * n
-        buckets: list[list[Gate]] = []
+        buckets: list[list[int]] = []
         seqs: list[list[int]] = [[] for _ in range(n)]
         partners: list[list[int]] = [[] for _ in range(n)]
         order: list[list[int]] = [[] for _ in range(n)]
-        for gate in self.gates:
-            qubits = gate[1]
-            seq = gate[2]
+        for seq, qubits in enumerate(self.operands):
             if len(qubits) != 2:
                 order[qubits[0]].append(seq)
                 continue
@@ -87,7 +105,7 @@ class Circuit:
             s = (last[a] if last[a] > last[b] else last[b]) + 1
             if s == len(buckets):
                 buckets.append([])
-            buckets[s].append(gate)
+            buckets[s].append(seq)
             last[a] = last[b] = s
             seqs[a].append(seq)
             seqs[b].append(seq)
@@ -98,10 +116,10 @@ class Circuit:
         return tuple(map(tuple, buckets)), (tuple(seqs), tuple(partners)), tuple(map(tuple, order))
 
     @property
-    def slices(self) -> tuple[tuple[Gate, ...], ...]:
+    def slices(self) -> tuple[tuple[int, ...], ...]:
         """Greedy earliest-slice layering of the two-qubit gates: each lands in
         the slice after the last one holding either operand. Each slice is a
-        tuple of its gates in program order; single-qubit gates are excluded."""
+        tuple of its gates' seqs, ascending; single-qubit gates are excluded."""
         return self._views[0]
 
     @property
@@ -117,7 +135,7 @@ class Circuit:
         on that pair, in order of each pair's first gate. Read-only, since
         every caller shares it."""
         weights: dict[tuple[int, int], int] = {}
-        for _, qubits, _ in self.gates:
+        for qubits in self.operands:
             if len(qubits) != 2:
                 continue
             a, b = qubits
@@ -126,21 +144,22 @@ class Circuit:
         return MappingProxyType(weights)
 
 
-def _refuse_gate(i: int, gate: Gate, n: int) -> None:
-    label, qubits, seq = gate
-    if seq != i:
-        raise InputError(f"gate {i} has sequence index {seq}")
-    if type(label) is not str:
-        raise InputError(f"gate {i} label {label!r} is not a string")
-    if len(qubits) not in (1, 2):
-        raise InputError(f"gate {i} ({label}) has arity {len(qubits)}")
-    for q in qubits:
-        if type(q) is not int:
-            raise InputError(f"gate {i} ({label}) operand {q!r} is not an integer")
-        if not 0 <= q < n:
-            raise InputError(f"gate {i} ({label}) operand {q} outside 0..{n - 1}")
-    if len(qubits) == 2 and qubits[0] == qubits[1]:
-        raise InputError(f"gate {i} ({label}) repeats operand {qubits[0]}")
+def _refuse_gates(labels: tuple, operands: tuple, n: int) -> None:
+    """Raise the error of the first gate that fails a check."""
+    for i, (label, qubits) in enumerate(zip(labels, operands)):
+        if type(label) is not str:
+            raise InputError(f"gate {i} label {label!r} is not a string")
+        if type(qubits) is not tuple:
+            raise InputError(f"gate {i} ({label}) operands {qubits!r} are not a tuple")
+        if len(qubits) not in (1, 2):
+            raise InputError(f"gate {i} ({label}) has arity {len(qubits)}")
+        for q in qubits:
+            if type(q) is not int:
+                raise InputError(f"gate {i} ({label}) operand {q!r} is not an integer")
+            if not 0 <= q < n:
+                raise InputError(f"gate {i} ({label}) operand {q} outside 0..{n - 1}")
+        if len(qubits) == 2 and qubits[0] == qubits[1]:
+            raise InputError(f"gate {i} ({label}) repeats operand {qubits[0]}")
 
 
 def circuit(n_qubits: int, gate_list) -> Circuit:
@@ -155,8 +174,9 @@ def circuit(n_qubits: int, gate_list) -> Circuit:
         entries = enumerate(gate_list)
     except TypeError:
         raise InputError(f"gate list {gate_list!r} is not iterable") from None
-    gates = []
-    append = gates.append
+    labels: list[str] = []
+    operands: list[tuple[int, ...]] = []
+    add_label, add_operands = labels.append, operands.append
     try:
         for i, g in entries:
             # Unpack by arity; any other length takes the generic unpack, so
@@ -173,11 +193,12 @@ def circuit(n_qubits: int, gate_list) -> Circuit:
                 qubits = tuple(qs)
             if type(label) is not str:
                 label = str(label)
-            append(new_record(Gate, (label, qubits, i)))
+            add_label(label)
+            add_operands(qubits)
     except (TypeError, ValueError) as exc:
         # len() or the unpack refused the entry after the last one appended.
-        raise InputError(f"gate {len(gates)} is not a (label, qubit, ...) sequence: {exc}") from None
-    return Circuit(n_qubits=n_qubits, gates=tuple(gates))
+        raise InputError(f"gate {len(labels)} is not a (label, qubit, ...) sequence: {exc}") from None
+    return Circuit(n_qubits, tuple(labels), tuple(operands))
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +227,14 @@ def parse_circuit_file(path) -> Circuit:
 
 
 def _parse_native(text: str) -> Circuit:
-    # One pass: each line becomes a Gate as it is read. Operand ranges and
-    # repeats are left to Circuit's check; only on a failure does
-    # _refuse_operands find the first bad gate's line. The stripped line is
-    # rebuilt only for the error messages that quote it.
+    # One pass: each line adds its label and operands to the columns as it is
+    # read. Operand ranges and repeats are left to Circuit's check; only on a
+    # failure does _refuse_operands find the first bad gate's line. The
+    # stripped line is rebuilt only for the error messages that quote it.
     n_qubits = None
-    gates: list[Gate] = []
-    append = gates.append
+    labels: list[str] = []
+    operands: list[tuple[int, ...]] = []
+    add_label, add_operands = labels.append, operands.append
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
@@ -231,7 +253,7 @@ def _parse_native(text: str) -> Circuit:
             continue
         n_tokens = len(tokens)
         if n_tokens != 2 and n_tokens != 3:
-            _refuse_operands(text, gates, n_qubits)
+            _refuse_operands(text, operands, n_qubits)
             raise InputError(f"line {lineno}: expected '<label> <q>' or '<label> <q1> <q2>'")
         try:
             if n_tokens == 3:
@@ -241,22 +263,23 @@ def _parse_native(text: str) -> Circuit:
                 label, a = tokens
                 qubits = (int(a),)
         except ValueError:
-            _refuse_operands(text, gates, n_qubits)
+            _refuse_operands(text, operands, n_qubits)
             raise InputError(f"line {lineno}: operands must be integers, got {raw.strip()!r}")
-        append(new_record(Gate, (label, qubits, len(gates))))
+        add_label(label)
+        add_operands(qubits)
     if n_qubits is None:
         raise InputError("circuit text contains no 'qubits <N>' declaration")
     try:
-        return Circuit(n_qubits=n_qubits, gates=tuple(gates))
+        return Circuit(n_qubits, tuple(labels), tuple(operands))
     except InputError:
-        _refuse_operands(text, gates, n_qubits)
+        _refuse_operands(text, operands, n_qubits)
         raise
 
 
-def _refuse_operands(text: str, gates: list[Gate], n: int) -> None:
+def _refuse_operands(text: str, operands: list[tuple[int, ...]], n: int) -> None:
     """Raise the line error of the first parsed gate whose operand is out of
     range or repeated, so the first bad line wins; return if there is none."""
-    for i, (_, qubits, _) in enumerate(gates):
+    for i, qubits in enumerate(operands):
         for q in qubits:
             if not 0 <= q < n:
                 raise InputError(f"line {_gate_line(text, i)}: operand {q} outside 0..{n - 1}")
@@ -284,7 +307,8 @@ def _parse_qasm(text: str) -> Circuit:
     body = _strip_qasm_comments(text)
     registers: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
     total = 0
-    entries: list[tuple[str, tuple[int, ...]]] = []
+    labels: list[str] = []
+    operands: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(body.splitlines(), start=1):
         for stmt in raw.split(";"):
             stmt = stmt.strip()
@@ -312,7 +336,7 @@ def _parse_qasm(text: str) -> Circuit:
                 raise InputError(f"line {lineno}: cannot parse statement {stmt!r}")
             name = m.group(1)
             args = [a.strip() for a in m.group(3).split(",")]
-            operands = []
+            qubits = []
             for a in args:
                 om = _QASM_OPERAND.match(a)
                 if not om:
@@ -325,30 +349,28 @@ def _parse_qasm(text: str) -> Circuit:
                     raise InputError(
                         f"line {lineno}: index {idx} outside register {reg!r} of size {size}"
                     )
-                operands.append(offset + idx)
-            if len(operands) == 1:
-                entries.append((name, (operands[0],)))
-            elif len(operands) == 2:
+                qubits.append(offset + idx)
+            if len(qubits) == 2:
                 if name not in ("cx", "cz"):
                     raise InputError(
                         f"line {lineno}: unsupported two-qubit gate {name!r} (only cx, cz)"
                     )
-                if operands[0] == operands[1]:
-                    raise InputError(f"line {lineno}: two-qubit gate repeats operand {operands[0]}")
-                entries.append((name, tuple(operands)))
-            else:
-                raise InputError(f"line {lineno}: gates take one or two operands, got {len(operands)}")
+                if qubits[0] == qubits[1]:
+                    raise InputError(f"line {lineno}: two-qubit gate repeats operand {qubits[0]}")
+            elif len(qubits) != 1:
+                raise InputError(f"line {lineno}: gates take one or two operands, got {len(qubits)}")
+            labels.append(name)
+            operands.append(tuple(qubits))
     if total == 0:
         raise InputError("OpenQASM input declares no qreg")
-    gates = tuple(Gate(label=name, qubits=operands, seq=i) for i, (name, operands) in enumerate(entries))
-    return Circuit(n_qubits=total, gates=gates)
+    return Circuit(total, tuple(labels), tuple(operands))
 
 
 # ---------------------------------------------------------------------------
 # derived structures
 # ---------------------------------------------------------------------------
 
-def compute_slices(circ: Circuit) -> tuple[tuple[Gate, ...], ...]:
+def compute_slices(circ: Circuit) -> tuple[tuple[int, ...], ...]:
     """The circuit's ASAP slices, kept on the circuit (see ``Circuit.slices``)."""
     return circ.slices
 
@@ -384,9 +406,11 @@ def circuit_to_text(circ: Circuit, header: str | None = None) -> str:
     # every one of them.
     text = [str(q) for q in range(circ.n_qubits)]
     written: set[str] = set()
-    for label, qubits, seq in circ.gates:
+    for label, qubits in zip(circ.labels, circ.operands):
         if label not in written:
             if "#" in label or label.split() != [label]:
+                # The label is new, so this is its first gate.
+                seq = circ.labels.index(label)
                 raise InputError(f"gate {seq} label {label!r} cannot be written in the native format")
             written.add(label)
         if len(qubits) == 2:

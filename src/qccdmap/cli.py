@@ -149,7 +149,7 @@ def _cmd_bench_gen(args) -> int:
     text = circuit_to_text(circ, header=" ".join(parts))
     if args.output:
         Path(args.output).write_text(text)
-        print(f"wrote {args.output} ({len(circ.gates)} gates)")
+        print(f"wrote {args.output} ({len(circ.operands)} gates)")
     else:
         sys.stdout.write(text)
     return 0

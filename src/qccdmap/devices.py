@@ -186,8 +186,9 @@ class PhysOp(NamedTuple):
 # Builds a named tuple from the tuple of all its fields, skipping the class's
 # Python-level __new__: new_record(PhysOp, (kind, qubits, trap, src, dst, seq,
 # start, end)). The router builds the records it returns for a gate's SWAPs
-# and shuttles this way, which live only as long as its caller keeps them,
-# and the circuit builders one Gate per gate.
+# and shuttles this way, which live only as long as its caller keeps them;
+# the scheduler the Gate it hands the router for each split gate; and
+# Circuit.gates its Gate records, on first read.
 new_record = tuple.__new__
 
 

@@ -26,8 +26,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import floordiv, mod
 
-from .circuits import Circuit, Gate, compute_slices, interaction_graph
+from .circuits import Circuit, compute_slices, interaction_graph
 from .devices import DeviceSpec, shortest_path, trap_distance
 from .errors import InputError
 
@@ -80,11 +81,15 @@ def compute_ratios(partners: tuple[list[int], ...]) -> list[tuple[int, float]]:
     return [(q, distinct[q] / n) for q in ranked]
 
 
-def rank_pairs(slices: tuple[tuple[Gate, ...], ...], n: int) -> list[tuple[int, int]]:
+def rank_pairs(
+    slices: tuple[tuple[int, ...], ...], operands: tuple[tuple[int, ...], ...], n: int
+) -> tuple[list[int], list[int]]:
     """The pairs (a, b), a < b, that interact in an n-qubit circuit's slices,
-    by weight sum(2^-s over slices s where the pair interacts), descending.
+    by weight sum(2^-s over slices s where the pair interacts), descending,
+    as two columns: every pair's a, then every pair's b.
 
-    Ties break lexicographically by (a, b). Slice indices beyond the
+    ``slices`` holds gate seqs and ``operands`` each gate's qubits. Ties
+    break lexicographically by (a, b). Slice indices beyond the
     double-precision subnormal range contribute exactly zero, which is the
     faithful floating-point reading of the weight formula.
     """
@@ -93,13 +98,13 @@ def rank_pairs(slices: tuple[tuple[Gate, ...], ...], n: int) -> list[tuple[int, 
     get = weights.get
     for s, bucket in enumerate(slices):
         contrib = math.ldexp(1.0, -s) if s <= 1074 else 0.0
-        for gate in bucket:
-            a, b = gate[1]
+        for seq in bucket:
+            a, b = operands[seq]
             code = a * n + b if a < b else b * n + a
             weights[code] = get(code, 0.0) + contrib
     codes = sorted(weights)
     codes.sort(key=weights.__getitem__, reverse=True)
-    return list(map(divmod, codes, repeat(n)))
+    return list(map(floordiv, codes, repeat(n))), list(map(mod, codes, repeat(n)))
 
 
 class _Slots:
@@ -201,13 +206,13 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
     """
     slots = _Slots(spec, circ.n_qubits)
     trap_of = slots.trap_of
-    pairs = rank_pairs(compute_slices(circ), circ.n_qubits)
+    firsts, seconds = rank_pairs(compute_slices(circ), circ.operands, circ.n_qubits)
     positions: list[list[int]] = [[] for _ in range(circ.n_qubits)]
-    for i, (a, b) in enumerate(pairs):
+    for i, a, b in zip(range(len(firsts)), firsts, seconds):
         positions[a].append(i)
         positions[b].append(i)
     cursor = [0] * circ.n_qubits
-    retired = bytearray(len(pairs))
+    retired = bytearray(len(firsts))
 
     def first_live(q: int) -> int:
         pos, c = positions[q], cursor[q]
@@ -224,8 +229,8 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
         links = []
         idx = first_live(q)
         while True:
-            a, b = pairs[idx]
-            partner = b if a == q else a
+            a = firsts[idx]
+            partner = seconds[idx] if a == q else a
             links.append((q, partner, idx))
             below = first_live(partner)
             if below >= idx:
@@ -248,8 +253,8 @@ def sta_place(circ: Circuit, spec: DeviceSpec) -> Placement:
     # weight, so pairs are read heaviest first, each qubit is decided once,
     # and reading stops once all are.
     last_move: dict[int, tuple[int, int]] = {}
-    last_turn = len(pairs) - 1
-    for j, (a, b) in enumerate(pairs):
+    last_turn = len(firsts) - 1
+    for j, a, b in zip(range(len(firsts)), firsts, seconds):
         ta, tb = trap_of[a], trap_of[b]
         if ta == tb:
             continue

@@ -64,12 +64,12 @@ class PendingTracker:
         if lookahead is not None and (type(lookahead) is not int or lookahead < 1):
             raise InputError(f"lookahead must be a positive integer or None, got {lookahead!r}")
         self.window = sys.maxsize if lookahead is None else lookahead
-        self._gates = circ.gates
+        self._operands = circ.operands
         self._seqs, self._partners = circ.partner_lists
         self._heads: list[int] = [0] * circ.n_qubits
 
     def mark_done(self, seq: int) -> None:
-        qubits = self._gates[seq][1]
+        qubits = self._operands[seq]
         if len(qubits) != 2:
             return
         heads = self._heads
@@ -142,7 +142,8 @@ def select_mover(gate: Gate, state: DeviceState, tracker: PendingTracker) -> tup
 
 
 def _require_unpinned(state: DeviceState, trap: int, avoid: frozenset[int]) -> None:
-    if avoid.issuperset(state.chains[trap]):
+    chain = state.chains[trap]
+    if len(chain) <= len(avoid) and avoid.issuperset(chain):
         raise DeadlockError(f"trap {trap} is full and every resident is pinned", state.occupancies())
 
 
@@ -186,23 +187,33 @@ def _evict_one(
     chains, spec = state.chains, state.spec
     capacity, adjacency = spec.capacity, spec._adjacency
     _require_unpinned(state, trap, avoid)
-    # A walk goes in after its key; first hops differ, so min never compares walks.
-    walks = []
-    for first in adjacency[trap]:
-        walk = [trap, first]
-        while len(chains[walk[-1]]) >= capacity:
-            # The neighbour ahead is the one that is not back, or back itself
-            # at a line end.
-            back, ahead = walk[-2], adjacency[walk[-1]]
-            nxt = ahead[0] if ahead[0] != back else ahead[-1]
-            if nxt == back or nxt == trap:
-                break
-            walk.append(nxt)
-        else:
-            walks.append((len(walk) > 2, first in blocked, len(walk), len(chains[first]), first, walk))
-    if not walks:
-        raise DeadlockError(f"no free slot reachable from trap {trap}", state.occupancies())
-    route = min(walks)[-1]
+    # An open neighbour wins the key's first field, so full traps are walked
+    # only when no neighbour is open.
+    open_hops = [
+        (first in blocked, len(chains[first]), first)
+        for first in adjacency[trap]
+        if len(chains[first]) < capacity
+    ]
+    if open_hops:
+        route = [trap, min(open_hops)[-1]]
+    else:
+        # A walk goes in after its key; first hops differ, so min never compares walks.
+        walks = []
+        for first in adjacency[trap]:
+            walk = [trap, first]
+            while len(chains[walk[-1]]) >= capacity:
+                # The neighbour ahead is the one that is not back, or back
+                # itself at a line end.
+                back, ahead = walk[-2], adjacency[walk[-1]]
+                nxt = ahead[0] if ahead[0] != back else ahead[-1]
+                if nxt == back or nxt == trap:
+                    break
+                walk.append(nxt)
+            else:
+                walks.append((first in blocked, len(walk), len(chains[first]), first, walk))
+        if not walks:
+            raise DeadlockError(f"no free slot reachable from trap {trap}", state.occupancies())
+        route = min(walks)[-1]
     for t in route[1:-1]:
         _require_unpinned(state, t, avoid)
     # A qubit's pending window is the slice [h : h + window] from its head h,
@@ -221,17 +232,26 @@ def _evict_one(
         # the lowest qubit. An unattached candidate beats every attached one,
         # so the first unattached one in (exit ion, lowest qubit up) order
         # wins, and the full key is needed only when every one is attached.
-        for q in (at_exit, *sorted(chain)):
-            if q not in avoid:
-                h = heads[q]
-                for p in partners[q][h : h + window]:
-                    if trap_of[p] == src:
-                        break
-                else:
-                    victim = q
+        victim = None
+        if at_exit not in avoid:
+            h = heads[at_exit]
+            for p in partners[at_exit][h : h + window]:
+                if trap_of[p] == src:
                     break
-        else:
-            victim = _least_attached(state, src, at_exit, avoid, tracker)
+            else:
+                victim = at_exit
+        if victim is None:
+            for q in sorted(chain):
+                if q not in avoid:
+                    h = heads[q]
+                    for p in partners[q][h : h + window]:
+                        if trap_of[p] == src:
+                            break
+                    else:
+                        victim = q
+                        break
+            else:
+                victim = _least_attached(state, src, at_exit, avoid, tracker)
         if victim != at_exit:
             ops.append(new_record(PhysOp, commit(_SWAP, (victim, at_exit), src, None, None)))
         ops.append(new_record(PhysOp, commit(_SHUTTLE, singletons[victim], None, src, dest)))

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush, heapreplace
 
-from .circuits import Circuit, dependency_graph
-from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology
+from .circuits import Circuit, Gate, dependency_graph
+from .devices import DeviceSpec, DeviceState, OpKind, PhysOp, Topology, new_record
 from .errors import DeadlockError, DeviceOpError, InputError, QccdError
 from .placement import Placement
 from .routing import DEFAULT_LOOKAHEAD, PendingTracker, resolve_gate
@@ -70,6 +70,8 @@ class Schedule:
             rows = [field for op in ops for field in op]
             if len(rows) != 8 * len(ops):
                 raise InputError("every schedule op needs the eight PhysOp fields")
+        elif len(rows) % 8:
+            raise InputError("every schedule op needs the eight PhysOp fields")
         self.rows = rows
 
     def __eq__(self, other: object) -> bool:
@@ -123,13 +125,13 @@ def _reject_infeasible(circ: Circuit, state: DeviceState) -> None:
         reason = "the device has no free slot to shuttle into"
     else:
         return
-    for g in circ.gates:
-        if len(g.qubits) == 2:
-            a, b = g.qubits
+    for seq, qubits in enumerate(circ.operands):
+        if len(qubits) == 2:
+            a, b = qubits
             ta, tb = state.trap_of[a], state.trap_of[b]
             if ta != tb:
                 raise DeadlockError(
-                    f"gate {g.seq} on qubits {a},{b} (traps {ta},{tb}) can never be co-trapped: {reason}",
+                    f"gate {seq} on qubits {a},{b} (traps {ta},{tb}) can never be co-trapped: {reason}",
                     state.occupancies(),
                 )
 
@@ -148,12 +150,12 @@ def schedule(
     placement.validate(spec, circ.n_qubits)
     state = DeviceState(spec, placement)
     _reject_infeasible(circ, state)
-    gates = circ.gates
+    labels, operands = circ.labels, circ.operands
     # Readiness: heads[q] walks qubit q's gates in program order, waiting[seq]
     # counts the operands whose previous gate has not committed, and
     # qubit_end[q] is when q's last committed gate ended.
     heads = [iter(seqs) for seqs in dependency_graph(circ)]
-    waiting = [len(g.qubits) for g in gates]
+    waiting = list(map(len, operands))
     for head in heads:
         first = next(head, None)
         if first is not None:
@@ -233,7 +235,7 @@ def schedule(
     wake = [(0.0, seq) for seq, n in enumerate(waiting) if n == 0]
     while wake:
         clock, seq = wake[0]
-        qubits = gates[seq][1]
+        qubits = operands[seq]
         # A one-qubit gate reads its one trap twice. The placement holds
         # exactly the circuit's qubits and shuttles only move them, so each
         # operand has a trap.
@@ -247,7 +249,8 @@ def schedule(
         heappop(wake)
         cursor = clock
         if ta != tb:
-            resolve_gate(gates[seq], state, tracker, commit)
+            # The router reads a split gate as a Gate record, built for it alone.
+            resolve_gate(new_record(Gate, (labels[seq], qubits, seq)), state, tracker, commit)
             ta, tb = trap_of[qubits[0]], trap_of[qubits[1]]
             if ta != tb:
                 raise DeviceOpError(f"gate2 operands {qubits[0]},{qubits[1]} not co-trapped (traps {ta},{tb})")
@@ -262,7 +265,7 @@ def schedule(
                 if waiting[nxt] == 0:
                     # The later of its operands' ends; q's is end itself.
                     ready = end
-                    for p in gates[nxt][1]:
+                    for p in operands[nxt]:
                         if qubit_end[p] > ready:
                             ready = qubit_end[p]
                     heappush(wake, (ready, nxt))
@@ -327,7 +330,7 @@ def verify_schedule(
     starts = rows[6::8]
     order = sorted(range(len(starts)), key=starts.__getitem__)
     busy_until = [0.0] * n_traps
-    gate_qubits = [g.qubits for g in circ.gates]
+    gate_qubits = circ.operands
     n_gates = len(gate_qubits)
     seen = bytearray(n_gates)
     # Each gate must run exactly once, so a qubit's gates ran in program order

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from qccdmap.circuits import Circuit, Gate
+from qccdmap.circuits import Circuit
 from qccdmap.devices import DeviceSpec, DeviceState, OpKind, PhysOp, TimingModel, Topology
 from qccdmap.errors import DeviceOpError, InputError
 from qccdmap.placement import Placement
@@ -215,8 +215,12 @@ def compute_ratios(weights: dict[tuple[int, int], int], n_qubits: int) -> list[t
     return [(q, d / n_qubits) for q, d in entries]
 
 
-def compute_temporal_weights(slices: tuple[tuple[Gate, ...], ...]) -> list[tuple[tuple[int, int], float]]:
+def compute_temporal_weights(
+    slices: tuple[tuple[int, ...], ...], operands: tuple[tuple[int, ...], ...]
+) -> list[tuple[tuple[int, int], float]]:
     """Pair weights sum(2^-s over slices s where the pair interacts), descending.
+
+    ``slices`` holds gate seqs and ``operands`` each gate's qubits.
 
     Ties break lexicographically by (min index, max index). Slice indices
     beyond the double-precision subnormal range contribute exactly zero,
@@ -225,8 +229,8 @@ def compute_temporal_weights(slices: tuple[tuple[Gate, ...], ...]) -> list[tuple
     weights: dict[tuple[int, int], float] = {}
     for s, bucket in enumerate(slices):
         contrib = math.ldexp(1.0, -s) if s <= 1074 else 0.0
-        for g in bucket:
-            a, b = g.qubits
+        for seq in bucket:
+            a, b = operands[seq]
             key = (a, b) if a < b else (b, a)
             weights[key] = weights.get(key, 0.0) + contrib
     return sorted(weights.items(), key=lambda e: (-e[1], e[0]))

@@ -79,11 +79,12 @@ def test_03_placement_walkthrough(worked_circuit, worked_spec):
     t0 = time.monotonic()
     ratios = compute_ratios(worked_circuit.partner_lists[1])
     # pair order from the library, the weight it ranks by from the reference
-    pairs = rank_pairs(compute_slices(worked_circuit), worked_circuit.n_qubits)
-    weights = compute_temporal_weights(compute_slices(worked_circuit))
+    slices = compute_slices(worked_circuit)
+    firsts, seconds = rank_pairs(slices, worked_circuit.operands, worked_circuit.n_qubits)
+    weights = compute_temporal_weights(slices, worked_circuit.operands)
     pl = sta_place(worked_circuit, worked_spec)
     ok = ratios[0] == (2, 0.8)
-    ok &= pairs[0] == (0, 2) and weights[0] == ((0, 2), 1.5)
+    ok &= (firsts[0], seconds[0]) == (0, 2) and weights[0] == ((0, 2), 1.5)
     ok &= tuple(sorted(pl.chains[0])) == (0, 2) and tuple(sorted(pl.chains[1])) == (1, 3, 4)
     # q2 must sit on trap 0's face toward trap 1; q4 on trap 1's face toward
     # trap 0 with q3 next to it

@@ -133,7 +133,7 @@ def test_qasm_subset():
 @pytest.mark.parametrize("n_qubits", [2.0, True, "2"])
 def test_circuit_refuses_a_qubit_count_that_is_not_an_integer(n_qubits):
     with pytest.raises(InputError, match="circuit qubit count must be an integer"):
-        Circuit(n_qubits, ())
+        Circuit(n_qubits, (), ())
 
 
 def test_qasm_rejects_unknown_register():
@@ -218,7 +218,7 @@ def _brute_slices(circ):
 
 
 def _slice_of(slices) -> dict[int, int]:
-    return {g.seq: s for s, bucket in enumerate(slices) for g in bucket}
+    return {seq: s for s, bucket in enumerate(slices) for seq in bucket}
 
 
 def test_slices_worked_example(worked_circuit):
@@ -235,9 +235,9 @@ def test_slices_disjoint_within_slice():
         assert _slice_of(sl) == _brute_slices(circ)
         for bucket in sl:
             seen = set()
-            for g in bucket:
-                assert not seen & set(g.qubits)
-                seen |= set(g.qubits)
+            for seq in bucket:
+                assert not seen & set(circ.operands[seq])
+                seen |= set(circ.operands[seq])
 
 
 def test_slices_skip_single_qubit_gates():
@@ -296,13 +296,46 @@ def _brute_deps(circ):
     return pred
 
 
+_QASM_ONE = ("h", "x", "rz", "u3")
+
+
+@st.composite
+def _built_circuit(draw):
+    """(circuit, gate list): the circuit from ``circuit()`` on the list, or
+    parsed from OpenQASM written from it over one to three registers."""
+    n = draw(st.integers(1, 9))
+    qubit = st.integers(0, n - 1)
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        if n > 1 and draw(st.booleans()):
+            a = draw(qubit)
+            gates.append((draw(st.sampled_from(("cx", "cz"))), a, draw(qubit.filter(lambda q: q != a))))
+        else:
+            gates.append((draw(st.sampled_from(_QASM_ONE)), draw(qubit)))
+    if not draw(st.booleans()):
+        return circuit(n, gates), gates
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    regs = [(f"r{i}", lo, hi) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+
+    def operand(q):
+        name, lo, _ = next(r for r in regs if r[1] <= q < r[2])
+        return f"{name}[{q - lo}]"
+
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
+    lines += [f"qreg {name}[{hi - lo}];" for name, lo, hi in regs]
+    for label, *qubits in gates:
+        params = "(0.5)" if label == "rz" else ""
+        lines.append(f"{label}{params} {', '.join(map(operand, qubits))};")
+    return parse_circuit("\n".join(lines)), gates
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_dependency_graph_matches_brute_force(seed):
+@given(_built_circuit())
+def test_dependency_graph_matches_brute_force(case):
     # The dependency order, the slices and the partner lists come from one
     # pass; each must match its own definition and be built only once.
-    rng = random.Random(seed)
-    circ = _random_circuit(rng, rng.randint(2, 10), rng.randint(0, 30))
+    circ, _ = case
     order = dependency_graph(circ)
     assert order == tuple(
         tuple(g.seq for g in circ.gates if q in g.qubits) for q in range(circ.n_qubits)
@@ -312,7 +345,7 @@ def test_dependency_graph_matches_brute_force(seed):
     assert edges == brute
     slices = circ.slices
     assert _slice_of(slices) == _brute_slices(circ)
-    assert all([g.seq for g in bucket] == sorted(g.seq for g in bucket) for bucket in slices)
+    assert all(list(bucket) == sorted(bucket) for bucket in slices)
     seqs, partners = circ.partner_lists
     two_qubit = [g for g in circ.gates if len(g.qubits) == 2]
     for q in range(circ.n_qubits):
@@ -322,6 +355,18 @@ def test_dependency_graph_matches_brute_force(seed):
     assert circ.slices is slices and compute_slices(circ) is slices
     assert circ.partner_lists is circ.partner_lists
     assert dependency_graph(circ) is order
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_built_circuit())
+def test_circuit_columns_and_records_match_the_gate_list(case):
+    circ, gates = case
+    # the columns, and the records the builders made one per gate
+    assert circ.labels == tuple(label for label, *_ in gates)
+    assert circ.operands == tuple(tuple(qubits) for _, *qubits in gates)
+    assert circ.gates == tuple(Gate(label, tuple(qubits), seq) for seq, (label, *qubits) in enumerate(gates))
+    assert circ.gates is circ.gates
+    assert parse_circuit(circuit_to_text(circ)) == circ == circuit(circ.n_qubits, gates)
 
 
 def test_sta_compile_builds_no_interaction_graph():
@@ -353,7 +398,7 @@ def test_circuit_refuses_an_operand_it_would_have_to_truncate():
 def test_circuit_type_refuses_a_float_operand():
     # let through, a float operand fails the compile later with a TypeError
     with pytest.raises(InputError) as err:
-        Circuit(3, (Gate("cx", (0.0, 2), 0),))
+        Circuit(3, ("cx",), ((0.0, 2),))
     assert str(err.value) == "gate 0 (cx) operand 0.0 is not an integer"
 
 
@@ -373,29 +418,45 @@ def test_circuit_refuses_an_operand_that_is_not_an_int(gate, message):
     assert str(err.value) == message
 
 
+# Each case is a (labels, operands) pair of columns.
 @pytest.mark.parametrize(
     "gates, message",
     [
-        ((Gate("h", (0,), 1),), "gate 0 has sequence index 1"),
-        ((Gate("h", (0,), 0), Gate("x", (), 1)), "gate 1 (x) has arity 0"),
-        ((Gate("ccx", (0, 1, 2), 0),), "gate 0 (ccx) has arity 3"),
-        # the sequence index is checked before the arity
-        ((Gate("ccx", (0, 1, 2), 2),), "gate 0 has sequence index 2"),
-        ((Gate("cx", (0, 3), 0),), "gate 0 (cx) operand 3 outside 0..2"),
-        ((Gate("h", (-1,), 0),), "gate 0 (h) operand -1 outside 0..2"),
-        ((Gate("cx", (4, 4), 0),), "gate 0 (cx) operand 4 outside 0..2"),
-        ((Gate("cx", (2, 2), 0),), "gate 0 (cx) repeats operand 2"),
+        ((("h", "cx"), ((0,), [1, 2])), "gate 1 (cx) operands [1, 2] are not a tuple"),
+        ((("h", "x"), ((0,), ())), "gate 1 (x) has arity 0"),
+        ((("ccx",), ((0, 1, 2),)), "gate 0 (ccx) has arity 3"),
+        # the operands' type is checked before their arity
+        ((("ccx",), ([0, 1, 2],)), "gate 0 (ccx) operands [0, 1, 2] are not a tuple"),
+        ((("cx",), ((0, 3),)), "gate 0 (cx) operand 3 outside 0..2"),
+        ((("h",), ((-1,),)), "gate 0 (h) operand -1 outside 0..2"),
+        ((("cx",), ((4, 4),)), "gate 0 (cx) operand 4 outside 0..2"),
+        ((("cx",), ((2, 2),)), "gate 0 (cx) repeats operand 2"),
         # each operand's type is checked before its range
-        ((Gate("cx", (5, 0.5), 0),), "gate 0 (cx) operand 5 outside 0..2"),
-        ((Gate("cx", (0.5, 5), 0),), "gate 0 (cx) operand 0.5 is not an integer"),
+        ((("cx",), ((5, 0.5),)), "gate 0 (cx) operand 5 outside 0..2"),
+        ((("cx",), ((0.5, 5),)), "gate 0 (cx) operand 0.5 is not an integer"),
         # a label must be a str, or the circuit could not be written out
-        ((Gate(7, (0,), 0), Gate("cx", (0, 1), 1)), "gate 0 label 7 is not a string"),
-        ((Gate("h", (0,), 0), Gate(None, (1, 2), 1)), "gate 1 label None is not a string"),
+        (((7, "cx"), ((0,), (0, 1))), "gate 0 label 7 is not a string"),
+        ((("h", None), ((0,), (1, 2))), "gate 1 label None is not a string"),
     ],
 )
 def test_circuit_names_the_first_check_a_gate_fails(gates, message):
     with pytest.raises(InputError) as err:
-        Circuit(3, gates)
+        Circuit(3, *gates)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "labels, operands, message",
+    [
+        (["h"], ((0,),), "circuit labels and operands must be tuples"),
+        (("h",), [(0,)], "circuit labels and operands must be tuples"),
+        (("h", "x"), ((0,),), "circuit has 2 labels for 1 operand tuples"),
+        ((), ((0,),), "circuit has 0 labels for 1 operand tuples"),
+    ],
+)
+def test_circuit_refuses_columns_that_do_not_line_up(labels, operands, message):
+    with pytest.raises(InputError) as err:
+        Circuit(3, labels, operands)
     assert str(err.value) == message
 
 

@@ -49,20 +49,27 @@ def test_ratios_omit_isolated_qubits():
 # are checked through the reference ranking, the order through the library's.
 
 
+def _ranked_pairs(circ) -> list[tuple[int, int]]:
+    """The library's pair ranking, its two columns zipped into pairs."""
+    firsts, seconds = rank_pairs(compute_slices(circ), circ.operands, circ.n_qubits)
+    assert all(type(q) is int for q in firsts + seconds)
+    return list(zip(firsts, seconds))
+
+
 def test_temporal_weights_worked_example(worked_circuit):
-    t = compute_temporal_weights(compute_slices(worked_circuit))
+    t = compute_temporal_weights(compute_slices(worked_circuit), worked_circuit.operands)
     assert t[0] == ((0, 2), pytest.approx(1.5))
     assert t[1] == ((1, 3), pytest.approx(1.25))
-    assert rank_pairs(compute_slices(worked_circuit), 5)[:2] == [(0, 2), (1, 3)]
+    assert _ranked_pairs(worked_circuit)[:2] == [(0, 2), (1, 3)]
 
 
 def test_temporal_weights_discount_by_slice():
     # same pair twice: slices 0 and 1 -> 1 + 1/2
     c = circuit(4, [("cx", 0, 1), ("cx", 0, 1), ("cx", 2, 3)])
-    t = dict(compute_temporal_weights(compute_slices(c)))
+    t = dict(compute_temporal_weights(compute_slices(c), c.operands))
     assert t[(0, 1)] == pytest.approx(1.5)
     assert t[(2, 3)] == pytest.approx(1.0)
-    assert rank_pairs(compute_slices(c), 4) == [(0, 1), (2, 3)]
+    assert rank_pairs(compute_slices(c), c.operands, 4) == ([0, 2], [1, 3])
 
 
 def _ranking_circuit(rng: random.Random):
@@ -84,8 +91,8 @@ def _ranking_circuit(rng: random.Random):
 def test_rankings_match_reference(seed):
     c = _ranking_circuit(random.Random(seed))
     assert compute_ratios(c.partner_lists[1]) == ref_compute_ratios(interaction_graph(c), c.n_qubits)
-    reference = compute_temporal_weights(compute_slices(c))
-    assert rank_pairs(compute_slices(c), c.n_qubits) == [pair for pair, _ in reference]
+    reference = compute_temporal_weights(compute_slices(c), c.operands)
+    assert _ranked_pairs(c) == [pair for pair, _ in reference]
 
 
 def test_pairs_beyond_the_subnormal_range_rank_by_pair_order():
@@ -96,10 +103,10 @@ def test_pairs_beyond_the_subnormal_range_rank_by_pair_order():
     c = circuit(8, [("cx", 0, 1)] * 1080 + late)
     slices = compute_slices(c)
     assert len(slices) > 1075
-    reference = compute_temporal_weights(slices)
+    reference = compute_temporal_weights(slices, c.operands)
     assert [w for _, w in reference[1:]] == [0.0] * 6
     expected = [(0, 1), (1, 2), (1, 4), (1, 6), (1, 7), (2, 5), (3, 5)]
-    assert rank_pairs(slices, 8) == [pair for pair, _ in reference] == expected
+    assert _ranked_pairs(c) == [pair for pair, _ in reference] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +353,7 @@ class _RefStaState:
         self.spec = spec
         self.n_qubits = circ.n_qubits
         self.ratios = ref_compute_ratios(interaction_graph(circ), circ.n_qubits)
-        self.weights = compute_temporal_weights(compute_slices(circ))
+        self.weights = compute_temporal_weights(compute_slices(circ), circ.operands)
         self.weights_all = list(self.weights)
         self.chains = [[] for _ in range(spec.n_traps)]
         self.trap_of = {}

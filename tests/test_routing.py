@@ -539,6 +539,11 @@ def _relief_example(topology, capacity, chains, trap, blocked):
 @example(_relief_example(Topology.LINEAR, 3, [[0, 1], [2, 3, 4], [5]], 1, (0, 2)))
 # two open neighbours, equally occupied and off the path: the lower index, 0
 @example(_relief_example(Topology.LINEAR, 3, [[0], [1, 2, 3], [4]], 1, ()))
+# an open neighbour on one side, on the mover's path, and a long run of full
+# traps on the other with slack at its end: trap 1 evicts into 0
+@example(
+    _relief_example(Topology.LINEAR, 2, [[0], [1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [11]], 1, (0,))
+)
 def test_relief_route_matches_recursive_eviction(case):
     def reference(state, trap, avoid, tracker, commit, blocked):
         _reference_evict_one(state, state.spec, trap, avoid, tracker, commit, frozenset(), blocked)

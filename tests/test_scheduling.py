@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qccdmap.benchmarks import generate
-from qccdmap.circuits import Gate, circuit
+from qccdmap.circuits import Gate, circuit, circuit_to_text, parse_circuit
 from qccdmap.devices import (
     DeviceSpec,
     DeviceState,
@@ -627,6 +627,22 @@ def test_partner_lists_keep_no_tracked_object_per_operand(collector):
     assert all(type(x) is int for column in (*seqs, *partners) for x in column)
 
 
+def test_parsed_circuit_keeps_no_tracked_object_per_gate(collector):
+    # The columns hold strs and tuples of ints, and the collector stops
+    # tracking such a tuple the first time it examines it. A Gate record per
+    # gate would stay tracked, as reading circ.gates shows.
+    text = circuit_to_text(generate("rnd", 32, gates=600, seed=2))
+    gc.collect()
+    before = len(gc.get_objects())
+    circ = parse_circuit(text)
+    gc.collect()
+    n_gates = len(circ.operands)
+    assert len(gc.get_objects()) - before < n_gates // 10
+    assert len(circ.gates) == n_gates
+    gc.collect()
+    assert len(gc.get_objects()) - before > n_gates
+
+
 def _evictions(sched) -> int:
     """Shuttles of an ion that is not an operand of the gate they serve.
 
@@ -699,6 +715,18 @@ def test_schedule_rebuilt_from_its_ops_writes_and_verifies_alike(case):
     assert rebuilt == sched
     assert schedule_to_text(rebuilt) == schedule_to_text(sched)
     assert verify_schedule(rebuilt, circ, pl, spec) == verify_schedule(sched, circ, pl, spec)
+
+
+@pytest.mark.parametrize("n_fields", [1, 7, 9, 15])
+def test_schedule_refuses_rows_that_are_not_whole_ops(n_fields):
+    # a partial op would leave footer counts over rows the text never writes
+    op = PhysOp(OpKind.GATE1, (0,), 0, seq=0, end=10e-6)
+    with pytest.raises(InputError) as err:
+        Schedule(rows=[*op, *op][:n_fields])
+    with pytest.raises(InputError) as from_ops:
+        Schedule(ops=[tuple(op)[:7]])
+    assert str(err.value) == str(from_ops.value) == "every schedule op needs the eight PhysOp fields"
+    assert Schedule(rows=[*op, *op]).ops == (op, op)
 
 
 def test_schedule_to_text_reuses_only_the_previous_rows_end():
