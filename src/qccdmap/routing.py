@@ -241,8 +241,9 @@ def _evict_one(
             else:
                 victim = at_exit
         if victim is None:
+            # The exit ion, if not avoided, was tested above and is attached.
             for q in sorted(chain):
-                if q not in avoid:
+                if q != at_exit and q not in avoid:
                     h = heads[q]
                     for p in partners[q][h : h + window]:
                         if trap_of[p] == src:
