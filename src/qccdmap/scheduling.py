@@ -1,18 +1,27 @@
 """Discrete-event scheduling of circuits onto a trapped-ion device.
 
 Each trap executes one operation at a time; independent traps run in
-parallel. The event loop is one wake heap of (time, seq): a gate enters it
-once the previous gate on each of its operands has committed, at the latest
-of those gates' ends, and is taken when popped if its operands' traps are
-free, or re-queued to when they free up. Ties in time go to the lowest
-sequence index. A split two-qubit gate first commits its movement ops (SWAP
-walks plus shuttles from the router), chained serially, then the gate itself.
+parallel. The loop's clock orders gates, and each op is emitted at the
+earliest time its own traps are free.
 
-Every op, gate, SWAP or shuttle, goes through one ``commit``: it starts the
-op at the later of the cursor and its traps' free times, checks that the
-op's end is representable, applies a SWAP or shuttle to the state, appends
-the op's eight fields to the schedule's flat rows and returns them as a
-plain tuple. Only SWAPs and shuttles change the device state, and only
+The event loop is one wake heap of (time, seq) on its own clock: a gate
+enters it once the previous gate on each of its operands has committed, at
+the latest of those gates' ends, and is taken when popped if its operands'
+traps are free, or re-queued to when they free up. Ties in time go to the
+lowest sequence index. A split two-qubit gate first commits its movement
+ops (SWAP walks plus shuttles from the router), then the gate itself; on the
+loop's clock each starts no earlier than the op before.
+
+Every op, gate, SWAP or shuttle, goes through one ``commit``. It advances
+the loop's clock past the op, and emits the op at the latest end of the ops
+already emitted on the traps it holds: a shuttle's two traps, any other
+op's one, 0.0 on traps that have run nothing. A relief shuttle on idle
+traps can thus start before the tick its gate was taken. Each trap's ops
+keep their commit order, and every op of an ion holds the trap that ion
+sits in, so each ion's ops keep their order too. ``commit`` checks that the
+emitted end is representable, applies a SWAP or shuttle to the state,
+appends the op's eight fields to the schedule's flat rows and returns them
+as a plain tuple. Only SWAPs and shuttles change the device state, and only
 through ``DeviceState.swap_ions`` and ``DeviceState.shuttle_ion``, which
 check each one's preconditions. The event loop decides when a gate is ready
 and hands a split gate to the router, which commits its movement ops;
@@ -153,7 +162,7 @@ def schedule(
     labels, operands = circ.labels, circ.operands
     # Readiness: heads[q] walks qubit q's gates in program order, waiting[seq]
     # counts the operands whose previous gate has not committed, and
-    # qubit_end[q] is when q's last committed gate ended.
+    # qubit_end[q] is when q's last committed gate ended on the loop's clock.
     heads = [iter(seqs) for seqs in dependency_graph(circ)]
     waiting = list(map(len, operands))
     for head in heads:
@@ -178,47 +187,61 @@ def schedule(
     extend = rows.extend
     GATE1, GATE2, SWAP, SHUTTLE = OpKind.GATE1, OpKind.GATE2, OpKind.SWAP, OpKind.SHUTTLE
     inf = math.inf
-    # Where the next op may start. Each popped gate sets it to the clock tick
-    # it was taken at; a split gate's movement ops, then the gate itself, each
-    # start no earlier than the op before.
+    # The loop's clock: trap_free[t] is when trap t frees up, and cursor is
+    # where the next op may start on it. Each popped gate sets cursor to the
+    # clock tick it was taken at; a split gate's movement ops, then the gate
+    # itself, each start no earlier than the op before. This clock decides
+    # only when a gate is taken or re-queued; no op is emitted at its times.
     cursor = 0.0
+    # When the last op emitted on each trap ends. Each op is emitted at the
+    # latest of these among the traps it holds, so it starts as soon as its
+    # own traps are free. An op's emitted start never exceeds its start on
+    # the loop's clock, and each trap's ops keep their commit order.
+    emitted_end = [0.0] * spec.n_traps
 
     def commit(kind, qubits, t, src, dst, seq=None) -> tuple:
-        """Time an op at the first moment from cursor on that its traps are
-        free, apply a SWAP or shuttle to the state, advance cursor to the op's
-        end, and append the op's fields to rows and return them."""
+        """Emit an op at the earliest time its own traps are free, advance
+        the loop's clock past it, apply a SWAP or shuttle to the state, and
+        append the op's fields to rows and return them."""
         nonlocal cursor
         # Plain comparisons, not max(): this runs once per op.
         # A duration far below the float spacing at start is lost in the sum,
         # and a huge one overflows it; either would record a wrong duration.
-        start = cursor
+        tick = cursor
         if kind is SHUTTLE:
             free = trap_free[src]
-            if free > start:
-                start = free
+            if free > tick:
+                tick = free
             free = trap_free[dst]
+            if free > tick:
+                tick = free
+            cursor = trap_free[src] = trap_free[dst] = tick + shuttle_time
+            start = emitted_end[src]
+            free = emitted_end[dst]
             if free > start:
                 start = free
-            cursor = trap_free[src] = trap_free[dst] = start + shuttle_time
-            if not start < cursor < inf:
+            end = emitted_end[src] = emitted_end[dst] = start + shuttle_time
+            if not start < end < inf:
                 raise _no_end(len(rows) // 8, start, shuttle_time)
             shuttle_ion(qubits[0], src, dst)
         else:
             free = trap_free[t]
-            if free > start:
-                start = free
+            if free > tick:
+                tick = free
             if kind is SWAP:
                 dur = swap_time[len(chains[t])]
             elif kind is GATE2:
                 dur = gate2_time[len(chains[t])]
             else:
                 dur = gate1_time
-            cursor = trap_free[t] = start + dur
-            if not start < cursor < inf:
+            cursor = trap_free[t] = tick + dur
+            start = emitted_end[t]
+            end = emitted_end[t] = start + dur
+            if not start < end < inf:
                 raise _no_end(len(rows) // 8, start, dur)
             if kind is SWAP:
                 swap_ions(qubits[0], qubits[1], t)
-        op = (kind, qubits, t, src, dst, seq, start, cursor)
+        op = (kind, qubits, t, src, dst, seq, start, end)
         extend(op)
         return op
 

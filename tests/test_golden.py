@@ -38,89 +38,89 @@ from record_golden import case_id, compute
 # makespan in µs, shuttles, SWAPs). Random placement uses seed 0.
 # tests/record_golden.py recomputes and rewrites this table.
 GOLDEN = {
-    ("qft32", "linear4", "sta", 4): ("f8b9ffd951bcbc509bc9a1509cd2006cb318a3041943c019e4ec41fdcdc5cebf", 76945.0, 94, 63),
-    ("qft32", "linear4", "sta", None): ("f8b9ffd951bcbc509bc9a1509cd2006cb318a3041943c019e4ec41fdcdc5cebf", 76945.0, 94, 63),
-    ("qft32", "linear4", "sta", 1): ("f8b9ffd951bcbc509bc9a1509cd2006cb318a3041943c019e4ec41fdcdc5cebf", 76945.0, 94, 63),
-    ("qft32", "linear4", "greedy", 4): ("3b1bb48080b94c98b2da72788c74f0b59991c45e3c0071940f0317ea13d1a77a", 76085.0, 98, 66),
-    ("qft32", "linear4", "greedy", None): ("bc97f35c45d67b9612813b47bf6b469a35130ff3a0fccf07214a37c3457d72f2", 78115.0, 94, 67),
-    ("qft32", "linear4", "greedy", 1): ("3b1bb48080b94c98b2da72788c74f0b59991c45e3c0071940f0317ea13d1a77a", 76085.0, 98, 66),
-    ("qft32", "linear4", "random", 4): ("5747a1d4c06c7afb7372ba9da4e31f66f037344e8e971b4d8b8d8c8e30b249e6", 174585.0, 303, 234),
-    ("qft32", "linear4", "random", None): ("6ef751e315d3b9fe691032c54e864976f96445d13822fdc7e5260a68479d4a2c", 209230.0, 359, 291),
-    ("qft32", "linear4", "random", 1): ("48087269a39a57581e3294bbb89f2a401960268fa93f0132a3192213c827fa53", 173415.0, 359, 233),
-    ("qft32", "ring5", "sta", 4): ("08b4c32f768ce993559851f31f1ded18c60248b082963fa4a0bf025af6b1eca8", 88605.0, 178, 116),
-    ("qft32", "ring5", "sta", None): ("ec0a71722050e5e4dabaabe52485b105067120e87fdd61aa8544190fed3aa007", 104765.0, 224, 155),
-    ("qft32", "ring5", "sta", 1): ("74a41fe300e6f5b28cf24d331632032b492104ef20c8dca38d81d88efa936520", 89260.0, 214, 139),
-    ("qft32", "ring5", "greedy", 4): ("274d6eb11f52a59655d95d4365cdf77cab20d12dfbb51de4c2fc5750173bfb85", 106405.0, 232, 147),
-    ("qft32", "ring5", "greedy", None): ("e356a8ccdd646eb60a455d3ea8f5fd3e9865aa56f9307db02425f0b07740bade", 105515.0, 224, 157),
-    ("qft32", "ring5", "greedy", 1): ("5b30b5bdc97687b02c814d87005612d406f9af845a9935dfff1ca33e716afb85", 89455.0, 223, 135),
-    ("qft32", "ring5", "random", 4): ("4e3f3cad24e234d68150bdd663577af26e4f58228a1fc9453bfcf3573bc4e586", 138275.0, 310, 250),
-    ("qft32", "ring5", "random", None): ("d56694587cb90ca54d3f7f80e3601e70506ea1c8343828dc0bf7e02e994de183", 164945.0, 355, 271),
-    ("qft32", "ring5", "random", 1): ("0279f1cb0eb7a42c77f0fb980884c2eb8d241a39980ada0dd3a3d8c891b4baf9", 147420.0, 381, 275),
+    ("qft32", "linear4", "sta", 4): ("b7bbf381b6fa0a14f0edb4d59f649ede6a57246eeabd3d884e84e94a319e5e4c", 71590.0, 94, 63),
+    ("qft32", "linear4", "sta", None): ("b7bbf381b6fa0a14f0edb4d59f649ede6a57246eeabd3d884e84e94a319e5e4c", 71590.0, 94, 63),
+    ("qft32", "linear4", "sta", 1): ("b7bbf381b6fa0a14f0edb4d59f649ede6a57246eeabd3d884e84e94a319e5e4c", 71590.0, 94, 63),
+    ("qft32", "linear4", "greedy", 4): ("e967778cb4d96182ec83f201ea0c21614954e40778a3d05652ae9493b8da6321", 70305.0, 98, 66),
+    ("qft32", "linear4", "greedy", None): ("71df1d94f862b78e0580f955a5d671d7afa1456ce77fc00cb895ba9262ee7ceb", 72985.0, 94, 67),
+    ("qft32", "linear4", "greedy", 1): ("e967778cb4d96182ec83f201ea0c21614954e40778a3d05652ae9493b8da6321", 70305.0, 98, 66),
+    ("qft32", "linear4", "random", 4): ("8f21454eac982f45ed8b7013fd09bf96b30a5ab59253aa8a9bd4dca869634b24", 141985.0, 303, 234),
+    ("qft32", "linear4", "random", None): ("de5b2aa8ae68254d044efef145b8a65a6ca9165a6a1397622402e4a46ea74f2e", 181135.0, 359, 291),
+    ("qft32", "linear4", "random", 1): ("b1e66e00049b7464d7ba54ece920bd494867001ee69365e1574dc0fcd1c1091b", 150610.0, 359, 233),
+    ("qft32", "ring5", "sta", 4): ("5a571e2d9edac21967e099993c5e2b1e2b580d413e8653f03c68713a4b932250", 83295.0, 178, 116),
+    ("qft32", "ring5", "sta", None): ("8efacb417fc254de342acf2f3ef6e6d2c23ed0b1c9cbb069f8a1ccff40a980bf", 85440.0, 224, 155),
+    ("qft32", "ring5", "sta", 1): ("5666c119ad71143c27daaf4fee2fd2036971727ee4ef2393964ff17ef186de24", 78785.0, 214, 139),
+    ("qft32", "ring5", "greedy", 4): ("9cbc12fbf87c0dd4f563fca9373b68b08a6bb07307496db2a51b16af056cd0f6", 96905.0, 232, 147),
+    ("qft32", "ring5", "greedy", None): ("b90e841728af2ffed603bb4830983f0f74f9f89a4b316a62a78bdb7484d27b4a", 85830.0, 224, 157),
+    ("qft32", "ring5", "greedy", 1): ("3e9e6a26a07049bf0cddab86112e142e581fb0078706e6d87105477318fe5190", 78805.0, 223, 135),
+    ("qft32", "ring5", "random", 4): ("f6b1399c2b141947c1c763dd00433042a42fde099f59d88e5925af8026a2e8fb", 118165.0, 310, 250),
+    ("qft32", "ring5", "random", None): ("9ecd7cdbfe4833263c1aa1843e2c0be77a36b8cf4ec08f75f918b257adef968f", 128730.0, 355, 271),
+    ("qft32", "ring5", "random", 1): ("bcdfa618e60f152ec2d7bcb7b51b8b9883215fec8e4409ec69f3c9b13148c71b", 126455.0, 381, 275),
     ("qft32", "ring2", "sta", 4): ("6ad3830c8e046ef4465be0b6309537fed8102c2824f844f48421028e82095637", 84505.0, 30, 14),
     ("qft32", "ring2", "sta", None): ("6ad3830c8e046ef4465be0b6309537fed8102c2824f844f48421028e82095637", 84505.0, 30, 14),
     ("qft32", "ring2", "sta", 1): ("6ad3830c8e046ef4465be0b6309537fed8102c2824f844f48421028e82095637", 84505.0, 30, 14),
-    ("qft32", "ring2", "greedy", 4): ("01a35c9754af50b5c9f9d23cf77c8203488325534869925a3268302c7e2abd66", 82470.0, 38, 21),
+    ("qft32", "ring2", "greedy", 4): ("819ab631dedaa25c8614c325899550e003a4d922ec7d0ff0783c60cd80ffdd5e", 81970.0, 38, 21),
     ("qft32", "ring2", "greedy", None): ("8c8ed27afe1b9320bd0b87ed972aad5f6e5776d53efed917cf77b3d47297505a", 85540.0, 30, 16),
-    ("qft32", "ring2", "greedy", 1): ("01a35c9754af50b5c9f9d23cf77c8203488325534869925a3268302c7e2abd66", 82470.0, 38, 21),
-    ("qft32", "ring2", "random", 4): ("a7309d698cd941a175dacd44a1dba2be5e1fcd4d2b27cb7d57c70aeebcdba203", 117415.0, 86, 51),
+    ("qft32", "ring2", "greedy", 1): ("819ab631dedaa25c8614c325899550e003a4d922ec7d0ff0783c60cd80ffdd5e", 81970.0, 38, 21),
+    ("qft32", "ring2", "random", 4): ("03c350dd1f61119d1fb831b140942725c279c87a913108bdd879ce49f61d42b6", 115000.0, 86, 51),
     ("qft32", "ring2", "random", None): ("3eead1da36a4acb937595f1b413b93e758a88875fb0c5a8d71053b894f2e5a04", 228935.0, 240, 185),
-    ("qft32", "ring2", "random", 1): ("abcd0d4f029958b5d271c530fd8c4654ce0b86e3f883a0ce0a314f19463e5e3a", 124270.0, 156, 42),
-    ("qaoa32", "linear4", "sta", 4): ("a589d36735c646803bc3394bc0ddb3a4773e44d8129ed28f74812eb3a7c917b9", 77035.0, 94, 63),
-    ("qaoa32", "linear4", "sta", None): ("a589d36735c646803bc3394bc0ddb3a4773e44d8129ed28f74812eb3a7c917b9", 77035.0, 94, 63),
-    ("qaoa32", "linear4", "sta", 1): ("a589d36735c646803bc3394bc0ddb3a4773e44d8129ed28f74812eb3a7c917b9", 77035.0, 94, 63),
-    ("qaoa32", "linear4", "greedy", 4): ("4bc2836f73d7ed55b67f4f57bdee916b2f079ef9a8c53876f37c19c2ec40d77a", 76055.0, 98, 66),
-    ("qaoa32", "linear4", "greedy", None): ("78496f9f10fb2b9a7d04c1a8eaf2d77d59d2fb6301cfec7810c3ec67c1807b30", 78195.0, 94, 67),
-    ("qaoa32", "linear4", "greedy", 1): ("4bc2836f73d7ed55b67f4f57bdee916b2f079ef9a8c53876f37c19c2ec40d77a", 76055.0, 98, 66),
-    ("qaoa32", "linear4", "random", 4): ("55c4eb1cbf0bea579d1c8294ca3b84e22b3470202740277bb6779a3bb37d28e8", 174615.0, 303, 234),
-    ("qaoa32", "linear4", "random", None): ("5c3a3be56e9d91bf1490dfe49fa43174b3180d28905294d4726f769a6c6f0d24", 209270.0, 359, 291),
-    ("qaoa32", "linear4", "random", 1): ("f8659ef86ce05de552210e349b337e607b6aedb0286eafffbda911a87653ba8a", 173650.0, 359, 233),
-    ("qaoa32", "ring5", "sta", 4): ("92a9bd231d84e3ae6e064a9a36c375b7e137286440cd2674a7790dfda236429e", 88565.0, 178, 116),
-    ("qaoa32", "ring5", "sta", None): ("b24efcf7b236f69ca3ebf33a042c8247f29c99eb5c3c252bff440580de4c9d45", 104815.0, 224, 155),
-    ("qaoa32", "ring5", "sta", 1): ("49f7ad00f2bac03b0caafbde1b2b519d1de51c86054d3a75540e8213627a0bab", 89380.0, 214, 139),
-    ("qaoa32", "ring5", "greedy", 4): ("cca2ea9293c01459a2482f7e59e96ed1d8e497bcc04c768e8af8505ce4655cd3", 106415.0, 232, 147),
-    ("qaoa32", "ring5", "greedy", None): ("902efe557ab1b2d2a3b0b0f2c692861c579c7df2f25cf2d2503bc1923ff037ab", 105565.0, 224, 157),
-    ("qaoa32", "ring5", "greedy", 1): ("ce43f161655360754378ab14ac40ed527075605d73027f1fe2b8d73b0af27f01", 89540.0, 223, 135),
-    ("qaoa32", "ring5", "random", 4): ("39823f1aebe59e51999684475d1aaeee9879527d6bc740e6c9c2bc31cc170ca6", 138290.0, 310, 250),
-    ("qaoa32", "ring5", "random", None): ("471920366c26ce88970d1cf276f4e6fac76e34b31dda2ec33f969fa43dd3f47c", 202850.0, 445, 359),
-    ("qaoa32", "ring5", "random", 1): ("c2f6d5bfaf604bd32d8905b662eaa86e9eee6652ecf4f006a6eee4fdf6d2f32b", 147510.0, 381, 275),
+    ("qft32", "ring2", "random", 1): ("34eb02c671cf9faa20de2b45eb80360e6f3ac21a68831f1bcb4e0e56e4bb89bb", 122545.0, 156, 42),
+    ("qaoa32", "linear4", "sta", 4): ("56e6df6f258598b8c886bb0da027921a9559aec72cfbe0eea7fb1bb8de4bf381", 71660.0, 94, 63),
+    ("qaoa32", "linear4", "sta", None): ("56e6df6f258598b8c886bb0da027921a9559aec72cfbe0eea7fb1bb8de4bf381", 71660.0, 94, 63),
+    ("qaoa32", "linear4", "sta", 1): ("56e6df6f258598b8c886bb0da027921a9559aec72cfbe0eea7fb1bb8de4bf381", 71660.0, 94, 63),
+    ("qaoa32", "linear4", "greedy", 4): ("194068b0e190601ba15cfff3687ec843c8582b2937b3f077e539420c225294b7", 70285.0, 98, 66),
+    ("qaoa32", "linear4", "greedy", None): ("ba061c6486b432797ac08a7a95c4a1d1900d8dbad3ed3cd0114b291928ad0626", 72740.0, 94, 67),
+    ("qaoa32", "linear4", "greedy", 1): ("194068b0e190601ba15cfff3687ec843c8582b2937b3f077e539420c225294b7", 70285.0, 98, 66),
+    ("qaoa32", "linear4", "random", 4): ("81c87ed3991459448e14eaf524128977bcaa5739ccb7f738b3b71c914e19fad6", 142055.0, 303, 234),
+    ("qaoa32", "linear4", "random", None): ("ff648610c127049af8bb41edbfcc51b943f41719b4631bc51be0ce300309e9b6", 181195.0, 359, 291),
+    ("qaoa32", "linear4", "random", 1): ("8dfc3fdb4d739a55d8367740d99f5d0275484647261d778858ee20367eb95a0b", 150885.0, 359, 233),
+    ("qaoa32", "ring5", "sta", 4): ("35f98ced7f6298717d6fc10953e278c05b48e9c31f651bdf05d464c12210ed93", 83265.0, 178, 116),
+    ("qaoa32", "ring5", "sta", None): ("d6fa469a0f9d4b6caa962f8f7af9183b886d3f1a044a6034aada059e0299b504", 85430.0, 224, 155),
+    ("qaoa32", "ring5", "sta", 1): ("d198dcba144a03d12c73108b8262eb55b13587c0b9a741935bc4c4ecaa4f5a63", 78925.0, 214, 139),
+    ("qaoa32", "ring5", "greedy", 4): ("4d0cc939debbacaef11c1d5a57f95a5b43baec5865e0209acaf1c96ce04ff69e", 96915.0, 232, 147),
+    ("qaoa32", "ring5", "greedy", None): ("77c01d6188d02a34a78efb33ce5d6246aa16916ded5bb49e694f6d7101739367", 85820.0, 224, 157),
+    ("qaoa32", "ring5", "greedy", 1): ("073487d0dd143b2904a60ee70a227c4225c79c5f4d8fd7e492864b141ffee73b", 78900.0, 223, 135),
+    ("qaoa32", "ring5", "random", 4): ("5bd8e346fb9101bf6f6ccc55b9402a8fd3cd42c488220469078b1928467b4b53", 118235.0, 310, 250),
+    ("qaoa32", "ring5", "random", None): ("f4d8151b7645056993f125766386b1629a2314376b9e45c12ac20ad109aae10c", 164490.0, 445, 359),
+    ("qaoa32", "ring5", "random", 1): ("fadbfda0642f5109e0953aee434b4018cee75616d61ed341ec38212de230ac5e", 126585.0, 381, 275),
     ("qaoa32", "ring2", "sta", 4): ("473d7cb68e671ef9f55acbd92d6e8b08be791dcc9152431cb133d2040a2cfb40", 84905.0, 30, 14),
     ("qaoa32", "ring2", "sta", None): ("473d7cb68e671ef9f55acbd92d6e8b08be791dcc9152431cb133d2040a2cfb40", 84905.0, 30, 14),
     ("qaoa32", "ring2", "sta", 1): ("473d7cb68e671ef9f55acbd92d6e8b08be791dcc9152431cb133d2040a2cfb40", 84905.0, 30, 14),
-    ("qaoa32", "ring2", "greedy", 4): ("4b840d199e9072b920a80e625c3fd82cd78e664c44626e29777cfd22e88efaf3", 82470.0, 38, 21),
+    ("qaoa32", "ring2", "greedy", 4): ("5974d04c410b5bd37a801764cc64d9f9fee6389d6ad5fe317e12a806a3f60427", 81990.0, 38, 21),
     ("qaoa32", "ring2", "greedy", None): ("c11f2145c44e226dd43a932cdfc022243165e20f8d6ce3c9574c56826b2ef8fc", 85940.0, 30, 16),
-    ("qaoa32", "ring2", "greedy", 1): ("4b840d199e9072b920a80e625c3fd82cd78e664c44626e29777cfd22e88efaf3", 82470.0, 38, 21),
-    ("qaoa32", "ring2", "random", 4): ("a3aa6f35964660c47fb4e71a51a3610d9978cb06d24036572e9ee3ca6f07af0f", 118080.0, 86, 51),
+    ("qaoa32", "ring2", "greedy", 1): ("5974d04c410b5bd37a801764cc64d9f9fee6389d6ad5fe317e12a806a3f60427", 81990.0, 38, 21),
+    ("qaoa32", "ring2", "random", 4): ("55aac51af7b04ec0cdcbf7b51ffaab9e890cf83180246f57d51ee51904bd495a", 115675.0, 86, 51),
     ("qaoa32", "ring2", "random", None): ("e6dfa891ea4b63ce57387031616e323218d8247bc54c6b33377e2d5848e532b5", 228985.0, 240, 185),
-    ("qaoa32", "ring2", "random", 1): ("9082b54a33af840e1990b8705a13a8bcd0a6480f4c89a6166819a47b029f6e84", 124260.0, 156, 42),
-    ("rnd32", "linear4", "sta", 4): ("aaef15ea646a9544571c6810fe67e7d603ad4ad738f2eacba51b2de167164c1b", 270815.0, 525, 448),
-    ("rnd32", "linear4", "sta", None): ("e2d785e83e50780417d14dc3bdd279894f5e22ee32047f6db12616eec765d50c", 296285.0, 547, 476),
-    ("rnd32", "linear4", "sta", 1): ("4fe61e6079dc352bc30ad9a09c760b9d027716decd657b9421e3d99eecd3cbdb", 211315.0, 452, 371),
-    ("rnd32", "linear4", "greedy", 4): ("ab787b0d540bb1e1992f6d7f5e156d7e6a161a3a8cb1c73e9acd5a6950fe9eb2", 264420.0, 491, 430),
-    ("rnd32", "linear4", "greedy", None): ("45f350bb486e56ea2ead241dd805a11bd5772fdc13f8e1be68c08c41419dcfc9", 295780.0, 533, 466),
-    ("rnd32", "linear4", "greedy", 1): ("325516d1c65c620e285ea4b24aca74590ca33344f77679a94dabdea5a8554ba9", 236115.0, 488, 398),
-    ("rnd32", "linear4", "random", 4): ("ef8d5aec7739bdb9daa02892d7a5554dc9ba799c90a7e66be137aac82905b7b2", 273475.0, 491, 436),
-    ("rnd32", "linear4", "random", None): ("d17c8056cae7201d6ac33d3ba51524395e1252f0af77f7fc31cf420bb07e6371", 320000.0, 595, 490),
-    ("rnd32", "linear4", "random", 1): ("804ea8fdf543e8999ffa3cb7d5cc8987f53aeb6a483dbbd93ab301ebb50131b1", 222400.0, 476, 378),
-    ("rnd32", "ring5", "sta", 4): ("d73a18b1a398bcbf8d81b26eb153c0010abbe85c7915bf41a7d5dd8d37814d04", 188685.0, 485, 403),
-    ("rnd32", "ring5", "sta", None): ("937bc2c8a3392df908658895aa2f3b1b6380c453685d531d21f45078fc6fd9e0", 213875.0, 542, 440),
-    ("rnd32", "ring5", "sta", 1): ("48d6e87c3c4709d8ed72073e0e031ce46200cd8379e41657c174787132070ab9", 186895.0, 536, 393),
-    ("rnd32", "ring5", "greedy", 4): ("b3fe625123ef10c7f6061932a1f0ad40a6f5f61a4c61f936e4d89b16aa74f996", 177760.0, 479, 413),
-    ("rnd32", "ring5", "greedy", None): ("15ab57a9e62255b3c9b0fcf39c2e4de2ce6b20e3145dbe949e27f14465602933", 230140.0, 597, 491),
-    ("rnd32", "ring5", "greedy", 1): ("6c70ac34953107366a4e474f356961c5ae1872cf17e8da1ace62706779d3c73a", 175045.0, 502, 365),
-    ("rnd32", "ring5", "random", 4): ("51a57aeb14c7da3e813cdb2fafa011c3327da8782741520f3491976b6e666fce", 210335.0, 528, 431),
-    ("rnd32", "ring5", "random", None): ("59b628757f786f63c7185d85ede2a4592c170e1adb158a5af01b07f9dfaad8c9", 222845.0, 590, 480),
-    ("rnd32", "ring5", "random", 1): ("8c12d2c2f4eb866f63943a3973c0156d5155353860be1b2c97a9d6e340f94f0c", 170245.0, 484, 372),
-    ("rnd32", "ring2", "sta", 4): ("36538aada8dba958d72055d525316ddb7dae8c6a66840eb933c26358cb715a73", 158285.0, 170, 151),
-    ("rnd32", "ring2", "sta", None): ("bf013bed2c159ef8f2c9fb85e411918e2edd50f80307fa5f0d8e0689e74d0bbd", 178285.0, 221, 164),
-    ("rnd32", "ring2", "sta", 1): ("8be37c571435705c43c854b50c9a912b7e478d3066ce09fd782335d050a45f68", 148150.0, 158, 142),
-    ("rnd32", "ring2", "greedy", 4): ("be1f22f48665d91936f78b85417b9ed3928beffad716cb13b5b33e4f88683af2", 165945.0, 181, 161),
-    ("rnd32", "ring2", "greedy", None): ("67281746f46e1a03b2e83cf57c99da32967b57b821c93b1b637912e42df6c1b3", 186445.0, 246, 167),
-    ("rnd32", "ring2", "greedy", 1): ("e0dc29d9bbe595049ee9c0c77197ee9f96ae0a362c018960a6b4de83ce008ec7", 146885.0, 154, 140),
-    ("rnd32", "ring2", "random", 4): ("a6dbf889055cee348c640ccfbe4f28be19fd7427c12e906e0b2bef54a140458e", 158635.0, 165, 152),
-    ("rnd32", "ring2", "random", None): ("06675b9e1765bf26590c2b4f5754aca350181b6afbd9b21e90b8078b10c08a4e", 198000.0, 252, 188),
-    ("rnd32", "ring2", "random", 1): ("8949e8c19793eeb548b103ee29a02aa41bbd4f89e03e8019cf21c2d3d3534e89", 159370.0, 175, 153),
-    ("qft32", "ring4", "sta", 4): ("625c9c5be9419f6f999fc3bae97f099a9c97e0238f217016ca40d01f5935ed86", 86560.0, 135, 99),
-    ("rnd32", "ring4", "sta", 4): ("3c46936658923af4f4981daad04935c6bb3843423c77dd64498dc950beb98a18", 197505.0, 406, 336),
+    ("qaoa32", "ring2", "random", 1): ("cb6074ce3fc3b4d3691126c726443703e827cc947d191916b83f8b04891f358e", 122545.0, 156, 42),
+    ("rnd32", "linear4", "sta", 4): ("a8a06f3574c0ae95ac4c78791fa790f78530dfe97ff526de5e56704bb222af27", 221465.0, 525, 448),
+    ("rnd32", "linear4", "sta", None): ("5dac7fdae54606394dd629a3368a0b4aa8af138d6fd1b0b1c76fe062082d2510", 244380.0, 547, 476),
+    ("rnd32", "linear4", "sta", 1): ("ee04719ae6b1de83e732a7b6a8e95e79fb30e9ae29159806eedd36ab81038243", 187215.0, 452, 371),
+    ("rnd32", "linear4", "greedy", 4): ("387de12a9231dd8c92afa39020e5e4d5401ff893d6b6f9d10e346bfb356007b6", 216515.0, 491, 430),
+    ("rnd32", "linear4", "greedy", None): ("abd8aa9dbd72a50eee5132703522a82a874a95b13f440ee5bc344234aad8f67b", 241110.0, 533, 466),
+    ("rnd32", "linear4", "greedy", 1): ("dadb4275e1daa00ba04524b4c85e15aa8aa8d64d5375179b66ab9fe15511a881", 205465.0, 488, 398),
+    ("rnd32", "linear4", "random", 4): ("dd4e870d246b74a58ca6ec2b319df3f50cb3b3900acfa24640cade96243b1ae8", 221395.0, 491, 436),
+    ("rnd32", "linear4", "random", None): ("438adee9f45f07edda5e5d2b0169505ec1ef87d2b1c3992bed42468993fd8fa4", 255765.0, 595, 490),
+    ("rnd32", "linear4", "random", 1): ("870753c8d35c9807a757a160c32f79ffb9932f1ec0ffc47f03b4e534039e9c5f", 191645.0, 476, 378),
+    ("rnd32", "ring5", "sta", 4): ("a69851b55847d1b305de96708e4848593c8ff8c0825578eab093a6b1e68c93a2", 157160.0, 485, 403),
+    ("rnd32", "ring5", "sta", None): ("52923a5c15a7556a0f0fa137cedd2c9f22158db87a373bef9db242866c242b59", 180055.0, 542, 440),
+    ("rnd32", "ring5", "sta", 1): ("e57e8c6c5b8cc96c581738b6a67f20e5ee5dd7cec42e3f38820972015e901375", 153850.0, 536, 393),
+    ("rnd32", "ring5", "greedy", 4): ("e59a2d5cf9cb62c820816e65690152527912145d3c56600d4e4630fc119165d7", 147795.0, 479, 413),
+    ("rnd32", "ring5", "greedy", None): ("4b5396265892cb16cd23dfd95ab51d107543c80756856398a50e3273902f9d52", 184295.0, 597, 491),
+    ("rnd32", "ring5", "greedy", 1): ("7d1f93923b2818c0bd61d09ed8db9b236817cc3a8d954fc6c3ddb3ace492ef68", 146755.0, 502, 365),
+    ("rnd32", "ring5", "random", 4): ("1d1c1253cb51430cf0f54da4bd495f4668cc5287e0de18d03c5927d414894f8a", 168180.0, 528, 431),
+    ("rnd32", "ring5", "random", None): ("94d1469cce6523843c343a8628b19f6dd52ac15aa385332ab05e14e1f9e4361f", 181090.0, 590, 480),
+    ("rnd32", "ring5", "random", 1): ("80a9292bb90bc7469d3966e29fa5e1086316de877d91bf797464bbbfa28eddab", 144970.0, 484, 372),
+    ("rnd32", "ring2", "sta", 4): ("775acee5d6a13dbe352bfebad5bc3b2ca584fc0f2fedc59acce5e4120177cee9", 156250.0, 170, 151),
+    ("rnd32", "ring2", "sta", None): ("5ec1a1a73a9214a129bb3e94825be3756be8b10715eb746dc8905bbf7c8c7e77", 175700.0, 221, 164),
+    ("rnd32", "ring2", "sta", 1): ("1aeabcc10ad57e5bcaa59998ff0b039fed822a9f0166b28bf6d4f5e6db768de2", 144700.0, 158, 142),
+    ("rnd32", "ring2", "greedy", 4): ("4ef4f7e4e59d5bec26ab06d7f9190d683e34b02979a8ab85885014ccc9225b12", 163660.0, 181, 161),
+    ("rnd32", "ring2", "greedy", None): ("03ab6280d18bee044dd7c04a87135f29d89da65d1868d644086858455ad91323", 184605.0, 246, 167),
+    ("rnd32", "ring2", "greedy", 1): ("0e8ae1dbf0f4d02223a556527e2dd73099d30931a64eaf0ff37508226beb9179", 143325.0, 154, 140),
+    ("rnd32", "ring2", "random", 4): ("ad26c557f0e8ada36f40484c50c340603bc0397250cbe4fae198f429160d7fc4", 156075.0, 165, 152),
+    ("rnd32", "ring2", "random", None): ("731bc12ba499cd0b71a3798e86e26facaebbdbd9a7bb5de68e31edb15293f5cc", 196880.0, 252, 188),
+    ("rnd32", "ring2", "random", 1): ("67258af4b23ad0cf879e4c50f6a5958db4a9ea1ceecf36492e9a847b1c845302", 153715.0, 175, 153),
+    ("qft32", "ring4", "sta", 4): ("2192970e12125b8eaf48a0def45741345250378a33f18ef677d623228328a5e3", 78460.0, 135, 99),
+    ("rnd32", "ring4", "sta", 4): ("36a1c75597fca45d36be2de062e077e937efb83081d5acd81c53e6a78fd1b54e", 156590.0, 406, 336),
 }
 
 
@@ -135,12 +135,12 @@ def test_schedule_digest(case):
 REPORT_GOLDEN = {
     ("compile", "csv"): "bc6045f1545a17d1c374fce33cd83aa6b547ac43b0015dc0ddac7793947cf219",
     ("compile", "json"): "a45fdbdad8eda809c77e37c32c55855e5c865e67bcecc434c8ab9177494041c9",
-    ("random_group", "csv"): "fe34cf8eda69cfaad8f140cf07e93f576130cc90c0799116b2d3264036199692",
-    ("random_group", "json"): "02d1cad33971e1e9c3c7f5ab59e85a9eb07c703693d968f5a7704ab0306494c9",
+    ("random_group", "csv"): "ef730c6ff8ddb027910b24526fc1fa19ed0eccc820974d0d08c4ab6c672c94b4",
+    ("random_group", "json"): "0fe2270251826eeafbf97f71b00a5d6809934f8f6236cb30c373b8f583695d63",
     ("infeasible_sweep", "csv"): "90ddbcd4ab1e0f46aeaf4df5c8b8ee249c9bf90433beb857ce0ecc5653508e37",
     ("infeasible_sweep", "json"): "187995e315be1f87c7daae8eaa215ca06751983440854c7ceffd6120e8128d20",
-    ("compare", "csv"): "d3de9fb32fbf248bb78eb2908bc52526616bf38ebcfcc08f62a3b74d96837008",
-    ("compare", "json"): "d22c48f1674f4779f1e66046ab58ca74c27dea76c47ca80f887bc4d6df1bf46a",
+    ("compare", "csv"): "c8ba974e28f82fb7c55ddf2bdd4d064848203aeb235a5fbbf0c28aff0591c7a2",
+    ("compare", "json"): "67903a145d48d3113fd0cf3c13c4b78f11aca0453a1a58d94c3ae8087e03bba7",
 }
 
 _REPORT_DEVICE = DeviceSpec(topology=Topology.LINEAR, n_traps=2, capacity=10, excess_capacity=2)

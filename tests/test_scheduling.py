@@ -378,7 +378,7 @@ def _compile_case(draw):
         circuit(n, gates),
         spec,
         draw(st.sampled_from(["sta", "greedy", "random"])),
-        draw(st.sampled_from([None, 1, 4])),
+        draw(st.sampled_from([None, 1, 2, 4])),
     )
 
 
@@ -392,6 +392,38 @@ def test_compile_with_a_free_slot_always_verifies(case):
     assert verdict.ok, verdict.reason
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_compile_case())
+def test_each_op_starts_once_its_own_traps_are_free(case):
+    # From the rows alone: an op starts at the latest end of the earlier rows
+    # on the traps it holds, 0.0 if none, so none could start earlier.
+    circ, spec, strategy, lookahead = case
+    pl = place(circ, spec, strategy, seed=0)
+    sched = schedule(circ, pl, spec, lookahead=lookahead)
+    free = [0.0] * spec.n_traps
+    for op in sched.ops:
+        assert op.start == max(free[t] for t in held(op))
+        for t in held(op):
+            free[t] = op.end
+    verdict = verify_schedule(sched, circ, pl, spec)
+    assert verdict.ok, verdict.reason
+
+
+def test_relief_on_idle_traps_starts_before_its_gate_is_taken():
+    # cx 0 2 is taken at 110 us, when cx 0 1 ends. Its mover enters the full
+    # trap 0, whose relief first shuttles ion 4 from the full trap 1 to trap 2.
+    # Traps 1 and 2 have been idle since 0, so that shuttle starts at 0.
+    spec = _spec(3, 3, 0)
+    c = circuit(6, [("cx", 0, 1), ("cx", 0, 2)])
+    pl = Placement(chains=((0, 1, 5), (2, 3, 4), ()))
+    sched = schedule(c, pl, spec)
+    first, relief = sched.ops[:2]
+    assert (first.seq, first.end) == (0, pytest.approx(110e-6))
+    assert (relief.kind, relief.qubits, relief.src, relief.dst) == (OpKind.SHUTTLE, (4,), 1, 2)
+    assert relief.start == 0.0
+    assert verify_schedule(sched, c, pl, spec).ok
+
+
 # ---------------------------------------------------------------------------
 # the wake heap against a rescanning event loop
 # ---------------------------------------------------------------------------
@@ -401,7 +433,9 @@ def _rescan_schedule(circ, placement, spec, lookahead):
     order, then advance to the smallest later trap_free or ready time.
 
     It drives the same ``resolve_gate`` as ``schedule``, so a difference
-    between the two can only come from the event loop.
+    between the two can only come from the event loop. Its clock decides
+    when a gate is taken; each op is written out, as ``schedule`` emits it,
+    at the latest end of the ops already written on the traps it holds.
     """
     state = DeviceState(spec, placement)
     # A gate's predecessors are the previous gates on each of its operands.
@@ -416,25 +450,31 @@ def _rescan_schedule(circ, placement, spec, lookahead):
     remaining = [len(p) for p in predecessors]
     end_of = [0.0] * len(circ.gates)
     tracker = PendingTracker(circ, lookahead)
+    # trap_free is the loop's clock; emitted_end[t] is when the last op
+    # written out on trap t ends, and each op is written out at the latest
+    # emitted_end among the traps it holds.
     trap_free = [0.0] * spec.n_traps
+    emitted_end = [0.0] * spec.n_traps
     out = []
 
     def commit_op(op, earliest):
-        start = max([earliest] + [trap_free[t] for t in held(op)])
-        end = start + op_duration(spec.timing, op, state.occupancies())
+        """Write op out and return its end on the loop's clock."""
+        tick = max([earliest] + [trap_free[t] for t in held(op)])
+        duration = op_duration(spec.timing, op, state.occupancies())
+        start = max(emitted_end[t] for t in held(op))
         state.apply(op)
         for t in held(op):
-            trap_free[t] = end
-        out.append(op._replace(start=start, end=end))
-        return out[-1]
+            trap_free[t] = tick + duration
+            emitted_end[t] = start + duration
+        out.append(op._replace(start=start, end=start + duration))
+        return tick + duration
 
     cursor = 0.0
 
     def commit_move(*fields):
         nonlocal cursor
-        rec = commit_op(PhysOp(*fields), cursor)
-        cursor = rec.end
-        return rec
+        cursor = commit_op(PhysOp(*fields), cursor)
+        return out[-1]
 
     available = [g.seq for g in circ.gates if remaining[g.seq] == 0]
     ready_at = {s: 0.0 for s in available}
@@ -453,11 +493,11 @@ def _rescan_schedule(circ, placement, spec, lookahead):
                 if len(traps) == 2:
                     resolve_gate(g, state, tracker, commit_move)
                 gate = PhysOp(OpKind.GATE2, (a, b), state.trap_of[a], seq=seq)
-                end = commit_op(gate, cursor).end
+                end = commit_op(gate, cursor)
             else:
                 q = g.qubits[0]
                 gate = PhysOp(OpKind.GATE1, (q,), state.trap_of[q], seq=seq)
-                end = commit_op(gate, clock).end
+                end = commit_op(gate, clock)
             end_of[seq] = end
             tracker.mark_done(seq)
             available.remove(seq)
