@@ -93,25 +93,19 @@ def format_table(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ratio(after: float, before: float) -> float:
-    return after / before if before else 1.0
-
-
 def report(before: dict, after: dict) -> list[str]:
     """One line per case, before -> after, then the summary lines."""
     lines, ratios = [], []
     rose = same = moved = 0
     for case, (digest0, make0, sh0, sw0) in before.items():
         digest1, make1, sh1, sw1 = after[case]
-        ratio = _ratio(make1, make0)
+        ratio = make1 / make0 if make0 else 1.0
         ratios.append(ratio)
         rose += make1 > make0
         moved += (sh0, sw0) != (sh1, sw1)
-        if (digest0, make0, sh0, sw0) == (digest1, make1, sh1, sw1):
-            same += 1
-            state = "same"
-        else:
-            state = "digest " + ("same" if digest0 == digest1 else "changed")
+        unchanged = (digest0, make0, sh0, sw0) == (digest1, make1, sh1, sw1)
+        same += unchanged
+        state = "same" if unchanged else "changed"
         lines.append(
             f"{case_id(case)}: makespan_us {make0:.3f} -> {make1:.3f} ({ratio:.3f}),"
             f" shuttles {sh0} -> {sh1}, swaps {sw0} -> {sw1}, {state}"
